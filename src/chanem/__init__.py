@@ -13,8 +13,8 @@ from .cir import (CirConfig, DEFAULT_TAP_BUDGET, DiscreteCir, SortedCir,
                   discretize, path_gain_total, sort_truncate)
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from .emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState, IqSlot,
-                       RunStats, SlotFormat, calibrate_signal_gain,
-                       convolve_slot, noise_block, run_scenario)
+                       SlotFormat, calibrate_signal_gain, convolve_slot,
+                       noise_block, run_scenario)
 from .errors import (ChanemError, DelayRangeError, EndOfScenario, FormatError,
                      InvalidInputError, NoReferenceError, ScenarioParseError,
                      SceneGeometryError, SequencingError)
@@ -27,6 +27,7 @@ from .materials import (BUILTIN_MATERIALS, EmProperties, MaterialSpec,
 from .propagation import (DelayProfile, GroundPlane, MobilityTrace, Scene,
                           VerticalRectangle, reflection_coefficient,
                           trace_snapshot, trace_timeline)
-from .timeline import (CirTimeline, ReportRow, build_scenario, read_timeline,
-                       report, timeline_from_profiles, write_timeline)
+from .scenefile import build_scenario
+from .timeline import (CirTimeline, ReportRow, read_timeline, report,
+                       timeline_from_profiles, write_timeline)
 from .bench import BenchStats, bench

@@ -1,13 +1,12 @@
 """Per-slot convolution latency measurement against the slot-period budget."""
 
-import time
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cir import SortedCir
-from .emulator import (CARRY, EmulatorConfig, EmulatorState, IqSlot,
-                       convolve_slot)
+from .emulator import CARRY, EmulatorConfig, IqSlot, run_scenario
 from .errors import InvalidInputError
 
 DEFAULT_TAP_VECTOR_LEN = 146
@@ -33,7 +32,7 @@ class BenchStats:
 
 def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
           noise_power_db=float("-inf")):
-    """Time ``convolve_slot`` over synthetic random slots.
+    """Time ``convolve_slot`` over synthetic random slots via :func:`run_scenario`.
 
     Only the convolution call is timed; input generation happens outside the
     timer.  Noise defaults to off so the measurement isolates the tap
@@ -59,28 +58,20 @@ def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
         rng_seed=seed,
         history_mode=CARRY,
     )
-    state = EmulatorState(cfg)
-
     n_s = slot_format.samples_per_slot
     pool = [
         rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
         for _ in range(min(8, slot_count))
     ]
-    latencies = np.empty(slot_count)
-    for i in range(slot_count):
-        slot = IqSlot(i, pool[i % len(pool)])
-        t0 = time.perf_counter()
-        convolve_slot(state, cfg, slot)
-        latencies[i] = time.perf_counter() - t0
-
-    latencies.sort()
+    slots = (IqSlot(i, pool[i % len(pool)]) for i in range(slot_count))
+    latencies = sorted(seconds for _, seconds in run_scenario(cfg, slots))
     return BenchStats(
         slot_count=slot_count,
         l_sel=l_sel,
         samples_per_slot=n_s,
-        min_s=float(latencies[0]),
-        median_s=float(latencies[slot_count // 2]),
-        p99_s=float(latencies[min(slot_count - 1, int(np.ceil(0.99 * slot_count)) - 1)]),
-        max_s=float(latencies[-1]),
+        min_s=latencies[0],
+        median_s=latencies[slot_count // 2],
+        p99_s=latencies[min(slot_count - 1, math.ceil(0.99 * slot_count) - 1)],
+        max_s=latencies[-1],
         budget_s=slot_format.slot_duration,
     )

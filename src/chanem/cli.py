@@ -2,12 +2,14 @@
 
 Subcommands: materials, trace, cir, emulate, kpi, check-ofdm, report, bench.
 stdout carries only data; human-readable context goes to stderr.  Exit
-codes: 0 success, 2 parse/format errors, 3 precondition violations,
-4 end of scenario.
+codes: 0 success, 2 parse/format errors and malformed flag or environment
+values, 3 precondition violations, 4 end of scenario.
 """
 
 import argparse
 import contextlib
+import dataclasses
+import math
 import os
 import socket
 import sys
@@ -15,19 +17,18 @@ import sys
 from . import __version__
 from .bench import bench
 from .cir import CirConfig, DEFAULT_TAP_BUDGET
-from .emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState, IqSlot,
-                       calibrate_signal_gain, convolve_slot)
+from .emulator import (CARRY, ZERO, EmulatorConfig, IqSlot, SlotFormat,
+                       calibrate_signal_gain, run_scenario)
 from .errors import (ChanemError, EndOfScenario, FormatError,
                      InvalidInputError, ScenarioParseError)
 from .iqstream import (STREAM_VERSION, read_frame, write_frame)
 from .kpi import (LinkConfig, TddPattern, effective_throughput, max_bitrate,
                   mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from .materials import evaluate_material, get_material
-from .scenefile import load_profile
-from .timeline import (TIMELINE_VERSION, build_scenario, read_timeline,
-                       report, timeline_from_profiles, write_path_gain_csv,
+from .scenefile import build_scenario, load_profile
+from .timeline import (TIMELINE_VERSION, read_timeline, report,
+                       timeline_from_profiles, write_path_gain_csv,
                        write_pdp_csv, write_report_rows_csv, write_timeline)
-from .emulator import SlotFormat
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -37,8 +38,27 @@ EXIT_END_OF_SCENARIO = 4
 SEED_ENV_VAR = "OWDT_SEED"
 
 
-def _default_seed():
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _listen_address(text):
+    """``HOST:PORT`` -> (host, port); the host defaults to 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in 0..65535, got {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
+def _signal_gain(text):
+    """'auto' or a finite gain in dB."""
+    if text == "auto":
+        return text
+    try:
+        gain = float(text)
+    except ValueError:
+        gain = math.nan
+    if not math.isfinite(gain):
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a finite number, got {text!r}")
+    return gain
 
 
 def _cmd_materials(args):
@@ -66,13 +86,9 @@ def _cmd_cir(args):
 
 def _cmd_kpi(args):
     tdd = TddPattern.parse(args.pattern, args.special)
-    base = LinkConfig.band_n77_40mhz()
-    cfg = LinkConfig(
-        numerology_mu=args.mu, bandwidth=base.bandwidth, n_prb=args.nprb,
-        overhead_dl=args.oh_dl, overhead_ul=args.oh_ul, tdd=tdd,
-        fft_size=base.fft_size, f_samp=base.f_samp,
-        carrier_freq=base.carrier_freq,
-    )
+    cfg = dataclasses.replace(
+        LinkConfig.band_n77_40mhz(), numerology_mu=args.mu, n_prb=args.nprb,
+        overhead_dl=args.oh_dl, overhead_ul=args.oh_ul, tdd=tdd)
     mcs = mcs_lookup(args.mcs)
     alpha_dl, alpha_ul = tdd_occupancy(tdd)
     alpha = alpha_dl if args.dir == "dl" else alpha_ul
@@ -85,13 +101,9 @@ def _cmd_kpi(args):
 
 
 def _cmd_check_ofdm(args):
-    base = LinkConfig.band_n77_40mhz()
-    cfg = LinkConfig(
-        numerology_mu=args.mu, bandwidth=base.bandwidth, n_prb=base.n_prb,
-        overhead_dl=base.overhead_dl, overhead_ul=base.overhead_ul,
-        tdd=base.tdd, fft_size=args.fft, f_samp=args.fsamp,
-        carrier_freq=args.freq_hz,
-    )
+    cfg = dataclasses.replace(
+        LinkConfig.band_n77_40mhz(), numerology_mu=args.mu, fft_size=args.fft,
+        f_samp=args.fsamp, carrier_freq=args.freq_hz)
     verdict = ofdm_feasibility(cfg, args.sigma_tau, args.speed, margin=args.margin)
     print(f"sigma_tau_s={verdict.rms_delay_spread:.9g}")
     print(f"t_gi_s={verdict.guard_interval:.9g}")
@@ -141,9 +153,9 @@ def _cmd_bench(args):
 def _frame_streams(args):
     """Yield (reader, writer) byte streams for emulate from pipe/file/TCP."""
     if args.listen:
-        host, _, port = args.listen.rpartition(":")
-        server = socket.create_server((host or "127.0.0.1", int(port)))
-        print(f"listening on {args.listen}", file=sys.stderr)
+        host, port = args.listen
+        server = socket.create_server((host, port))
+        print(f"listening on {host}:{port}", file=sys.stderr)
         conn, peer = server.accept()
         print(f"connection from {peer}", file=sys.stderr)
         rf = conn.makefile("rb")
@@ -169,9 +181,16 @@ def _frame_streams(args):
             wf.close()
 
 
-def _cmd_emulate(args):
-    import time
+def _decode_frames(rf, samples_per_slot, formats):
+    """Yield an IqSlot per input frame, appending the frame's format to
+    ``formats`` so that its output frame is written back the same way."""
+    while (frame := read_frame(rf, samples_per_slot)) is not None:
+        slot_index, samples, fmt = frame
+        formats.append(fmt)
+        yield IqSlot(slot_index, samples)
 
+
+def _cmd_emulate(args):
     timeline = read_timeline(args.timeline)
     if not timeline.snapshots:
         raise InvalidInputError("timeline holds no snapshots")
@@ -179,7 +198,7 @@ def _cmd_emulate(args):
         gain_db = calibrate_signal_gain(timeline.snapshots)
         print(f"auto signal gain: {gain_db:.3f} dB", file=sys.stderr)
     else:
-        gain_db = float(args.signal_gain_db)
+        gain_db = args.signal_gain_db
 
     fmt = SlotFormat(fft_size=args.fft, f_samp=timeline.config.f_samp)
     cfg = EmulatorConfig(
@@ -192,35 +211,25 @@ def _cmd_emulate(args):
         rng_seed=args.seed,
         history_mode=args.history,
     )
-    state = EmulatorState(cfg)
 
     stats_fh = open(args.stats, "w", encoding="utf-8") if args.stats else None
     if stats_fh:
         stats_fh.write("slot_index,latency_s,clipped_samples\n")
-    ended = False
+    formats = []  # one frame is in flight: run_scenario yields before it pulls
     try:
         with _frame_streams(args) as (rf, wf):
-            while True:
-                frame = read_frame(rf)
-                if frame is None:
-                    break
-                slot_index, samples, in_fmt = frame
-                t0 = time.perf_counter()
-                try:
-                    out = convolve_slot(state, cfg, IqSlot(slot_index, samples))
-                except EndOfScenario:
-                    ended = True
-                    break
-                latency = time.perf_counter() - t0
-                clipped = write_frame(wf, out.slot_index, out.samples, fmt=in_fmt)
+            slots = _decode_frames(rf, fmt.samples_per_slot, formats)
+            for out, seconds in run_scenario(cfg, slots):
+                clipped = write_frame(wf, out.slot_index, out.samples,
+                                      fmt=formats.pop())
                 if stats_fh:
-                    stats_fh.write(f"{out.slot_index},{latency:.9f},{clipped}\n")
+                    stats_fh.write(f"{out.slot_index},{seconds:.9f},{clipped}\n")
+    except EndOfScenario:
+        print("end of scenario reached with input remaining", file=sys.stderr)
+        return EXIT_END_OF_SCENARIO
     finally:
         if stats_fh:
             stats_fh.close()
-    if ended:
-        print("end of scenario reached with input remaining", file=sys.stderr)
-        return EXIT_END_OF_SCENARIO
     return EXIT_OK
 
 
@@ -261,14 +270,15 @@ def build_parser():
     p = sub.add_parser("emulate", help="convolve an IQ frame stream with a timeline")
     p.add_argument("--timeline", required=True)
     p.add_argument("--taps", type=int, default=DEFAULT_TAP_BUDGET)
-    p.add_argument("--signal-gain-db", default="auto")
+    p.add_argument("--signal-gain-db", type=_signal_gain, default="auto")
     p.add_argument("--noise-db", type=float, default=float("-inf"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--history", choices=[CARRY, ZERO], default=CARRY)
     p.add_argument("--fft", type=int, default=1536)
     p.add_argument("--in", dest="input", default="-")
     p.add_argument("--out", default="-")
-    p.add_argument("--listen", default=None, metavar="HOST:PORT")
+    p.add_argument("--listen", type=_listen_address, default=None,
+                   metavar="HOST:PORT")
     p.add_argument("--stats", default=None)
     p.set_defaults(func=_cmd_emulate)
 
@@ -318,7 +328,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
+        text = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            parser.error(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
     try:
         return args.func(args)
     except (ScenarioParseError, FormatError) as exc:

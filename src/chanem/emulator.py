@@ -11,9 +11,8 @@ The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
 3x more per slot and misses the real-time budget on a desktop core.
 """
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -201,54 +200,17 @@ def calibrate_signal_gain(timeline, headroom_db=5.0):
     return headroom_db - best
 
 
-@dataclass
-class RunStats:
-    """Per-slot processing latencies collected by :func:`run_scenario`."""
+def run_scenario(cfg, slots):
+    """Convolve each slot of ``slots`` in turn; yield (output slot, seconds).
 
-    latencies: list = field(default_factory=list)
-    clipped_samples: int = 0
-    ended_early: bool = False
-
-    def record(self, seconds):
-        self.latencies.append(seconds)
-
-    def _sorted(self):
-        return sorted(self.latencies)
-
-    @property
-    def min(self):
-        return self._sorted()[0]
-
-    @property
-    def median(self):
-        s = self._sorted()
-        return s[len(s) // 2]
-
-    @property
-    def p99(self):
-        s = self._sorted()
-        return s[min(len(s) - 1, math.ceil(0.99 * len(s)) - 1)]
-
-    @property
-    def max(self):
-        return self._sorted()[-1]
-
-
-def run_scenario(cfg, slots, stats=None):
-    """Yield the convolved slot for each input slot until the timeline ends.
-
-    The generator stops cleanly when a slot index runs past the timeline
-    (marking ``stats.ended_early``); sequencing errors propagate.
+    This is the one place a stream is driven: it owns the
+    :class:`EmulatorState`.  The seconds cover :func:`convolve_slot` alone,
+    timed after the slot has been pulled from ``slots``.  A slot past the
+    end of the timeline raises :class:`EndOfScenario`; sequencing and input
+    errors propagate too.  No per-slot state is kept.
     """
     state = EmulatorState(cfg)
     for slot in slots:
         t0 = time.perf_counter()
-        try:
-            out = convolve_slot(state, cfg, slot)
-        except EndOfScenario:
-            if stats is not None:
-                stats.ended_early = True
-            return
-        if stats is not None:
-            stats.record(time.perf_counter() - t0)
-        yield out
+        out = convolve_slot(state, cfg, slot)
+        yield out, time.perf_counter() - t0

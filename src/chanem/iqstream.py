@@ -69,8 +69,13 @@ def _read_exact(fh, n):
     return b"".join(chunks)
 
 
-def read_frame(fh):
-    """Read one frame; returns (slot_index, samples, fmt) or None at clean EOF."""
+def read_frame(fh, sample_count):
+    """Read one frame; returns (slot_index, samples, fmt) or None at clean EOF.
+
+    A header declaring other than ``sample_count`` samples is rejected before
+    its payload is read, so a corrupt header cannot make the reader allocate
+    for it.
+    """
     header = _read_exact(fh, _HEADER.size)
     if not header:
         return None
@@ -82,6 +87,12 @@ def read_frame(fh):
         raise FormatError(f"bad frame magic {magic!r}", offset=0)
     if version != STREAM_VERSION:
         raise FormatError(f"unsupported frame version {version}", offset=4)
+    if count != sample_count:
+        raise FormatError(
+            f"slot {slot_index} declares {count} samples, the stream carries "
+            f"{sample_count} per slot",
+            offset=16,
+        )
     fmt = FMT_F32 if flags & FLAG_F32 else FMT_I16
     width = 4 if fmt == FMT_F32 else 2
     payload = _read_exact(fh, count * 2 * width)

@@ -183,16 +183,20 @@ def effective_throughput(cfg, mcs, bler, direction):
     return (1.0 - bler) * alpha * max_bitrate(cfg, mcs, direction)
 
 
+def _rms_spread(powers, delays, total):
+    """Power-weighted RMS spread of ``delays``, given ``total = powers.sum()``."""
+    mean = float(np.dot(powers, delays) / total)
+    mean_sq = float(np.dot(powers, delays**2) / total)
+    return math.sqrt(max(mean_sq - mean**2, 0.0))
+
+
 def rms_delay_spread(profile):
     """Power-weighted RMS delay spread of a delay profile, seconds."""
     powers = np.abs(np.asarray(profile.amps)) ** 2
     total = powers.sum()
     if profile.n_paths == 0 or total <= 0.0:
         raise InvalidInputError("RMS delay spread undefined for zero-power profile")
-    delays = np.asarray(profile.delays)
-    mean = float(np.dot(powers, delays) / total)
-    mean_sq = float(np.dot(powers, delays**2) / total)
-    return math.sqrt(max(mean_sq - mean**2, 0.0))
+    return _rms_spread(powers, np.asarray(profile.delays), total)
 
 
 def cir_rms_delay_spread(cir):
@@ -204,10 +208,7 @@ def cir_rms_delay_spread(cir):
     total = powers.sum()
     if total <= 0.0:
         return float("nan")
-    delays = np.arange(len(cir.taps)) / cir.f_samp
-    mean = float(np.dot(powers, delays) / total)
-    mean_sq = float(np.dot(powers, delays**2) / total)
-    return math.sqrt(max(mean_sq - mean**2, 0.0))
+    return _rms_spread(powers, np.arange(len(cir.taps)) / cir.f_samp, total)
 
 
 @dataclass(frozen=True)

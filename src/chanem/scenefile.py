@@ -1,5 +1,8 @@
 """Text-format parsers: scene description, mobility trace CSV, delay-profile CSV.
 
+:func:`build_scenario` chains a scene and a trace file through the tracer
+into a CIR timeline.
+
 Scene files are line-oriented records; ``#`` starts a comment and blank
 lines are ignored:
 
@@ -19,7 +22,8 @@ import numpy as np
 from .errors import ScenarioParseError, SceneGeometryError, InvalidInputError
 from .materials import BUILTIN_MATERIALS, MaterialSpec
 from .propagation import (DelayProfile, GroundPlane, MobilityTrace, Scene,
-                          VerticalRectangle)
+                          VerticalRectangle, trace_timeline)
+from .timeline import timeline_from_profiles
 
 
 def _floats(tokens, n, path, line_no, what):
@@ -169,6 +173,14 @@ def parse_profile(text, path="<profile>"):
 def load_profile(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_profile(fh.read(), path=str(path))
+
+
+def build_scenario(scene_path, trace_path, cir_cfg, max_depth=None):
+    """Scene + trace files -> traced delay profiles -> discrete CIR timeline."""
+    scene = load_scene(scene_path, max_depth=max_depth)
+    trace = load_trace(trace_path)
+    profiles = trace_timeline(scene, trace)
+    return timeline_from_profiles(profiles, cir_cfg, trace.interval)
 
 
 def _is_number(cell):

@@ -1,4 +1,4 @@
-"""CIR timelines: the binary snapshot container, scenario building, reporting.
+"""CIR timelines: the binary snapshot container and reporting.
 
 Timeline file layout (all little-endian):
 
@@ -11,6 +11,7 @@ Timeline file layout (all little-endian):
     payload count * taps complex values as (f32 real, f32 imag)
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -19,8 +20,6 @@ import numpy as np
 from .cir import CirConfig, DiscreteCir, discretize, path_gain_total, sort_truncate
 from .errors import DelayRangeError, FormatError, InvalidInputError
 from .kpi import cir_rms_delay_spread
-from .propagation import trace_timeline
-from .scenefile import load_scene, load_trace
 
 TIMELINE_MAGIC = b"CIRT"
 TIMELINE_VERSION = 1
@@ -90,6 +89,10 @@ def read_timeline(path):
         raise FormatError(f"bad magic {magic!r}", offset=0)
     if version != TIMELINE_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
+    for name, value, offset in (("f_samp", f_samp, 6), ("t_int", t_int, 14)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise FormatError(f"{name} must be finite and positive, got {value}",
+                              offset=offset)
     expected = _HEADER.size + count * taps * 8
     if len(data) != expected:
         raise FormatError(
@@ -120,14 +123,6 @@ def timeline_from_profiles(profiles, cfg, t_int):
                                   path_index=exc.path_index,
                                   snapshot_index=i) from exc
     return CirTimeline(config=cfg, t_int=t_int, snapshots=snapshots)
-
-
-def build_scenario(scene_path, trace_path, cir_cfg, max_depth=None):
-    """Scene + trace files -> traced delay profiles -> discrete CIR timeline."""
-    scene = load_scene(scene_path, max_depth=max_depth)
-    trace = load_trace(trace_path)
-    profiles = trace_timeline(scene, trace)
-    return timeline_from_profiles(profiles, cir_cfg, trace.interval)
 
 
 @dataclass

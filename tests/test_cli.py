@@ -1,17 +1,20 @@
 import socket
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chanem.cir import CirConfig, DiscreteCir
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
 from chanem.emulator import (EmulatorConfig, EmulatorState, IqSlot,
-                             SlotFormat, convolve_slot)
+                             SlotFormat, convolve_slot, run_scenario)
 from chanem.iqstream import FMT_F32, read_frame, write_frame
-from chanem.timeline import CirTimeline, write_timeline
+from chanem.timeline import CirTimeline, read_timeline, write_timeline
 
 F_SAMP = 240000.0  # fft 8 -> N_s 120 -> 0.5 ms slots
 N_S = 120
@@ -186,7 +189,7 @@ class TestEmulateCommand:
     def read_all(self, path):
         out = []
         with open(path, "rb") as fh:
-            while (frame := read_frame(fh)) is not None:
+            while (frame := read_frame(fh, N_S)) is not None:
                 out.append(frame[1])
         return out
 
@@ -260,6 +263,86 @@ class TestEmulateCommand:
                     ) == EXIT_END_OF_SCENARIO
         assert len(self.read_all(outp)) == 4
 
+    def test_bad_seed_env_is_parse_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OWDT_SEED", "abc")
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        with pytest.raises(SystemExit) as exc:
+            main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                  "--in", str(inp), "--out", str(outp)])
+        assert exc.value.code == 2
+        assert "OWDT_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--listen", "127.0.0.1:abc"), ("--listen", "127.0.0.1:70000"),
+        ("--signal-gain-db", "abc"), ("--signal-gain-db", "nan"),
+    ])
+    def test_bad_flag_value_is_parse_error(self, tmp_path, capsys, flag, value):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        with pytest.raises(SystemExit) as exc:
+            main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                  "--in", str(inp), "--out", str(outp), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_wrong_frame_length_is_parse_error(self, tmp_path):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(7)])
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--in", str(inp), "--out", str(outp)]) == EXIT_PARSE
+
+    @settings(max_examples=20, deadline=None)
+    @given(history=st.sampled_from(["carry", "zero"]),
+           n_snapshots=st.integers(2, 3),
+           extra_slots=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_convolution_across_snapshots(
+            self, history, n_snapshots, extra_slots, seed):
+        """The CLI file path and ``run_scenario`` equal a naive convolution."""
+        rng = np.random.default_rng(seed)
+        # f32-exact taps and samples, so both file formats carry them losslessly
+        taps = (rng.standard_normal((n_snapshots, 10))
+                + 1j * rng.standard_normal((n_snapshots, 10))).astype(np.complex64)
+        n_slots = 4 * (n_snapshots - 1) + extra_slots  # 4 slots per snapshot
+        stream = (rng.standard_normal(n_slots * N_S)
+                  + 1j * rng.standard_normal(n_slots * N_S)).astype(np.complex64)
+        slots = np.split(stream.astype(np.complex128), n_slots)
+
+        want = []
+        for i, x in enumerate(slots):
+            h = taps[i // 4].astype(np.complex128)
+            if history == "carry":
+                full = np.convolve(stream[:(i + 1) * N_S], h)
+                want.append(full[i * N_S:(i + 1) * N_S])
+            else:
+                want.append(np.convolve(x, h)[:N_S])
+        want = np.concatenate(want)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            timeline = Path(tmp) / "t.cirt"
+            write_test_timeline(timeline, [dict(enumerate(t)) for t in taps])
+            inp, outp = self.make_streams(Path(tmp), slots)
+            assert main(["emulate", "--timeline", str(timeline), "--taps", "10",
+                         "--signal-gain-db", "0", "--fft", "8", "--history",
+                         history, "--in", str(inp), "--out", str(outp)]) == EXIT_OK
+            from_cli = np.concatenate(self.read_all(outp))
+            cirt = read_timeline(timeline)
+
+        cfg = EmulatorConfig(sorted_timeline=cirt.sorted_snapshots(10),
+                             t_int=cirt.t_int,
+                             slot_format=SlotFormat(fft_size=8, f_samp=F_SAMP),
+                             l_max=10, history_mode=history)
+        from_driver = np.concatenate(
+            [out.samples for out, _ in
+             run_scenario(cfg, (IqSlot(i, x) for i, x in enumerate(slots)))])
+
+        for got in (from_cli, from_driver):
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
+
     def test_tcp_listen(self, tmp_path):
         timeline = tmp_path / "t.cirt"
         taps_list = [{2: 1.0}]
@@ -298,7 +381,7 @@ class TestEmulateCommand:
             wf.flush()
             conn.shutdown(socket.SHUT_WR)
             got = []
-            while (frame := read_frame(rf)) is not None:
+            while (frame := read_frame(rf, N_S)) is not None:
                 got.append(frame[1])
         thread.join(timeout=5.0)
         assert results.get("code") == EXIT_OK
@@ -306,3 +389,4 @@ class TestEmulateCommand:
         assert len(got) == 3
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
+

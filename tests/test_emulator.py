@@ -3,7 +3,7 @@ import pytest
 
 from chanem.cir import DiscreteCir, sort_truncate
 from chanem.emulator import (ZERO, EmulatorConfig, EmulatorState,
-                             IqSlot, RunStats, SlotFormat,
+                             IqSlot, SlotFormat,
                              calibrate_signal_gain, convolve_slot,
                              noise_block, run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
@@ -228,7 +228,7 @@ class TestNoise:
             cfg = make_cfg([sorted_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=-30.0, rng_seed=77)
             return np.concatenate(
-                [s.samples for s in run_scenario(cfg, iter(slots))])
+                [out.samples for out, _ in run_scenario(cfg, iter(slots))])
 
         np.testing.assert_array_equal(run(), run())
 
@@ -240,7 +240,7 @@ class TestNoise:
             cfg = make_cfg([sorted_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=noise_db, rng_seed=seed)
             return np.concatenate(
-                [s.samples for s in run_scenario(cfg, iter(slots))])
+                [out.samples for out, _ in run_scenario(cfg, iter(slots))])
 
         clean = run(1, float("-inf"))
         dl = run(1, -20.0)
@@ -279,13 +279,14 @@ class TestCalibration:
 class TestRunScenario:
     def test_accepts_exactly_capacity_then_ends(self):
         cfg = make_cfg([sorted_cir([0], [1.0])] * 2)
-        stats = RunStats()
         slots = random_slots(np.random.default_rng(8), cfg.capacity_slots + 5)
-        outs = list(run_scenario(cfg, iter(slots), stats=stats))
+        outs = []
+        with pytest.raises(EndOfScenario):
+            for out, seconds in run_scenario(cfg, iter(slots)):
+                assert seconds >= 0.0
+                outs.append(out)
         assert len(outs) == cfg.capacity_slots == 400
-        assert stats.ended_early
-        assert len(stats.latencies) == 400
-        assert stats.min <= stats.median <= stats.p99 <= stats.max
+        assert [o.slot_index for o in outs] == list(range(400))
 
     def test_empty_input_is_fine(self):
         cfg = make_cfg([sorted_cir([0], [1.0])])

@@ -7,11 +7,11 @@ import pytest
 from chanem.cir import CirConfig, DiscreteCir, path_gain_total
 from chanem.errors import (DelayRangeError, FormatError, InvalidInputError,
                            ScenarioParseError)
-from chanem.scenefile import parse_profile, parse_scene, parse_trace
-from chanem.timeline import (CirTimeline, build_scenario, pdp_matrix_db,
-                             read_timeline, report, write_path_gain_csv,
-                             write_pdp_csv, write_report_rows_csv,
-                             write_timeline)
+from chanem.scenefile import (build_scenario, parse_profile, parse_scene,
+                              parse_trace)
+from chanem.timeline import (CirTimeline, pdp_matrix_db, read_timeline, report,
+                             write_path_gain_csv, write_pdp_csv,
+                             write_report_rows_csv, write_timeline)
 
 F_SAMP = 46.08e6
 
@@ -105,6 +105,20 @@ class TestTimelineFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_timeline(path)
+
+    @pytest.mark.parametrize("offset, value", [
+        (6, float("nan")), (6, 0.0), (6, -46.08e6), (6, float("inf")),
+        (14, float("nan")), (14, 0.0), (14, -0.1),
+    ])
+    def test_bad_rate_or_interval_is_format_error(self, tmp_path, offset, value):
+        path = tmp_path / "t.cirt"
+        write_timeline(random_timeline(np.random.default_rng(6)), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_timeline(path)
+        assert err.value.offset == offset
 
     def test_truncated_payload_names_offset(self, tmp_path):
         timeline = random_timeline(np.random.default_rng(4))
