@@ -61,6 +61,18 @@ def _signal_gain(text):
     return gain
 
 
+def _noise_power(text):
+    """A finite noise power in dB, or '-inf' for no noise."""
+    try:
+        power = float(text)
+    except ValueError:
+        power = math.nan
+    if math.isnan(power) or power == math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number or -inf, got {text!r}")
+    return power
+
+
 def _cmd_materials(args):
     props = evaluate_material(get_material(args.material), args.freq_hz)
     print(f"eps_r={props.eps_r:.10g}")
@@ -271,7 +283,7 @@ def build_parser():
     p.add_argument("--timeline", required=True)
     p.add_argument("--taps", type=int, default=DEFAULT_TAP_BUDGET)
     p.add_argument("--signal-gain-db", type=_signal_gain, default="auto")
-    p.add_argument("--noise-db", type=float, default=float("-inf"))
+    p.add_argument("--noise-db", type=_noise_power, default=-math.inf)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--history", choices=[CARRY, ZERO], default=CARRY)
     p.add_argument("--fft", type=int, default=1536)
@@ -318,7 +330,7 @@ def build_parser():
     p.add_argument("--fft", type=int, default=1536)
     p.add_argument("--fsamp", type=float, default=46.08e6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise-db", type=float, default=float("-inf"))
+    p.add_argument("--noise-db", type=_noise_power, default=-math.inf)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -11,6 +11,7 @@ The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
 3x more per slot and misses the real-time budget on a desktop core.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ CARRY = "carry"
 ZERO = "zero"
 
 _U64_MASK = (1 << 64) - 1
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,25 @@ class IqSlot:
 def noise_block(seed, slot_index, count):
     """Unit-variance circular complex Gaussian noise for one slot.
 
-    Counter-based: the generator is keyed by ``seed`` with the slot index in
-    the high counter word, so any slot's noise is reproducible without
-    generating its predecessors.  Box-Muller on unit uniforms; variance is
-    0.5 per real component.
+    Keyed per (seed, slot): the generator is ``SFC64`` seeded by
+    ``SeedSequence(seed mod 2**64, spawn_key=(slot_index,))``, the
+    ``slot_index``-th child that ``SeedSequence.spawn`` would give, so any
+    slot's noise is reproducible without generating its predecessors and
+    neighbouring slots draw from unrelated streams.  (An entropy tuple
+    ``(seed, slot_index)`` would not do: numpy concatenates its 32-bit words,
+    so seed 2**32 + 5 at slot 0 would repeat seed 5 at slot 1.)  numpy's
+    ziggurat ``standard_normal`` fills the interleaved I/Q of a fresh complex
+    array in place, so the values are exactly Gaussian with variance 0.5 per
+    real component; a 23040-sample slot costs about 0.7 ms on one 2-vCPU Xeon
+    sandbox core.
     """
-    bits = np.random.Philox(key=seed & _U64_MASK,
-                            counter=[0, 0, 0, slot_index])
-    gen = np.random.Generator(bits)
-    u = gen.random(2 * count)
-    radius = np.sqrt(-np.log1p(-u[:count]))  # -log of (0,1]
-    phase = 2.0 * np.pi * u[count:]
-    return radius * (np.cos(phase) + 1j * np.sin(phase))
+    gen = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed & _U64_MASK, spawn_key=(slot_index,))))
+    out = np.empty(count, dtype=np.complex128)
+    iq = out.view(np.float64)
+    gen.standard_normal(out=iq)
+    iq *= _SQRT_HALF
+    return out
 
 
 @dataclass
@@ -97,6 +106,12 @@ class EmulatorConfig:
             raise InvalidInputError("sorted_timeline must not be empty")
         if self.l_max < 1:
             raise InvalidInputError(f"l_max must be >= 1, got {self.l_max}")
+        if math.isnan(self.signal_gain_db):
+            raise InvalidInputError("signal_gain_db must not be NaN")
+        if math.isnan(self.noise_power_db) or self.noise_power_db == math.inf:
+            raise InvalidInputError(
+                f"noise_power_db must be finite or -inf (no noise), got "
+                f"{self.noise_power_db}")
         if self.history_mode not in (CARRY, ZERO):
             raise InvalidInputError(
                 f"history_mode must be '{CARRY}' or '{ZERO}', got {self.history_mode!r}"
@@ -168,7 +183,8 @@ def convolve_slot(state, cfg, slot):
 
     sigma = cfg.noise_scale
     if sigma > 0.0:
-        out = sigma * noise_block(cfg.rng_seed, slot.slot_index, n_s)
+        out = noise_block(cfg.rng_seed, slot.slot_index, n_s)
+        out *= sigma
     else:
         out = np.zeros(n_s, dtype=np.complex128)
 

@@ -9,9 +9,10 @@ Frame layout (little-endian):
     sample_count u32
     payload      sample_count * 2 values (I, Q interleaved)
 
-int16 payloads are written by rounding and symmetrically clamping to
-[-32767, 32767]; the number of clipped samples is returned so run
-statistics can track saturation.
+int16 payloads are written by rounding (half to even) and symmetrically
+clamping to [-32767, 32767]; the number of clipped values is returned so run
+statistics can track saturation.  An f32 payload holding a NaN or an
+infinity is rejected on read, before it reaches the emulator.
 """
 
 import struct
@@ -34,26 +35,32 @@ FMT_F32 = "f32"
 
 
 def write_frame(fh, slot_index, samples, fmt=FMT_I16):
-    """Write one slot frame; returns the number of clipped samples (i16 only)."""
-    samples = np.asarray(samples, dtype=np.complex128)
+    """Write one slot frame; returns the number of clipped samples (i16 only).
+
+    The payload is encoded from the float64 view of the samples, which is
+    already interleaved I/Q; int16 values round half to even.
+    """
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    iq = samples.view(np.float64)
     clipped = 0
     if fmt == FMT_F32:
         flags = FLAG_F32
-        inter = np.empty(2 * len(samples), dtype="<f4")
-        inter[0::2] = samples.real
-        inter[1::2] = samples.imag
+        inter = iq.astype("<f4")
     elif fmt == FMT_I16:
         flags = 0
-        raw = np.empty(2 * len(samples))
-        raw[0::2] = np.round(samples.real)
-        raw[1::2] = np.round(samples.imag)
-        clipped = int(np.count_nonzero(np.abs(raw) > INT16_FULL_SCALE))
-        inter = np.clip(raw, -INT16_FULL_SCALE, INT16_FULL_SCALE).astype("<i2")
+        raw = np.rint(iq)
+        # two comparisons, not np.abs(raw) > FS: that slot-sized temporary
+        # made glibc trim and re-fault heap pages on every slot of a TCP
+        # stream (about 160 minor faults and 0.25 ms per slot)
+        clipped = int(np.count_nonzero(raw > INT16_FULL_SCALE)
+                      + np.count_nonzero(raw < -INT16_FULL_SCALE))
+        np.clip(raw, -INT16_FULL_SCALE, INT16_FULL_SCALE, out=raw)
+        inter = raw.astype("<i2")
     else:
         raise InvalidInputError(f"frame format must be 'i16' or 'f32', got {fmt!r}")
     fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, flags,
                           slot_index, len(samples)))
-    fh.write(inter.tobytes())
+    fh.write(memoryview(inter).cast("B"))
     return clipped
 
 
@@ -74,7 +81,9 @@ def read_frame(fh, sample_count):
 
     A header declaring other than ``sample_count`` samples is rejected before
     its payload is read, so a corrupt header cannot make the reader allocate
-    for it.
+    for it.  The payload is decoded in one pass into the float64 view of the
+    returned complex128 array; a non-finite f32 value raises
+    :class:`FormatError` at its byte offset in the frame.
     """
     header = _read_exact(fh, _HEADER.size)
     if not header:
@@ -102,7 +111,14 @@ def read_frame(fh, sample_count):
             f"bytes, got {len(payload)}",
             offset=_HEADER.size + len(payload),
         )
-    dtype = "<f4" if fmt == FMT_F32 else "<i2"
-    inter = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    samples = inter[0::2] + 1j * inter[1::2]
+    samples = np.empty(count, dtype=np.complex128)
+    iq = samples.view(np.float64)
+    iq[:] = np.frombuffer(payload, dtype="<f4" if fmt == FMT_F32 else "<i2")
+    if fmt == FMT_F32 and not np.isfinite(iq).all():
+        first = int(np.flatnonzero(~np.isfinite(iq))[0])
+        raise FormatError(
+            f"slot {slot_index} carries the non-finite value {iq[first]} "
+            f"in sample {first // 2}",
+            offset=_HEADER.size + first * width,
+        )
     return slot_index, samples, fmt

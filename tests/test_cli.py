@@ -130,6 +130,18 @@ class TestSimpleCommands:
         assert float(out["median_s"]) > 0.0
         assert out["passed"] in ("True", "False")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "+inf", "abc"])
+    def test_bench_bad_noise_db_is_parse_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--slots", "2", "--taps", "1", "--fft", "8",
+                  "--fsamp", str(F_SAMP), "--noise-db", value])
+        assert exc.value.code == 2
+        assert "--noise-db" in capsys.readouterr().err
+
+    def test_bench_noise_db_accepts_minus_inf(self):
+        assert main(["bench", "--slots", "2", "--taps", "1", "--fft", "8",
+                     "--fsamp", str(F_SAMP), "--noise-db=-inf"]) == EXIT_OK
+
 
 class TestScenarioPipeline:
     def test_trace_then_report(self, tmp_path, capsys):
@@ -277,6 +289,7 @@ class TestEmulateCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--listen", "127.0.0.1:abc"), ("--listen", "127.0.0.1:70000"),
         ("--signal-gain-db", "abc"), ("--signal-gain-db", "nan"),
+        ("--noise-db", "nan"), ("--noise-db", "inf"),
     ])
     def test_bad_flag_value_is_parse_error(self, tmp_path, capsys, flag, value):
         timeline = tmp_path / "t.cirt"
@@ -287,6 +300,19 @@ class TestEmulateCommand:
                   "--in", str(inp), "--out", str(outp), flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_non_finite_sample_is_parse_error(self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        bad = np.ones(N_S, dtype=complex)
+        bad[7] = complex(1.0, np.nan)
+        inp, outp = self.make_streams(tmp_path, [np.ones(N_S), bad, np.ones(N_S)])
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--in", str(inp), "--out", str(outp)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "slot 1" in err
+        assert f"byte offset {20 + 4 * 15}" in err
+        assert len(self.read_all(outp)) == 1  # slot 0 only
 
     def test_wrong_frame_length_is_parse_error(self, tmp_path):
         timeline = tmp_path / "t.cirt"

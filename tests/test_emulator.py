@@ -179,6 +179,14 @@ class TestConvolveSlot:
         with pytest.raises(InvalidInputError):
             DiscreteCir(taps=[1.0, float("nan")], f_samp=FMT.f_samp)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_power_db", float("nan")), ("noise_power_db", float("inf")),
+        ("signal_gain_db", float("nan")),
+    ])
+    def test_non_finite_levels_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            make_cfg([sorted_cir([0], [1.0])], **{field: value})
+
 
 class TestNoise:
     def test_mean_power_calibrated_to_minus_100_db(self):
@@ -215,10 +223,37 @@ class TestNoise:
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
 
+    @pytest.mark.parametrize("a, b", [
+        ((2**32 + 5, 0), (5, 1)), ((-1, 0), (2**32 - 1, 2**32 - 1)),
+    ])
+    def test_distinct_seed_slot_pairs_give_distinct_noise(self, a, b):
+        assert not np.allclose(noise_block(*a, 64), noise_block(*b, 64))
+
     def test_negative_seed_accepted(self):
         w = noise_block(-1, 0, 64)
         assert np.all(np.isfinite(w))
         np.testing.assert_array_equal(w, noise_block(-1, 0, 64))
+
+    @pytest.mark.parametrize("seed, slot", [
+        (0, 0), (1234, 17), (-1, 5), (7, 2**32 - 1), (7, 2**32), (-1, 2**40),
+    ])
+    def test_neighbouring_slots_uncorrelated(self, seed, slot):
+        n = 23040
+        a = noise_block(seed, slot, n)
+        b = noise_block(seed, slot + 1, n)
+        # <a, b>/n of independent unit-variance noise has standard error 1/sqrt(n)
+        assert abs(np.vdot(a, b)) / n < 4 / np.sqrt(n)
+
+    def test_tails_are_gaussian(self):
+        w = noise_block(2024, 3, 1_000_000)
+        x = w.real / np.sqrt(0.5)
+        n = len(x)
+        kurtosis = np.mean(x ** 4) / np.mean(x ** 2) ** 2
+        assert kurtosis == pytest.approx(3.0, abs=5 * np.sqrt(24 / n))
+        iq = np.concatenate([w.real, w.imag]) / np.sqrt(0.5)
+        p3 = 0.0026997960632601866  # P(|x| > 3) for a standard normal
+        beyond = np.count_nonzero(np.abs(iq) > 3.0) / len(iq)
+        assert beyond == pytest.approx(p3, abs=5 * np.sqrt(p3 / len(iq)))
 
     def test_identical_config_gives_bit_identical_output(self):
         rng = np.random.default_rng(6)

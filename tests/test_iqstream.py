@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -106,3 +107,66 @@ def test_sample_count_checked_before_payload_read():
     with pytest.raises(FormatError, match="7 samples"):
         read_frame(reader, 120)
     assert reader.requests == [20]  # the header only
+
+
+def _reference_payload(samples, fmt):
+    """OWIQ payload and clipped count, one value at a time with struct."""
+    values = [v for s in np.asarray(samples, dtype=complex)
+              for v in (s.real, s.imag)]
+    if fmt == FMT_F32:
+        return b"".join(struct.pack("<f", v) for v in values), 0
+    rounded = [round(v) for v in values]  # Python rounds half to even
+    clipped = sum(abs(r) > 32767 for r in rounded)
+    return b"".join(struct.pack("<h", max(-32767, min(32767, r)))
+                    for r in rounded), clipped
+
+
+I16_EDGES = np.array([
+    32767.0, -32767.0 + 32767.4j, 32767.5 - 32767.5j, 32766.5 + 0.5j,
+    -32766.5 + 1.5j, 2.5 - 2.5j, 40000.0 - 1e9j, -0.5 + 0.49999999999999994j,
+    1e300 - 1e300j, 12345.678 - 0.0j,
+])
+
+
+@pytest.mark.parametrize("fmt, samples", [
+    (FMT_I16, I16_EDGES),
+    (FMT_I16, np.random.default_rng(2).standard_normal(64) * 3e4
+     + 1j * np.random.default_rng(3).standard_normal(64) * 3e4),
+    (FMT_F32, np.random.default_rng(4).standard_normal(64) * 1e3
+     - 1j * np.random.default_rng(5).standard_normal(64) * 1e-3),
+    (FMT_I16, np.arange(16.0) * 4096.5),                   # real input
+    (FMT_F32, np.linspace(-2.0, 2.0, 16)),                 # real input
+    (FMT_I16, (I16_EDGES[::-1] * (1 + 1j))[::2]),          # non-contiguous
+    (FMT_F32, np.exp(1j * np.arange(32.0))[1::3]),         # non-contiguous
+])
+def test_codec_is_bit_identical_to_reference(fmt, samples):
+    before = np.array(samples, copy=True)
+    buf = io.BytesIO()
+    clipped = write_frame(buf, 11, samples, fmt=fmt)
+    payload, want_clipped = _reference_payload(samples, fmt)
+    raw = buf.getvalue()
+    assert raw[20:] == payload
+    assert clipped == want_clipped and type(clipped) is int
+    np.testing.assert_array_equal(samples, before)  # input left untouched
+
+    buf.seek(0)
+    slot_index, back, got_fmt = read_frame(buf, len(samples))
+    code = "<f" if fmt == FMT_F32 else "<h"
+    values = [v for (v,) in struct.iter_unpack(code, payload)]
+    want = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    assert (slot_index, got_fmt) == (11, fmt)
+    assert back.dtype == np.complex128 and back.flags.c_contiguous
+    np.testing.assert_array_equal(back, want)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("position", [0, 5, 15])
+def test_non_finite_f32_value_rejected(bad, position):
+    inter = np.ones(16, dtype="<f4")
+    inter[position] = bad
+    inter[position + 1:] = np.nan  # only the first one is named
+    frame = struct.pack("<4sHHQI", b"OWIQ", 1, 1, 3, 8) + inter.tobytes()
+    with pytest.raises(FormatError, match="slot 3") as exc:
+        read_frame(io.BytesIO(frame), 8)
+    assert exc.value.offset == 20 + 4 * position
+    assert f"sample {position // 2}" in str(exc.value)
