@@ -9,8 +9,8 @@ throughput and OFDM-feasibility numbers.
 
 __version__ = "0.1.0"
 
-from .cir import (CirConfig, DEFAULT_TAP_BUDGET, DiscreteCir, SortedCir,
-                  discretize, path_gain_total, sort_truncate)
+from .cir import (CirConfig, DEFAULT_TAP_BUDGET, SortedCir, discretize,
+                  path_gain_total, sort_truncate)
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from .emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState, IqSlot,
                        SlotFormat, calibrate_signal_gain, convolve_slot,

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import SortedCir
 from .emulator import CARRY, EmulatorConfig, IqSlot, run_scenario
 from .errors import InvalidInputError
+from .timeline import CirTimeline
 
 DEFAULT_TAP_VECTOR_LEN = 146
 
@@ -40,20 +40,18 @@ def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
     """
     if slot_count < 1:
         raise InvalidInputError(f"slot_count must be >= 1, got {slot_count}")
+    if l_sel < 1:
+        raise InvalidInputError(f"l_sel must be >= 1, got {l_sel}")
     rng = np.random.default_rng(seed)
     l_sel = min(l_sel, l_max)
     indices = rng.choice(l_max, size=l_sel, replace=False)
-    amps = rng.standard_normal(l_sel) + 1j * rng.standard_normal(l_sel)
-    order = np.argsort(-np.abs(amps) ** 2, kind="stable")
-    power = float((np.abs(amps) ** 2).sum())
-    snapshot = SortedCir(indices=indices[order], amps=amps[order],
-                         total_power=power, retained_power=power)
+    taps = np.zeros((1, l_max), dtype=np.complex128)
+    taps[0, indices] = rng.standard_normal(l_sel) + 1j * rng.standard_normal(l_sel)
+    timeline = CirTimeline(taps, slot_format.f_samp,
+                           t_int=slot_count * slot_format.slot_duration)
 
     cfg = EmulatorConfig(
-        sorted_timeline=[snapshot],
-        t_int=slot_count * slot_format.slot_duration,
-        slot_format=slot_format,
-        l_max=l_max,
+        timeline, l_sel, slot_format,
         noise_power_db=noise_power_db,
         rng_seed=seed,
         history_mode=CARRY,

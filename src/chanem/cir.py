@@ -7,7 +7,7 @@ delay spread.  Truncation keeps only the highest-power taps.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,62 +24,31 @@ class CirConfig:
     """Sampling grid for discrete CIRs.
 
     ``l_max`` (the tap vector length) is ceil(max_delay_spread * f_samp)
-    plus the sinc guard plus one; it may be pinned explicitly when a tap
-    count is already known (e.g. read back from a timeline file).
+    plus the sinc guard plus one.
     """
 
     f_samp: float
     max_delay_spread: float = 3e-6
     l_guard: int = SINC_GUARD_TAPS
-    l_max: int = field(default=0)
 
     def __post_init__(self):
-        if self.f_samp <= 0.0:
-            raise InvalidInputError(f"f_samp must be positive, got {self.f_samp}")
-        if self.max_delay_spread <= 0.0:
-            raise InvalidInputError(
-                f"max_delay_spread must be positive, got {self.max_delay_spread}"
-            )
-        if self.l_max == 0:
-            k_max = math.ceil(self.max_delay_spread * self.f_samp) + self.l_guard
-            object.__setattr__(self, "l_max", k_max + 1)
-        elif self.l_max < 1:
-            raise InvalidInputError(f"l_max must be >= 1, got {self.l_max}")
+        for name in ("f_samp", "max_delay_spread"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+
+    @property
+    def l_max(self):
+        return math.ceil(self.max_delay_spread * self.f_samp) + self.l_guard + 1
 
     @property
     def k_max(self):
         return self.l_max - 1
 
-    @classmethod
-    def from_tap_count(cls, f_samp, l_max, l_guard=SINC_GUARD_TAPS):
-        """Config with a known tap count (inverse of the ceil derivation)."""
-        spread = max(l_max - 1 - l_guard, 1) / f_samp
-        return cls(f_samp=f_samp, max_delay_spread=spread, l_guard=l_guard, l_max=l_max)
-
-
-@dataclass
-class DiscreteCir:
-    """One snapshot's dense tap vector h[k], k = 0..l_max-1."""
-
-    taps: np.ndarray
-    f_samp: float
-    snapshot_time: float = 0.0
-
-    def __post_init__(self):
-        self.taps = np.ascontiguousarray(self.taps, dtype=np.complex128)
-        if self.taps.ndim != 1:
-            raise InvalidInputError("taps must be a 1-D complex vector")
-        if not np.all(np.isfinite(self.taps)):
-            raise InvalidInputError("taps must be finite")
-
-    @property
-    def l_max(self):
-        return len(self.taps)
-
 
 @dataclass
 class SortedCir:
-    """Power-sorted top-L tap selection of a DiscreteCir."""
+    """Power-sorted top-L tap selection of one snapshot's tap vector."""
 
     indices: np.ndarray   # original tap positions, power-descending
     amps: np.ndarray      # tap values in the same order
@@ -100,7 +69,8 @@ class SortedCir:
 def discretize(profile, cfg):
     """Sample a delay profile onto the tap grid: h[k] = sum_p a_p sinc(k - f_samp*tau_p).
 
-    Negative-index sinc energy is dropped (the grid starts at k = 0).
+    Returns the ``cfg.l_max`` taps as a 1-D complex vector.  Negative-index
+    sinc energy is dropped (the grid starts at k = 0).
     Raises :class:`DelayRangeError` naming the first offending path if any
     delay exceeds ``cfg.max_delay_spread``.
     """
@@ -114,38 +84,38 @@ def discretize(profile, cfg):
             f"{cfg.max_delay_spread:.6g} s",
             path_index=p,
         )
-    taps = np.zeros(cfg.l_max, dtype=np.complex128)
-    if delays.size:
-        k = np.arange(cfg.l_max, dtype=np.float64)
-        # (P, l_max) sinc kernel; P is small so the dense product is cheap
-        kernel = np.sinc(k[np.newaxis, :] - cfg.f_samp * delays[:, np.newaxis])
-        taps = amps @ kernel
-    return DiscreteCir(taps=taps, f_samp=cfg.f_samp,
-                       snapshot_time=profile.snapshot_time)
+    if not delays.size:
+        return np.zeros(cfg.l_max, dtype=np.complex128)
+    k = np.arange(cfg.l_max, dtype=np.float64)
+    # (P, l_max) sinc kernel; P is small so the dense product is cheap
+    kernel = np.sinc(k[np.newaxis, :] - cfg.f_samp * delays[:, np.newaxis])
+    return amps @ kernel
 
 
-def sort_truncate(cir, l_sel):
-    """Keep the ``l_sel`` highest-power taps, power-descending.
+def sort_truncate(taps, l_sel):
+    """Keep the ``l_sel`` highest-power taps of a tap vector, power-descending.
 
     Ties in power resolve to the smaller tap index so the selection is
     reproducible.  Zero-power taps are never selected.
     """
     if l_sel < 1:
         raise InvalidInputError(f"l_sel must be >= 1, got {l_sel}")
-    powers = np.abs(cir.taps) ** 2
+    taps = np.asarray(taps, dtype=np.complex128)
+    powers = np.abs(taps) ** 2
     # lexsort: primary key last -> descending power, then ascending index
     order = np.lexsort((np.arange(len(powers)), -powers))
     nonzero = order[powers[order] > 0.0]
     sel = nonzero[: min(l_sel, len(nonzero))]
     total = float(powers.sum())
     retained = float(powers[sel].sum())
-    return SortedCir(indices=sel, amps=cir.taps[sel],
+    return SortedCir(indices=sel, amps=taps[sel],
                      total_power=total, retained_power=retained)
 
 
-def path_gain_total(cir):
-    """Coherent path gain 10*log10(|sum_k h[k]|^2) in dB; -inf if the sum is zero."""
-    power = abs(np.sum(cir.taps)) ** 2
+def path_gain_total(taps):
+    """Coherent path gain 10*log10(|sum_k h[k]|^2) of a tap vector in dB;
+    -inf if the sum is zero."""
+    power = abs(np.sum(taps)) ** 2
     if power == 0.0:
         return float("-inf")
     return 10.0 * math.log10(power)

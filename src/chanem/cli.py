@@ -61,6 +61,18 @@ def _signal_gain(text):
     return gain
 
 
+def _positive_finite(text):
+    """A finite number above zero (a rate or an interval)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _noise_power(text):
     """A finite noise power in dB, or '-inf' for no noise."""
     try:
@@ -204,20 +216,17 @@ def _decode_frames(rf, samples_per_slot, formats):
 
 def _cmd_emulate(args):
     timeline = read_timeline(args.timeline)
-    if not timeline.snapshots:
+    if not len(timeline):
         raise InvalidInputError("timeline holds no snapshots")
     if args.signal_gain_db == "auto":
-        gain_db = calibrate_signal_gain(timeline.snapshots)
+        gain_db = calibrate_signal_gain(timeline.taps)
         print(f"auto signal gain: {gain_db:.3f} dB", file=sys.stderr)
     else:
         gain_db = args.signal_gain_db
 
-    fmt = SlotFormat(fft_size=args.fft, f_samp=timeline.config.f_samp)
+    fmt = SlotFormat(fft_size=args.fft, f_samp=timeline.f_samp)
     cfg = EmulatorConfig(
-        sorted_timeline=timeline.sorted_snapshots(args.taps),
-        t_int=timeline.t_int,
-        slot_format=fmt,
-        l_max=timeline.config.l_max,
+        timeline, args.taps, fmt,
         signal_gain_db=gain_db,
         noise_power_db=args.noise_db,
         rng_seed=args.seed,
@@ -267,15 +276,15 @@ def build_parser():
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--fsamp", type=float, default=46.08e6)
-    p.add_argument("--max-delay", type=float, default=3e-6)
+    p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
+    p.add_argument("--max-delay", type=_positive_finite, default=3e-6)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("cir", help="discretize a delay-profile CSV into a timeline")
     p.add_argument("--profile", required=True)
-    p.add_argument("--fsamp", type=float, required=True)
-    p.add_argument("--max-delay", type=float, default=3e-6)
-    p.add_argument("--t-int", type=float, default=0.1)
+    p.add_argument("--fsamp", type=_positive_finite, required=True)
+    p.add_argument("--max-delay", type=_positive_finite, default=3e-6)
+    p.add_argument("--t-int", type=_positive_finite, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cir)
 
@@ -311,7 +320,7 @@ def build_parser():
     p.add_argument("--freq-hz", type=float, default=4.01916e9)
     p.add_argument("--mu", type=int, default=1)
     p.add_argument("--fft", type=int, default=1536)
-    p.add_argument("--fsamp", type=float, default=46.08e6)
+    p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
     p.add_argument("--sigma-tau", type=float, default=0.0)
     p.add_argument("--margin", type=float, default=10.0)
     p.set_defaults(func=_cmd_check_ofdm)
@@ -328,7 +337,7 @@ def build_parser():
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--taps", type=int, required=True)
     p.add_argument("--fft", type=int, default=1536)
-    p.add_argument("--fsamp", type=float, default=46.08e6)
+    p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--noise-db", type=_noise_power, default=-math.inf)
     p.set_defaults(func=_cmd_bench)

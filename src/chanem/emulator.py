@@ -13,7 +13,7 @@ The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -21,6 +21,7 @@ from scipy.linalg import blas as _blas
 from .cir import path_gain_total
 from .errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                      SequencingError)
+from .timeline import CirTimeline
 
 _zaxpy = _blas.zaxpy
 
@@ -39,8 +40,8 @@ class SlotFormat:
     f_samp: float
 
     def __post_init__(self):
-        if self.fft_size < 1 or self.f_samp <= 0.0:
-            raise InvalidInputError("fft_size must be >= 1 and f_samp positive")
+        if self.fft_size < 1 or not (math.isfinite(self.f_samp) and self.f_samp > 0.0):
+            raise InvalidInputError("fft_size must be >= 1 and f_samp finite and positive")
 
     @property
     def samples_per_slot(self):
@@ -90,22 +91,24 @@ def noise_block(seed, slot_index, count):
 
 @dataclass
 class EmulatorConfig:
-    """Everything needed to run a scenario over an IQ stream."""
+    """Everything needed to run a scenario over an IQ stream.
 
-    sorted_timeline: list
-    t_int: float
+    ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps, selected
+    once from the timeline when the config is built.
+    """
+
+    timeline: CirTimeline
+    l_sel: int
     slot_format: SlotFormat
-    l_max: int
     signal_gain_db: float = 0.0
     noise_power_db: float = float("-inf")  # -inf disables noise
     rng_seed: int = 0
     history_mode: str = CARRY
+    sorted_snapshots: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.sorted_timeline:
-            raise InvalidInputError("sorted_timeline must not be empty")
-        if self.l_max < 1:
-            raise InvalidInputError(f"l_max must be >= 1, got {self.l_max}")
+        if not len(self.timeline):
+            raise InvalidInputError("timeline must not be empty")
         if math.isnan(self.signal_gain_db):
             raise InvalidInputError("signal_gain_db must not be NaN")
         if math.isnan(self.noise_power_db) or self.noise_power_db == math.inf:
@@ -116,24 +119,23 @@ class EmulatorConfig:
             raise InvalidInputError(
                 f"history_mode must be '{CARRY}' or '{ZERO}', got {self.history_mode!r}"
             )
+        t_int = self.timeline.t_int
         slot_dur = self.slot_format.slot_duration
-        ratio = self.t_int / slot_dur
+        ratio = t_int / slot_dur
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
             raise InvalidInputError(
-                f"t_int {self.t_int} must be a positive integer multiple of the "
+                f"t_int {t_int} must be a positive integer multiple of the "
                 f"slot duration {slot_dur}"
             )
-        for cir in self.sorted_timeline:
-            if cir.l_sel and int(cir.indices.max()) >= self.l_max:
-                raise InvalidInputError("sorted CIR tap index exceeds l_max")
+        self.sorted_snapshots = self.timeline.sorted_snapshots(self.l_sel)
 
     @property
     def slots_per_snapshot(self):
-        return round(self.t_int / self.slot_format.slot_duration)
+        return round(self.timeline.t_int / self.slot_format.slot_duration)
 
     @property
     def capacity_slots(self):
-        return len(self.sorted_timeline) * self.slots_per_snapshot
+        return len(self.timeline) * self.slots_per_snapshot
 
     @property
     def signal_scale(self):
@@ -149,9 +151,10 @@ class EmulatorState:
 
     def __init__(self, cfg):
         n_s = cfg.slot_format.samples_per_slot
-        self.history = np.zeros(cfg.l_max - 1, dtype=np.complex128)
+        hist = cfg.timeline.l_max - 1
+        self.history = np.zeros(hist, dtype=np.complex128)
         self.next_slot_index = 0
-        self._ext = np.zeros(cfg.l_max - 1 + n_s, dtype=np.complex128)
+        self._ext = np.zeros(hist + n_s, dtype=np.complex128)
 
 
 def convolve_slot(state, cfg, slot):
@@ -165,9 +168,9 @@ def convolve_slot(state, cfg, slot):
             f"slot {slot.slot_index} arrived, expected {state.next_slot_index}"
         )
     snap = slot.slot_index // cfg.slots_per_snapshot
-    if snap >= len(cfg.sorted_timeline):
+    if snap >= len(cfg.sorted_snapshots):
         raise EndOfScenario(
-            f"slot {slot.slot_index} lies beyond the {len(cfg.sorted_timeline)}-snapshot timeline"
+            f"slot {slot.slot_index} lies beyond the {len(cfg.sorted_snapshots)}-snapshot timeline"
         )
     n_s = cfg.slot_format.samples_per_slot
     if len(slot.samples) != n_s:
@@ -175,7 +178,7 @@ def convolve_slot(state, cfg, slot):
             f"slot has {len(slot.samples)} samples, expected {n_s}"
         )
 
-    hist = cfg.l_max - 1
+    hist = len(state.history)
     ext = state._ext
     if hist:
         ext[:hist] = state.history if cfg.history_mode == CARRY else 0.0
@@ -188,7 +191,7 @@ def convolve_slot(state, cfg, slot):
     else:
         out = np.zeros(n_s, dtype=np.complex128)
 
-    cir = cfg.sorted_timeline[snap]
+    cir = cfg.sorted_snapshots[snap]
     scale = cfg.signal_scale
     for amp, k in zip(cir.amps, cir.indices):
         start = hist - int(k)
@@ -200,15 +203,15 @@ def convolve_slot(state, cfg, slot):
     return IqSlot(slot.slot_index, out)
 
 
-def calibrate_signal_gain(timeline, headroom_db=5.0):
+def calibrate_signal_gain(taps, headroom_db=5.0):
     """Signal gain that puts the strongest snapshot ``headroom_db`` above 0 dB.
 
-    ``timeline`` is a list of DiscreteCir.  Raises
-    :class:`NoReferenceError` when every snapshot sums to zero.
+    ``taps`` holds one tap vector per snapshot (``CirTimeline.taps``).
+    Raises :class:`NoReferenceError` when every snapshot sums to zero.
     """
-    if not timeline:
+    if not len(taps):
         raise NoReferenceError("cannot calibrate against an empty timeline")
-    best = max(path_gain_total(cir) for cir in timeline)
+    best = max(path_gain_total(row) for row in taps)
     if best == float("-inf"):
         raise NoReferenceError(
             "all snapshots have zero coherent gain; no calibration reference"

@@ -199,16 +199,16 @@ def rms_delay_spread(profile):
     return _rms_spread(powers, np.asarray(profile.delays), total)
 
 
-def cir_rms_delay_spread(cir):
-    """RMS delay spread of a discrete CIR, treating taps as paths at k/f_samp.
+def cir_rms_delay_spread(taps, f_samp):
+    """RMS delay spread of a tap vector, treating taps as paths at k/f_samp.
 
     Returns NaN for an all-zero tap vector.
     """
-    powers = np.abs(cir.taps) ** 2
+    powers = np.abs(taps) ** 2
     total = powers.sum()
     if total <= 0.0:
         return float("nan")
-    return _rms_spread(powers, np.arange(len(cir.taps)) / cir.f_samp, total)
+    return _rms_spread(powers, np.arange(len(taps)) / f_samp, total)
 
 
 @dataclass(frozen=True)
@@ -268,13 +268,13 @@ class IsiCheckResult:
         return self.ok
 
 
-def cir_isi_check(cir, cfg, power_floor_db=-40.0):
+def cir_isi_check(taps, cfg, power_floor_db=-40.0):
     """True iff no significant tap lies beyond the short-CP sample count.
 
     A tap is significant when its power is within ``power_floor_db`` of the
     strongest tap.
     """
-    powers = np.abs(cir.taps) ** 2
+    powers = np.abs(np.asarray(taps)) ** 2
     peak = powers.max() if len(powers) else 0.0
     if peak <= 0.0:
         return IsiCheckResult(True, ())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import CirConfig, DiscreteCir, discretize, path_gain_total, sort_truncate
+from .cir import discretize, path_gain_total, sort_truncate
 from .errors import DelayRangeError, FormatError, InvalidInputError
 from .kpi import cir_rms_delay_spread
 
@@ -31,55 +31,51 @@ PDP_FLOOR_DB = -200.0
 
 @dataclass
 class CirTimeline:
-    """Uniformly spaced sequence of discrete CIR snapshots."""
+    """Uniformly spaced CIR snapshots: row i of the (S, L) ``taps`` matrix
+    is the snapshot active from ``i * t_int`` seconds."""
 
-    config: CirConfig
+    taps: np.ndarray   # (snapshots, l_max) complex128, C-contiguous
+    f_samp: float
     t_int: float
-    snapshots: list
 
     def __post_init__(self):
-        if self.t_int <= 0.0:
-            raise InvalidInputError(f"t_int must be positive, got {self.t_int}")
-        for i, cir in enumerate(self.snapshots):
-            if cir.l_max != self.config.l_max:
-                raise InvalidInputError(
-                    f"snapshot {i} has {cir.l_max} taps, config says {self.config.l_max}"
-                )
-            if cir.f_samp != self.config.f_samp:
-                raise InvalidInputError(
-                    f"snapshot {i} sampling rate {cir.f_samp} != config "
-                    f"{self.config.f_samp}"
-                )
-            expected = i * self.t_int
-            if abs(cir.snapshot_time - expected) > 1e-9 * max(expected, 1.0):
-                raise InvalidInputError(
-                    f"snapshot {i} time {cir.snapshot_time} != {expected}"
-                )
+        self.taps = np.ascontiguousarray(self.taps, dtype=np.complex128)
+        if self.taps.ndim != 2 or self.taps.shape[1] < 1:
+            raise InvalidInputError(
+                f"taps must be a (snapshots, l_max >= 1) matrix, got shape {self.taps.shape}")
+        for name in ("f_samp", "t_int"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        if not np.all(np.isfinite(self.taps)):
+            raise InvalidInputError("taps must be finite")
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.taps)
+
+    @property
+    def l_max(self):
+        return self.taps.shape[1]
 
     @property
     def duration(self):
-        return len(self.snapshots) * self.t_int
+        return len(self) * self.t_int
 
     def sorted_snapshots(self, l_sel):
-        return [sort_truncate(cir, l_sel) for cir in self.snapshots]
+        return [sort_truncate(row, l_sel) for row in self.taps]
 
 
 def write_timeline(timeline, path):
     """Write a timeline to ``path`` in the binary snapshot format."""
-    header = _HEADER.pack(TIMELINE_MAGIC, TIMELINE_VERSION,
-                          timeline.config.f_samp, timeline.t_int,
-                          len(timeline.snapshots), timeline.config.l_max)
+    header = _HEADER.pack(TIMELINE_MAGIC, TIMELINE_VERSION, timeline.f_samp,
+                          timeline.t_int, len(timeline), timeline.l_max)
     with open(path, "wb") as fh:
         fh.write(header)
-        for cir in timeline.snapshots:
-            fh.write(cir.taps.astype(np.complex64).tobytes())
+        fh.write(timeline.taps.astype("<c8").tobytes())
 
 
 def read_timeline(path):
-    """Read a timeline file, validating magic, version and payload size."""
+    """Read a timeline file, validating the header, payload size and taps."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -102,27 +98,29 @@ def read_timeline(path):
         )
     if count and taps < 1:
         raise FormatError(f"{count} snapshots declared with zero taps", offset=26)
-    cfg = CirConfig.from_tap_count(f_samp=f_samp, l_max=max(taps, 1))
     flat = np.frombuffer(data, dtype="<c8", count=count * taps, offset=_HEADER.size)
-    snapshots = [
-        DiscreteCir(taps=flat[i * taps:(i + 1) * taps].astype(np.complex128),
-                    f_samp=f_samp, snapshot_time=i * t_int)
-        for i in range(count)
-    ]
-    return CirTimeline(config=cfg, t_int=t_int, snapshots=snapshots)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        first = int(bad[0])
+        s, k = divmod(first, taps)
+        imag_only = math.isfinite(flat[first].real)
+        raise FormatError(f"snapshot {s} tap {k} is not finite ({flat[first]})",
+                          offset=_HEADER.size + first * 8 + 4 * imag_only)
+    matrix = flat.reshape(count, max(taps, 1)).astype(np.complex128)
+    return CirTimeline(matrix, f_samp, t_int)
 
 
 def timeline_from_profiles(profiles, cfg, t_int):
     """Discretize delay profiles into a timeline, naming failing snapshots."""
-    snapshots = []
+    taps = np.empty((len(profiles), cfg.l_max), dtype=np.complex128)
     for i, profile in enumerate(profiles):
         try:
-            snapshots.append(discretize(profile, cfg))
+            taps[i] = discretize(profile, cfg)
         except DelayRangeError as exc:
             raise DelayRangeError(f"snapshot {i}: {exc}",
                                   path_index=exc.path_index,
                                   snapshot_index=i) from exc
-    return CirTimeline(config=cfg, t_int=t_int, snapshots=snapshots)
+    return CirTimeline(taps, cfg.f_samp, t_int)
 
 
 @dataclass
@@ -138,20 +136,20 @@ class ReportRow:
 
 def report(timeline, l_sel):
     """Per-snapshot report rows at a given tap budget."""
-    if not timeline.snapshots:
+    if not len(timeline):
         raise InvalidInputError("cannot report on an empty timeline")
     rows = []
-    for cir in timeline.snapshots:
-        powers = np.abs(cir.taps) ** 2
+    for i, taps in enumerate(timeline.taps):
+        powers = np.abs(taps) ** 2
         total = float(powers.sum())
         strongest = int(np.argmax(powers)) if total > 0.0 else -1
-        sel = sort_truncate(cir, l_sel)
+        sel = sort_truncate(taps, l_sel)
         fraction = sel.retained_power / total if total > 0.0 else 1.0
         rows.append(ReportRow(
-            time=cir.snapshot_time,
-            path_gain_db=path_gain_total(cir),
+            time=i * timeline.t_int,
+            path_gain_db=path_gain_total(taps),
             strongest_tap_index=strongest,
-            rms_delay_spread=cir_rms_delay_spread(cir),
+            rms_delay_spread=cir_rms_delay_spread(taps, timeline.f_samp),
             retained_power_fraction=fraction,
         ))
     return rows
@@ -159,10 +157,7 @@ def report(timeline, l_sel):
 
 def pdp_matrix_db(timeline, floor_db=PDP_FLOOR_DB):
     """Snapshot x tap matrix of tap powers in dB, floored at ``floor_db``."""
-    if not timeline.snapshots:
-        return np.zeros((0, timeline.config.l_max))
-    taps = np.stack([cir.taps for cir in timeline.snapshots])
-    powers = np.abs(taps) ** 2
+    powers = np.abs(timeline.taps) ** 2
     out = np.full(powers.shape, floor_db)
     mask = powers > 0.0
     np.log10(powers, out=out, where=mask)
@@ -187,5 +182,5 @@ def write_pdp_csv(timeline, fh, floor_db=PDP_FLOOR_DB):
 
 def write_path_gain_csv(timeline, fh):
     fh.write("time_s,path_gain_db\n")
-    for cir in timeline.snapshots:
-        fh.write(f"{cir.snapshot_time:.9g},{path_gain_total(cir):.6f}\n")
+    for i, taps in enumerate(timeline.taps):
+        fh.write(f"{i * timeline.t_int:.9g},{path_gain_total(taps):.6f}\n")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chanem.bench import bench
-from chanem.cir import CirConfig, DiscreteCir, discretize, sort_truncate
+from chanem.cir import CirConfig, discretize, sort_truncate
 from chanem.emulator import (EmulatorConfig, EmulatorState, IqSlot, SlotFormat,
                              convolve_slot)
 from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
@@ -19,7 +19,7 @@ from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
 from chanem.materials import evaluate_material, get_material
 from chanem.propagation import (MobilityTrace, Scene, VerticalRectangle,
                                 trace_timeline)
-from chanem.timeline import (report, timeline_from_profiles,
+from chanem.timeline import (CirTimeline, report, timeline_from_profiles,
                              write_pdp_csv, write_report_rows_csv)
 
 F_REF = 4.01916e9
@@ -62,8 +62,8 @@ def test_criterion_2_tap_bound():
         assert cfg.l_max == 146
         assert cfg.k_max == 145
         from chanem.propagation import DelayProfile
-        cir = discretize(DelayProfile(amps=[1.0], delays=[0.0]), cfg)
-        assert len(cir.taps) == 146
+        taps = discretize(DelayProfile(amps=[1.0], delays=[0.0]), cfg)
+        assert len(taps) == 146
 
     check(2, "46.08 Msps and 3 us delay spread give 146 taps (k = 0..145)",
           body)
@@ -109,9 +109,8 @@ def test_criterion_5_convolution_oracles():
             taps = np.zeros(l_max, complex)
             taps[idx] = (rng.standard_normal(n_taps)
                          + 1j * rng.standard_normal(n_taps))
-            cir = DiscreteCir(taps=taps, f_samp=fmt.f_samp)
-            cfg = EmulatorConfig(sorted_timeline=[sort_truncate(cir, l_max)],
-                                 t_int=0.1, slot_format=fmt, l_max=l_max)
+            cfg = EmulatorConfig(CirTimeline([taps], fmt.f_samp, t_int=0.1),
+                                 l_max, fmt)
             state = EmulatorState(cfg)
             slots = [rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
                      for _ in range(4)]
@@ -128,8 +127,7 @@ def test_criterion_5_convolution_oracles():
             l_max = int(rng.integers(2, 13))
             taps = rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max)
             l_sel = int(rng.integers(1, l_max + 1))
-            sel = sort_truncate(DiscreteCir(taps=taps, f_samp=fmt.f_samp),
-                                l_sel)
+            sel = sort_truncate(taps, l_sel)
             powers = np.abs(taps) ** 2
             best = max(sum(powers[list(c)])
                        for c in itertools.combinations(range(l_max), l_sel))
@@ -220,9 +218,8 @@ def test_criterion_8_noise_calibration():
     def body():
         fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)
         n_s = fmt.samples_per_slot
-        unit = sort_truncate(DiscreteCir(taps=[1.0], f_samp=fmt.f_samp), 1)
-        cfg = EmulatorConfig(sorted_timeline=[unit], t_int=0.1,
-                             slot_format=fmt, l_max=2,
+        unit = [1.0, 0.0]
+        cfg = EmulatorConfig(CirTimeline([unit], fmt.f_samp, t_int=0.1), 1, fmt,
                              signal_gain_db=float("-inf"),
                              noise_power_db=-100.0, rng_seed=31)
         state = EmulatorState(cfg)
@@ -244,12 +241,10 @@ def test_criterion_9_snapshot_scheduling():
     def body():
         fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)  # 0.5 ms slots
         n_s = fmt.samples_per_slot
-        first = sort_truncate(DiscreteCir(taps=[1.0, 0, 0, 0, 0, 0],
-                                          f_samp=fmt.f_samp), 1)
-        second = sort_truncate(DiscreteCir(taps=[0, 0, 0, 0, 0, 1.0],
-                                           f_samp=fmt.f_samp), 1)
-        cfg = EmulatorConfig(sorted_timeline=[first, second], t_int=0.1,
-                             slot_format=fmt, l_max=6)
+        first = [1.0, 0, 0, 0, 0, 0]
+        second = [0, 0, 0, 0, 0, 1.0]
+        cfg = EmulatorConfig(CirTimeline([first, second], fmt.f_samp, t_int=0.1),
+                             1, fmt)
         assert cfg.slots_per_snapshot == 200
         state = EmulatorState(cfg)
         impulse = np.zeros(n_s, complex)

@@ -40,3 +40,9 @@ def test_deterministic_tap_selection_per_seed():
     a = bench(5, 6, fmt, seed=9)
     b = bench(5, 6, fmt, seed=9)
     assert a.l_sel == b.l_sel == 6
+
+
+@pytest.mark.parametrize("l_sel", [0, -1])
+def test_tap_budget_validated(l_sel):
+    with pytest.raises(InvalidInputError, match="l_sel"):
+        bench(2, l_sel, FULL_FMT)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chanem.cir import (CirConfig, DEFAULT_TAP_BUDGET, DiscreteCir,
-                        discretize, path_gain_total, sort_truncate)
+from chanem.cir import (CirConfig, DEFAULT_TAP_BUDGET, discretize,
+                        path_gain_total, sort_truncate)
 from chanem.errors import DelayRangeError, InvalidInputError
 from chanem.propagation import DelayProfile
 
@@ -21,29 +21,29 @@ def test_tap_grid_size_at_system_rate():
     cfg = CirConfig(f_samp=F_SAMP, max_delay_spread=3e-6)
     assert cfg.l_max == 146
     assert cfg.k_max == 145
-    cir = discretize(make_profile([1.0], [0.0]), cfg)
-    assert len(cir.taps) == 146
+    taps = discretize(make_profile([1.0], [0.0]), cfg)
+    assert len(taps) == 146
 
 
 def test_on_grid_impulse_lands_on_single_tap():
     cfg = CirConfig(f_samp=F_SAMP)
-    cir = discretize(make_profile([1.0], [0.0]), cfg)
-    assert cir.taps[0] == pytest.approx(1.0)
-    assert np.max(np.abs(cir.taps[1:])) < 1e-12
+    taps = discretize(make_profile([1.0], [0.0]), cfg)
+    assert taps[0] == pytest.approx(1.0)
+    assert np.max(np.abs(taps[1:])) < 1e-12
 
 
 def test_half_sample_delay_spreads_symmetrically():
     cfg = CirConfig(f_samp=F_SAMP)
-    cir = discretize(make_profile([1.0], [0.5 / F_SAMP]), cfg)
-    assert cir.taps[0].real == pytest.approx(2 / math.pi, abs=1e-5)   # sinc(-0.5)
-    assert cir.taps[1].real == pytest.approx(0.63662, abs=1e-5)
-    assert cir.taps[2].real == pytest.approx(-0.21221, abs=1e-5)      # sinc(1.5)
+    taps = discretize(make_profile([1.0], [0.5 / F_SAMP]), cfg)
+    assert taps[0].real == pytest.approx(2 / math.pi, abs=1e-5)   # sinc(-0.5)
+    assert taps[1].real == pytest.approx(0.63662, abs=1e-5)
+    assert taps[2].real == pytest.approx(-0.21221, abs=1e-5)      # sinc(1.5)
 
 
 def test_empty_profile_gives_zero_taps():
     cfg = CirConfig(f_samp=F_SAMP)
-    cir = discretize(make_profile([], []), cfg)
-    assert np.all(cir.taps == 0)
+    taps = discretize(make_profile([], []), cfg)
+    assert np.all(taps == 0)
 
 
 def test_delay_beyond_spread_names_path():
@@ -62,8 +62,8 @@ def test_discretize_is_linear():
                      rng.uniform(0, 2.5e-6, 3))
     merged = make_profile(np.concatenate([a.amps, b.amps]),
                           np.concatenate([a.delays, b.delays]))
-    lhs = discretize(merged, cfg).taps
-    rhs = discretize(a, cfg).taps + discretize(b, cfg).taps
+    lhs = discretize(merged, cfg)
+    rhs = discretize(a, cfg) + discretize(b, cfg)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -72,15 +72,14 @@ def test_on_grid_profile_reconstructs_exactly():
     cfg = CirConfig(f_samp=F_SAMP)
     ks = rng.choice(130, size=6, replace=False)
     amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    cir = discretize(make_profile(amps, ks / F_SAMP), cfg)
+    taps = discretize(make_profile(amps, ks / F_SAMP), cfg)
     expect = np.zeros(cfg.l_max, complex)
     expect[ks] = amps
-    np.testing.assert_allclose(cir.taps, expect, atol=1e-11)
+    np.testing.assert_allclose(taps, expect, atol=1e-11)
 
 
 def test_sort_truncate_picks_strongest():
-    cir = DiscreteCir(taps=[0.0, 3.0, 1.0 + 1.0j, 0.5], f_samp=F_SAMP)
-    sel = sort_truncate(cir, 2)
+    sel = sort_truncate([0.0, 3.0, 1.0 + 1.0j, 0.5], 2)
     np.testing.assert_array_equal(sel.indices, [1, 2])
     np.testing.assert_array_equal(sel.amps, [3.0, 1.0 + 1.0j])
     assert sel.retained_power == pytest.approx(9.0 + 2.0)
@@ -91,16 +90,14 @@ def test_sort_truncate_keeps_all_when_budget_large():
     rng = np.random.default_rng(3)
     taps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     taps[[2, 7]] = 0.0
-    cir = DiscreteCir(taps=taps, f_samp=F_SAMP)
-    sel = sort_truncate(cir, 100)
+    sel = sort_truncate(taps, 100)
     assert sel.l_sel == 10  # zero taps never selected
     assert sel.retained_power == pytest.approx(sel.total_power)
     assert sorted(sel.indices) == [k for k in range(12) if k not in (2, 7)]
 
 
 def test_sort_truncate_tie_breaks_to_smaller_index():
-    cir = DiscreteCir(taps=[0.5, -0.5, 0.5j], f_samp=F_SAMP)
-    sel = sort_truncate(cir, 2)
+    sel = sort_truncate([0.5, -0.5, 0.5j], 2)
     np.testing.assert_array_equal(sel.indices, [0, 1])
 
 
@@ -108,7 +105,7 @@ def test_sort_truncate_power_descending_invariant():
     rng = np.random.default_rng(9)
     for _ in range(20):
         taps = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        sel = sort_truncate(DiscreteCir(taps=taps, f_samp=F_SAMP), 7)
+        sel = sort_truncate(taps, 7)
         powers = np.abs(sel.amps) ** 2
         assert np.all(np.diff(powers) <= 1e-15)
         assert len(set(sel.indices.tolist())) == sel.l_sel
@@ -119,9 +116,8 @@ def test_truncation_is_energy_optimal_for_small_vectors():
     for _ in range(25):
         l_max = rng.integers(3, 13)
         taps = rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max)
-        cir = DiscreteCir(taps=taps, f_samp=F_SAMP)
         l_sel = int(rng.integers(1, l_max + 1))
-        sel = sort_truncate(cir, l_sel)
+        sel = sort_truncate(taps, l_sel)
         powers = np.abs(taps) ** 2
         best = max(sum(powers[list(combo)])
                    for combo in itertools.combinations(range(l_max),
@@ -135,9 +131,8 @@ def test_truncation_is_energy_optimal_for_small_vectors():
 
 
 def test_invalid_budget_rejected():
-    cir = DiscreteCir(taps=[1.0], f_samp=F_SAMP)
     with pytest.raises(InvalidInputError):
-        sort_truncate(cir, 0)
+        sort_truncate([1.0], 0)
 
 
 def test_default_tap_budget_value():
@@ -145,8 +140,6 @@ def test_default_tap_budget_value():
 
 
 def test_path_gain_total():
-    assert path_gain_total(DiscreteCir(taps=[1.0], f_samp=F_SAMP)) == pytest.approx(0.0)
-    assert path_gain_total(
-        DiscreteCir(taps=[0.5, 0.5], f_samp=F_SAMP)) == pytest.approx(0.0)
-    assert path_gain_total(
-        DiscreteCir(taps=[0.5, -0.5], f_samp=F_SAMP)) == float("-inf")
+    assert path_gain_total([1.0]) == pytest.approx(0.0)
+    assert path_gain_total([0.5, 0.5]) == pytest.approx(0.0)
+    assert path_gain_total([0.5, -0.5]) == float("-inf")

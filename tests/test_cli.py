@@ -1,4 +1,5 @@
 import socket
+import struct
 import tempfile
 import threading
 import time
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chanem.cir import CirConfig, DiscreteCir
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
 from chanem.emulator import (EmulatorConfig, EmulatorState, IqSlot,
@@ -28,33 +28,25 @@ max_depth 2
 """
 
 
-def write_test_timeline(path, taps_list, t_int=0.002):
-    cfg = CirConfig.from_tap_count(f_samp=F_SAMP, l_max=10)
-    snaps = []
+def make_timeline(taps_list, t_int=0.002):
+    """A 10-tap timeline with one {tap index: value} dict per snapshot."""
+    taps = np.zeros((len(taps_list), 10), complex)
     for i, spec in enumerate(taps_list):
-        taps = np.zeros(10, complex)
         for k, a in spec.items():
-            taps[k] = a
-        snaps.append(DiscreteCir(taps=taps, f_samp=F_SAMP, snapshot_time=i * t_int))
-    write_timeline(CirTimeline(config=cfg, t_int=t_int, snapshots=snaps), path)
+            taps[i, k] = a
+    return CirTimeline(taps, F_SAMP, t_int)
+
+
+def write_test_timeline(path, taps_list, t_int=0.002):
+    write_timeline(make_timeline(taps_list, t_int), path)
 
 
 def emulate_reference(taps_list, slots, t_int=0.002, **cfg_kw):
-    cfg = EmulatorConfig(
-        sorted_timeline=[_sorted(spec) for spec in taps_list],
-        t_int=t_int, slot_format=SlotFormat(fft_size=8, f_samp=F_SAMP),
-        l_max=10, **cfg_kw)
+    cfg = EmulatorConfig(make_timeline(taps_list, t_int), 10,
+                         SlotFormat(fft_size=8, f_samp=F_SAMP), **cfg_kw)
     state = EmulatorState(cfg)
     return [convolve_slot(state, cfg, IqSlot(i, s)).samples
             for i, s in enumerate(slots)]
-
-
-def _sorted(spec):
-    from chanem.cir import sort_truncate
-    taps = np.zeros(10, complex)
-    for k, a in spec.items():
-        taps[k] = a
-    return sort_truncate(DiscreteCir(taps=taps, f_samp=F_SAMP), 10)
 
 
 class TestSimpleCommands:
@@ -187,7 +179,7 @@ class TestScenarioPipeline:
         from chanem.timeline import read_timeline
         timeline = read_timeline(out)
         assert len(timeline) == 1
-        assert timeline.config.l_max == 146
+        assert timeline.l_max == 146
 
 
 class TestEmulateCommand:
@@ -358,10 +350,8 @@ class TestEmulateCommand:
             from_cli = np.concatenate(self.read_all(outp))
             cirt = read_timeline(timeline)
 
-        cfg = EmulatorConfig(sorted_timeline=cirt.sorted_snapshots(10),
-                             t_int=cirt.t_int,
-                             slot_format=SlotFormat(fft_size=8, f_samp=F_SAMP),
-                             l_max=10, history_mode=history)
+        cfg = EmulatorConfig(cirt, 10, SlotFormat(fft_size=8, f_samp=F_SAMP),
+                             history_mode=history)
         from_driver = np.concatenate(
             [out.samples for out, _ in
              run_scenario(cfg, (IqSlot(i, x) for i, x in enumerate(slots)))])
@@ -416,3 +406,105 @@ class TestEmulateCommand:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
 
+
+
+class TestTimelineInput:
+    @pytest.mark.parametrize("command", ["report", "emulate"])
+    def test_non_finite_tap_is_parse_error(self, tmp_path, capsys, command):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}, {3: 0.5}])
+        raw = bytearray(timeline.read_bytes())
+        offset = 30 + (1 * 10 + 3) * 8 + 4  # imaginary part of snapshot 1, tap 3
+        raw[offset:offset + 4] = struct.pack("<f", float("nan"))
+        timeline.write_bytes(bytes(raw))
+        args = {"report": ["report", "--timeline", str(timeline)],
+                "emulate": ["emulate", "--timeline", str(timeline), "--fft", "8",
+                            "--in", str(tmp_path / "in.owiq"),
+                            "--out", str(tmp_path / "out.owiq")]}[command]
+        assert main(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "snapshot 1 tap 3 " in captured.err
+        assert f"byte offset {offset}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "abc"])
+    @pytest.mark.parametrize("command, flag", [
+        ("trace", "--fsamp"), ("trace", "--max-delay"),
+        ("cir", "--fsamp"), ("cir", "--max-delay"), ("cir", "--t-int"),
+        ("bench", "--fsamp"), ("check-ofdm", "--fsamp"),
+    ])
+    def test_bad_rate_or_interval_flag_is_parse_error(
+            self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.cirt"
+        base = {"trace": ["--scene", "s.txt", "--trace", "t.csv", "--out", str(out)],
+                "cir": ["--profile", "p.csv", "--fsamp", "46.08e6", "--out", str(out)],
+                "bench": ["--slots", "2", "--taps", "1"],
+                "check-ofdm": ["--speed", "1"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
+# A fixed 3-snapshot, 6-tap timeline: a multipath row, a row whose taps sum
+# to zero, and an all-zero row.
+FIXED_SNAPSHOTS = [
+    [1.0, 0.5 + 0.25j, 0.0, -0.125j, 0.0625, 0.0],
+    [0.0, 0.5, -0.5, 0.0, 0.0, 0.0],
+    [0.0] * 6,
+]
+
+FIXED_ROWS = (
+    "time_s,path_gain_db,strongest_tap_index,rms_delay_spread_s,retained_power_fraction\n"
+    "0,3.904107,0,1.2040663e-08,0.985337243\n"
+    "0.1,-inf,1,1.08506944e-08,1\n"
+    "0.2,-inf,-1,nan,1\n"
+)
+FIXED_PDP = (
+    "tap_0,tap_1,tap_2,tap_3,tap_4,tap_5\n"
+    "0.0000,-5.0515,-200.0000,-18.0618,-24.0824,-200.0000\n"
+    "-200.0000,-6.0206,-6.0206,-200.0000,-200.0000,-200.0000\n"
+    "-200.0000,-200.0000,-200.0000,-200.0000,-200.0000,-200.0000\n"
+)
+FIXED_GAIN = "time_s,path_gain_db\n0,3.904107\n0.1,-inf\n0.2,-inf\n"
+
+# `chanem cir` on three paths at 46.08 Msps, 0.1 us spread, 50 ms interval
+CIR_PROFILE = "re,im,delay_s\n1.0,0.0,0.0\n0.5,-0.25,3.3e-8\n-0.125,0.5,8.1e-8\n"
+CIR_BYTES = bytes.fromhex(
+    "4349525401000000000000f985419a9999999999a93f010000000c000000a44b673f"
+    "b195a73c8ba1963e2f82dfbdeb64b23effb56fbee35e17be91b65c3e03713fbdce82"
+    "d23e265fb6bc79d290bdac5fb73cfa8c0d3de822a3bcd984b2bc1ae78f3c49617e3c"
+    "d2b67fbc8cd042bcd464653cdb7d1c3ca6ae4fbc440802bc")
+
+
+class TestReportBytes:
+    """Outputs pinned byte for byte; the fixed timeline is written with struct."""
+
+    def fixed_timeline(self, path):
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<4sHddII", b"CIRT", 1, 46.08e6, 0.1, 3, 6))
+            for row in FIXED_SNAPSHOTS:
+                for v in map(complex, row):
+                    fh.write(struct.pack("<ff", v.real, v.imag))
+
+    def test_report_csvs(self, tmp_path, capsys):
+        cirt = tmp_path / "fixed.cirt"
+        self.fixed_timeline(cirt)
+        rows, pdp, gain = (tmp_path / n for n in ("rows.csv", "pdp.csv", "gain.csv"))
+        assert main(["report", "--timeline", str(cirt), "--taps", "2", "--rows", str(rows),
+                     "--pdp", str(pdp), "--gain", str(gain)]) == EXIT_OK
+        assert rows.read_text() == FIXED_ROWS
+        assert pdp.read_text() == FIXED_PDP
+        assert gain.read_text() == FIXED_GAIN
+        assert capsys.readouterr().out == ""
+        assert main(["report", "--timeline", str(cirt), "--taps", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == FIXED_ROWS
+
+    def test_cir_file(self, tmp_path):
+        profile = tmp_path / "p.csv"
+        profile.write_text(CIR_PROFILE)
+        out = tmp_path / "one.cirt"
+        assert main(["cir", "--profile", str(profile), "--fsamp", "46.08e6",
+                     "--max-delay", "1e-7", "--t-int", "0.05", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == CIR_BYTES

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from chanem.cir import DiscreteCir, sort_truncate
 from chanem.emulator import (ZERO, EmulatorConfig, EmulatorState,
                              IqSlot, SlotFormat,
                              calibrate_signal_gain, convolve_slot,
                              noise_block, run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
+from chanem.timeline import CirTimeline
 
 # small format for unit tests: N_s = 120 samples, 0.5 ms slots
 FMT = SlotFormat(fft_size=8, f_samp=8 * 15 / 0.5e-3)
@@ -17,17 +17,11 @@ N_S = FMT.samples_per_slot
 def dense_cir(indices, amps, l_max=16):
     taps = np.zeros(l_max, complex)
     taps[np.asarray(indices)] = amps
-    return DiscreteCir(taps=taps, f_samp=FMT.f_samp)
+    return taps
 
 
-def sorted_cir(indices, amps, l_max=16):
-    return sort_truncate(dense_cir(indices, amps, l_max), len(indices))
-
-
-def make_cfg(snapshots, l_max=16, **kw):
-    kw.setdefault("t_int", 0.1)
-    return EmulatorConfig(sorted_timeline=snapshots, slot_format=FMT,
-                          l_max=l_max, **kw)
+def make_cfg(snapshots, l_sel=16, t_int=0.1, **kw):
+    return EmulatorConfig(CirTimeline(snapshots, FMT.f_samp, t_int), l_sel, FMT, **kw)
 
 
 def random_slots(rng, count):
@@ -42,10 +36,15 @@ class TestSlotFormat:
         assert fmt.slot_duration == pytest.approx(0.5e-3)
         assert fmt.samples_per_slot == round(fmt.f_samp * fmt.slot_duration)
 
+    @pytest.mark.parametrize("f_samp", [float("nan"), float("inf"), 0.0])
+    def test_rate_must_be_finite_and_positive(self, f_samp):
+        with pytest.raises(InvalidInputError, match="f_samp"):
+            SlotFormat(fft_size=8, f_samp=f_samp)
+
 
 class TestConvolveSlot:
     def test_identity_channel(self):
-        cfg = make_cfg([sorted_cir([0], [1.0])])
+        cfg = make_cfg([dense_cir([0], [1.0])])
         state = EmulatorState(cfg)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
@@ -54,7 +53,7 @@ class TestConvolveSlot:
 
     def test_delayed_tap_reads_previous_slot_tail(self):
         a = 0.7 - 0.2j
-        cfg = make_cfg([sorted_cir([5], [a])])
+        cfg = make_cfg([dense_cir([5], [a])])
         state = EmulatorState(cfg)
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
@@ -67,7 +66,7 @@ class TestConvolveSlot:
 
     def test_zero_history_mode_isolates_slots(self):
         a = 0.7 - 0.2j
-        cfg = make_cfg([sorted_cir([5], [a])], history_mode=ZERO)
+        cfg = make_cfg([dense_cir([5], [a])], history_mode=ZERO)
         state = EmulatorState(cfg)
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
@@ -80,8 +79,7 @@ class TestConvolveSlot:
         rng = np.random.default_rng(3)
         l_max = 16
         taps = rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max)
-        cir = DiscreteCir(taps=taps, f_samp=FMT.f_samp)
-        cfg = make_cfg([sort_truncate(cir, l_max)], l_max=l_max)
+        cfg = make_cfg([taps], l_sel=l_max)
         state = EmulatorState(cfg)
         slots = random_slots(rng, 3)
         got = np.concatenate(
@@ -93,7 +91,7 @@ class TestConvolveSlot:
 
     def test_linearity_with_noise_off(self):
         rng = np.random.default_rng(4)
-        cir = sorted_cir([0, 3, 9], [1.0, 0.5j, -0.25])
+        cir = dense_cir([0, 3, 9], [1.0, 0.5j, -0.25])
         alpha, beta = 1.7 - 0.3j, -0.6 + 1.1j
         x1 = [rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
               for _ in range(2)]
@@ -113,7 +111,7 @@ class TestConvolveSlot:
 
     def test_time_invariance_within_snapshot(self):
         rng = np.random.default_rng(5)
-        cir = sorted_cir([2, 7], [1.0, -0.4j])
+        cir = dense_cir([2, 7], [1.0, -0.4j])
         x = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
         zero = np.zeros(N_S, complex)
 
@@ -129,15 +127,15 @@ class TestConvolveSlot:
         np.testing.assert_allclose(shifted[2], direct[1], atol=1e-15)
 
     def test_out_of_order_slot_rejected(self):
-        cfg = make_cfg([sorted_cir([0], [1.0])])
+        cfg = make_cfg([dense_cir([0], [1.0])])
         state = EmulatorState(cfg)
         convolve_slot(state, cfg, IqSlot(0, np.zeros(N_S)))
         with pytest.raises(SequencingError):
             convolve_slot(state, cfg, IqSlot(2, np.zeros(N_S)))
 
     def test_snapshot_schedule_switches_every_200_slots(self):
-        first = sorted_cir([0], [1.0])
-        second = sorted_cir([5], [1.0])
+        first = dense_cir([0], [1.0])
+        second = dense_cir([5], [1.0])
         cfg = make_cfg([first, second])
         assert cfg.slots_per_snapshot == 200
         state = EmulatorState(cfg)
@@ -152,7 +150,7 @@ class TestConvolveSlot:
         assert boundary == 200
 
     def test_capacity_and_end_of_scenario(self):
-        cfg = make_cfg([sorted_cir([0], [1.0])] * 2)
+        cfg = make_cfg([dense_cir([0], [1.0])] * 2)
         assert cfg.capacity_slots == 400
         state = EmulatorState(cfg)
         state.next_slot_index = 400
@@ -161,23 +159,19 @@ class TestConvolveSlot:
 
     def test_t_int_must_be_slot_multiple(self):
         with pytest.raises(InvalidInputError):
-            make_cfg([sorted_cir([0], [1.0])], t_int=0.00075)
-
-    def test_tap_index_must_fit_history(self):
-        with pytest.raises(InvalidInputError):
-            make_cfg([sorted_cir([20], [1.0], l_max=32)], l_max=16)
+            make_cfg([dense_cir([0], [1.0])], t_int=0.00075)
 
     def test_full_scale_scenario_capacity(self):
         # 570 snapshots at 100 ms over 0.5 ms slots accept 114000 slots
         fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)
-        cfg = EmulatorConfig(sorted_timeline=[sorted_cir([0], [1.0])] * 570,
-                             t_int=0.1, slot_format=fmt, l_max=146)
+        timeline = CirTimeline([dense_cir([0], [1.0], l_max=146)] * 570, fmt.f_samp, 0.1)
+        cfg = EmulatorConfig(timeline, 1, fmt)
         assert cfg.slots_per_snapshot == 200
         assert cfg.capacity_slots == 114000
 
     def test_nan_input_rejected_by_cir(self):
         with pytest.raises(InvalidInputError):
-            DiscreteCir(taps=[1.0, float("nan")], f_samp=FMT.f_samp)
+            CirTimeline([[1.0, float("nan")]], FMT.f_samp, 0.1)
 
     @pytest.mark.parametrize("field, value", [
         ("noise_power_db", float("nan")), ("noise_power_db", float("inf")),
@@ -185,12 +179,12 @@ class TestConvolveSlot:
     ])
     def test_non_finite_levels_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
-            make_cfg([sorted_cir([0], [1.0])], **{field: value})
+            make_cfg([dense_cir([0], [1.0])], **{field: value})
 
 
 class TestNoise:
     def test_mean_power_calibrated_to_minus_100_db(self):
-        cfg = make_cfg([sorted_cir([0], [1.0])],
+        cfg = make_cfg([dense_cir([0], [1.0])],
                        signal_gain_db=float("-inf"), noise_power_db=-100.0,
                        rng_seed=11)
         state = EmulatorState(cfg)
@@ -260,7 +254,7 @@ class TestNoise:
         slots = random_slots(rng, 3)
 
         def run():
-            cfg = make_cfg([sorted_cir([0, 4], [1.0, 0.3])],
+            cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=-30.0, rng_seed=77)
             return np.concatenate(
                 [out.samples for out, _ in run_scenario(cfg, iter(slots))])
@@ -272,7 +266,7 @@ class TestNoise:
         slots = random_slots(rng, 2)
 
         def run(seed, noise_db):
-            cfg = make_cfg([sorted_cir([0, 4], [1.0, 0.3])],
+            cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=noise_db, rng_seed=seed)
             return np.concatenate(
                 [out.samples for out, _ in run_scenario(cfg, iter(slots))])
@@ -289,31 +283,31 @@ class TestNoise:
 
 class TestCalibration:
     def test_headroom_against_strongest_snapshot(self):
-        weak = DiscreteCir(taps=[10 ** (-84.5 / 20)], f_samp=FMT.f_samp)
-        strong = DiscreteCir(taps=[10 ** (-60.0 / 20)], f_samp=FMT.f_samp)
+        weak = [10 ** (-84.5 / 20)]
+        strong = [10 ** (-60.0 / 20)]
         assert calibrate_signal_gain([weak]) == pytest.approx(89.5, abs=1e-9)
         assert calibrate_signal_gain([weak, strong]) == pytest.approx(65.0,
                                                                       abs=1e-9)
 
     def test_unit_tap_gives_headroom(self):
-        unit = DiscreteCir(taps=[1.0], f_samp=FMT.f_samp)
+        unit = [1.0]
         assert calibrate_signal_gain([unit]) == pytest.approx(5.0)
 
     def test_custom_headroom(self):
-        cir = DiscreteCir(taps=[10 ** (-30.0 / 20)], f_samp=FMT.f_samp)
+        cir = [10 ** (-30.0 / 20)]
         assert calibrate_signal_gain([cir], headroom_db=0.0) == pytest.approx(30.0)
 
     def test_no_reference_errors(self):
         with pytest.raises(NoReferenceError):
             calibrate_signal_gain([])
-        cancelled = DiscreteCir(taps=[0.5, -0.5], f_samp=FMT.f_samp)
+        cancelled = [0.5, -0.5]
         with pytest.raises(NoReferenceError):
             calibrate_signal_gain([cancelled])
 
 
 class TestRunScenario:
     def test_accepts_exactly_capacity_then_ends(self):
-        cfg = make_cfg([sorted_cir([0], [1.0])] * 2)
+        cfg = make_cfg([dense_cir([0], [1.0])] * 2)
         slots = random_slots(np.random.default_rng(8), cfg.capacity_slots + 5)
         outs = []
         with pytest.raises(EndOfScenario):
@@ -324,7 +318,7 @@ class TestRunScenario:
         assert [o.slot_index for o in outs] == list(range(400))
 
     def test_empty_input_is_fine(self):
-        cfg = make_cfg([sorted_cir([0], [1.0])])
+        cfg = make_cfg([dense_cir([0], [1.0])])
         assert list(run_scenario(cfg, iter([]))) == []
 
     def test_oracle_equivalence_randomized(self):
@@ -335,8 +329,7 @@ class TestRunScenario:
             idx = rng.choice(l_max, size=n_taps, replace=False)
             taps = np.zeros(l_max, complex)
             taps[idx] = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
-            cir = DiscreteCir(taps=taps, f_samp=FMT.f_samp)
-            cfg = make_cfg([sort_truncate(cir, l_max)], l_max=l_max)
+            cfg = make_cfg([taps], l_sel=l_max)
             slots = random_slots(rng, 4)
             state = EmulatorState(cfg)
             got = np.concatenate(

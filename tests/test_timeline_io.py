@@ -1,10 +1,14 @@
 import math
 import struct
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chanem.cir import CirConfig, DiscreteCir, path_gain_total
+from chanem.cir import CirConfig, path_gain_total
 from chanem.errors import (DelayRangeError, FormatError, InvalidInputError,
                            ScenarioParseError)
 from chanem.scenefile import (build_scenario, parse_profile, parse_scene,
@@ -23,18 +27,13 @@ max_depth 0
 """
 
 
-def small_cfg(l_max=12):
-    return CirConfig.from_tap_count(f_samp=F_SAMP, l_max=l_max)
-
-
 def random_timeline(rng, count=3, l_max=12, t_int=0.1):
-    cfg = small_cfg(l_max)
-    snaps = []
-    for i in range(count):
+    rows = []
+    for _ in range(count):
         taps = (rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max))
         taps = taps.astype(np.complex64).astype(np.complex128)  # f32-exact
-        snaps.append(DiscreteCir(taps=taps, f_samp=F_SAMP, snapshot_time=i * t_int))
-    return CirTimeline(config=cfg, t_int=t_int, snapshots=snaps)
+        rows.append(taps)
+    return CirTimeline(np.reshape(rows, (count, l_max)), F_SAMP, t_int)
 
 
 class TestTimelineFile:
@@ -45,15 +44,14 @@ class TestTimelineFile:
         write_timeline(timeline, path)
         back = read_timeline(path)
         assert back.t_int == timeline.t_int
-        assert back.config.f_samp == timeline.config.f_samp
-        assert back.config.l_max == timeline.config.l_max
+        assert back.f_samp == timeline.f_samp
+        assert back.l_max == timeline.l_max
         assert len(back) == len(timeline)
-        for a, b in zip(timeline.snapshots, back.snapshots):
-            np.testing.assert_array_equal(a.taps, b.taps)
-            assert a.snapshot_time == b.snapshot_time
+        for a, b in zip(timeline.taps, back.taps):
+            np.testing.assert_array_equal(a, b)
 
     def test_empty_timeline_is_header_only(self, tmp_path):
-        timeline = CirTimeline(config=small_cfg(), t_int=0.1, snapshots=[])
+        timeline = CirTimeline(np.zeros((0, 12), complex), F_SAMP, t_int=0.1)
         path = tmp_path / "empty.cirt"
         write_timeline(timeline, path)
         # magic(4) + version u16 + f_samp f64 + t_int f64 + count u32 + taps u32
@@ -77,10 +75,7 @@ class TestTimelineFile:
 
     def test_full_scale_payload_size(self, tmp_path):
         cfg = CirConfig(f_samp=F_SAMP, max_delay_spread=3e-6)
-        zero = np.zeros(cfg.l_max, complex)
-        snaps = [DiscreteCir(taps=zero, f_samp=F_SAMP, snapshot_time=i * 0.1)
-                 for i in range(570)]
-        timeline = CirTimeline(config=cfg, t_int=0.1, snapshots=snaps)
+        timeline = CirTimeline(np.zeros((570, cfg.l_max), complex), F_SAMP, t_int=0.1)
         path = tmp_path / "big.cirt"
         write_timeline(timeline, path)
         assert path.stat().st_size == 30 + 570 * 146 * 8  # payload 665760 bytes
@@ -137,12 +132,98 @@ class TestTimelineFile:
         with pytest.raises(FormatError):
             read_timeline(path)
 
-    def test_snapshot_time_consistency_enforced(self):
-        cfg = small_cfg()
-        bad = [DiscreteCir(taps=np.zeros(12, complex), f_samp=F_SAMP,
-                           snapshot_time=0.5)]
-        with pytest.raises(InvalidInputError):
-            CirTimeline(config=cfg, t_int=0.1, snapshots=bad)
+    def test_snapshots_without_taps_rejected(self, tmp_path):
+        path = tmp_path / "t.cirt"
+        path.write_bytes(struct.pack("<4sHddII", b"CIRT", 1, F_SAMP, 0.1, 2, 0))
+        with pytest.raises(FormatError, match="zero taps") as err:
+            read_timeline(path)
+        assert err.value.offset == 26
+
+    @pytest.mark.parametrize("snapshot, tap, value, part", [
+        (0, 0, complex(float("nan"), 0.0), 0),
+        (1, 7, complex(0.5, float("inf")), 4),
+        (2, 11, complex(float("-inf"), float("nan")), 0),
+    ])
+    def test_non_finite_tap_names_snapshot_tap_and_offset(
+            self, tmp_path, snapshot, tap, value, part):
+        path = tmp_path / "t.cirt"
+        write_timeline(random_timeline(np.random.default_rng(7)), path)  # 3 x 12
+        raw = bytearray(path.read_bytes())
+        offset = 30 + (snapshot * 12 + tap) * 8
+        raw[offset:offset + 8] = struct.pack("<ff", value.real, value.imag)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"snapshot {snapshot} tap {tap} ") as err:
+            read_timeline(path)
+        assert err.value.offset == offset + part
+
+
+class TestTimelineValues:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: CirConfig(f_samp=v), "f_samp"),
+        (lambda v: CirConfig(f_samp=F_SAMP, max_delay_spread=v), "max_delay_spread"),
+        (lambda v: CirTimeline(np.zeros((1, 4)), v, 0.1), "f_samp"),
+        (lambda v: CirTimeline(np.zeros((1, 4)), F_SAMP, v), "t_int"),
+    ])
+    def test_bad_rate_or_interval_rejected(self, build, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            build(value)
+
+    @pytest.mark.parametrize("taps", [np.zeros(4), np.zeros((2, 0)), np.zeros((1, 2, 2))])
+    def test_taps_must_be_a_matrix_with_taps(self, taps):
+        with pytest.raises(InvalidInputError, match="matrix"):
+            CirTimeline(taps, F_SAMP, 0.1)
+
+    def test_facts_derive_from_the_matrix(self):
+        timeline = CirTimeline(np.ones((5, 3)), F_SAMP, 0.25)
+        assert (len(timeline), timeline.l_max) == (5, 3)
+        assert timeline.duration == 1.25
+        assert timeline.taps.dtype == np.complex128
+        assert timeline.taps.flags.c_contiguous
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                      allow_infinity=False)
+
+
+@st.composite
+def _timelines(draw, max_snapshots=4, max_taps=5):
+    """Any timeline whose taps survive the f32 file payload exactly."""
+    count = draw(st.integers(0, max_snapshots))
+    taps = draw(st.integers(1, max_taps))
+    parts = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                          min_size=2 * count * taps, max_size=2 * count * taps))
+    matrix = np.array(parts, dtype=np.float32).view(np.complex64).reshape(count, taps)
+    return CirTimeline(matrix, draw(_positive), draw(_positive))
+
+
+class TestTimelineFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(timeline=_timelines())
+    def test_round_trip_is_bit_exact(self, timeline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.cirt"
+            write_timeline(timeline, path)
+            back = read_timeline(path)
+        assert (back.f_samp, back.t_int) == (timeline.f_samp, timeline.t_int)
+        assert back.taps.shape == timeline.taps.shape
+        assert back.taps.tobytes() == timeline.taps.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(timeline=_timelines(max_snapshots=3, max_taps=3),
+           suffix=st.binary(min_size=1, max_size=24))
+    def test_every_prefix_and_any_suffix_is_format_error(self, timeline, suffix):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.cirt"
+            write_timeline(timeline, path)
+            data = path.read_bytes()
+            for cut in range(len(data)):
+                path.write_bytes(data[:cut])
+                with pytest.raises(FormatError):
+                    read_timeline(path)
+            path.write_bytes(data + suffix)
+            with pytest.raises(FormatError):
+                read_timeline(path)
 
 
 class TestBuildScenario:
@@ -158,11 +239,10 @@ class TestBuildScenario:
         # spreads over neighboring sinc taps: the total captured tap energy
         # carries the -84.53 dB Friis value; the coherent sum loses ~0.1 dB
         # to the discarded negative-index tail
-        taps = timeline.snapshots[0].taps
+        taps = timeline.taps[0]
         energy_db = 10 * math.log10(float(np.sum(np.abs(taps) ** 2)))
         assert energy_db == pytest.approx(-84.53, abs=0.05)
-        assert path_gain_total(timeline.snapshots[0]) == pytest.approx(-84.53,
-                                                                       abs=0.15)
+        assert path_gain_total(timeline.taps[0]) == pytest.approx(-84.53, abs=0.15)
 
     def test_snapshot_count_and_duration(self, tmp_path):
         scene = tmp_path / "scene.txt"
@@ -286,11 +366,9 @@ class TestReport:
         assert len(gains) == 1
 
     def test_unit_tap_pdp_row(self):
-        cfg = small_cfg()
         taps = np.zeros(12, complex)
         taps[0] = 1.0
-        timeline = CirTimeline(config=cfg, t_int=0.1,
-                               snapshots=[DiscreteCir(taps=taps, f_samp=F_SAMP)])
+        timeline = CirTimeline([taps], F_SAMP, t_int=0.1)
         matrix = pdp_matrix_db(timeline)
         assert matrix[0, 0] == pytest.approx(0.0)
         assert np.all(matrix[0, 1:] == -200.0)
@@ -315,7 +393,7 @@ class TestReport:
         rng = np.random.default_rng(6)
         timeline = random_timeline(rng, count=5)
         rows = report(timeline, 4)
-        for row, cir in zip(rows, timeline.snapshots):
+        for row, cir in zip(rows, timeline.taps):
             assert row.path_gain_db == path_gain_total(cir)
             assert row.retained_power_fraction <= 1.0 + 1e-12
 
@@ -341,10 +419,7 @@ class TestReport:
         assert len(gain) == 4
 
     def test_all_zero_snapshot_row(self):
-        cfg = small_cfg()
-        timeline = CirTimeline(
-            config=cfg, t_int=0.1,
-            snapshots=[DiscreteCir(taps=np.zeros(12, complex), f_samp=F_SAMP)])
+        timeline = CirTimeline(np.zeros((1, 12), complex), F_SAMP, t_int=0.1)
         row = report(timeline, 3)[0]
         assert row.path_gain_db == float("-inf")
         assert row.strongest_tap_index == -1
