@@ -1,11 +1,12 @@
 """Per-slot convolution latency measurement against the slot-period budget."""
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import CARRY, EmulatorConfig, IqSlot, run_scenario
+from .emulator import CARRY, EmulatorConfig, EmulatorState, convolve_slot
 from .errors import InvalidInputError
 from .timeline import CirTimeline
 
@@ -32,10 +33,11 @@ class BenchStats:
 
 def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
           noise_power_db=float("-inf")):
-    """Time ``convolve_slot`` over synthetic random slots via :func:`run_scenario`.
+    """Time ``convolve_slot`` over synthetic random slots on one stream state.
 
-    Only the convolution call is timed; input generation happens outside the
-    timer.  Noise defaults to off so the measurement isolates the tap
+    Only the convolution call is timed (the stage that
+    :func:`~chanem.emulator.run_scenario` times); input generation happens
+    outside the timer.  Noise defaults to off so the measurement isolates the tap
     accumulation (enable it via ``noise_power_db`` to measure the full path).
     """
     if slot_count < 1:
@@ -61,8 +63,13 @@ def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
         rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
         for _ in range(min(8, slot_count))
     ]
-    slots = (IqSlot(i, pool[i % len(pool)]) for i in range(slot_count))
-    latencies = sorted(seconds for _, seconds in run_scenario(cfg, slots))
+    state = EmulatorState(cfg)
+    latencies = []
+    for i in range(slot_count):
+        t0 = time.perf_counter()
+        convolve_slot(state, cfg, i, pool[i % len(pool)])
+        latencies.append(time.perf_counter() - t0)
+    latencies.sort()
     return BenchStats(
         slot_count=slot_count,
         l_sel=l_sel,

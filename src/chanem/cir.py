@@ -18,13 +18,18 @@ DEFAULT_TAP_BUDGET = 28
 
 SINC_GUARD_TAPS = 6
 
+# Upper bound on a tap vector's length (``CirConfig.l_max``): 1.4 ms of delay
+# spread at 46.08 Msps, far above the 146 taps of the 3 us default.  It caps
+# the sinc kernel and the tap matrix that a rate and a delay spread can size.
+MAX_TAP_VECTOR_LEN = 1 << 16
+
 
 @dataclass(frozen=True)
 class CirConfig:
     """Sampling grid for discrete CIRs.
 
     ``l_max`` (the tap vector length) is ceil(max_delay_spread * f_samp)
-    plus the sinc guard plus one.
+    plus the sinc guard plus one, and at most :data:`MAX_TAP_VECTOR_LEN`.
     """
 
     f_samp: float
@@ -36,6 +41,11 @@ class CirConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        span = self.max_delay_spread * self.f_samp
+        if span + self.l_guard + 1 > MAX_TAP_VECTOR_LEN:
+            raise InvalidInputError(
+                f"max_delay_spread * f_samp = {span:.6g} taps exceeds the "
+                f"{MAX_TAP_VECTOR_LEN}-tap vector limit")
 
     @property
     def l_max(self):

@@ -7,21 +7,19 @@ values, 3 precondition violations, 4 end of scenario.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
-import socket
 import sys
 
 from . import __version__
 from .bench import bench
 from .cir import CirConfig, DEFAULT_TAP_BUDGET
-from .emulator import (CARRY, ZERO, EmulatorConfig, IqSlot, SlotFormat,
+from .emulator import (CARRY, ZERO, EmulatorConfig, SlotFormat,
                        calibrate_signal_gain, run_scenario)
 from .errors import (ChanemError, EndOfScenario, FormatError,
-                     InvalidInputError, ScenarioParseError)
-from .iqstream import (STREAM_VERSION, read_frame, write_frame)
+                     ScenarioParseError)
+from .iqstream import STREAM_VERSION, frame_streams
 from .kpi import (LinkConfig, TddPattern, effective_throughput, max_bitrate,
                   mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from .materials import evaluate_material, get_material
@@ -36,6 +34,9 @@ EXIT_PRECONDITION = 3
 EXIT_END_OF_SCENARIO = 4
 
 SEED_ENV_VAR = "OWDT_SEED"
+
+NOISE_DB_HELP = ("noise power in dB, default -inf (no noise); give -inf "
+                 "as --noise-db=-inf, since a spaced -inf reads as an option")
 
 
 def _listen_address(text):
@@ -173,51 +174,8 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _frame_streams(args):
-    """Yield (reader, writer) byte streams for emulate from pipe/file/TCP."""
-    if args.listen:
-        host, port = args.listen
-        server = socket.create_server((host, port))
-        print(f"listening on {host}:{port}", file=sys.stderr)
-        conn, peer = server.accept()
-        print(f"connection from {peer}", file=sys.stderr)
-        rf = conn.makefile("rb")
-        wf = conn.makefile("wb")
-        try:
-            yield rf, wf
-        finally:
-            wf.flush()
-            rf.close()
-            wf.close()
-            conn.close()
-            server.close()
-        return
-    rf = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-    wf = sys.stdout.buffer if args.out == "-" else open(args.out, "wb")
-    try:
-        yield rf, wf
-    finally:
-        wf.flush()
-        if rf is not sys.stdin.buffer:
-            rf.close()
-        if wf is not sys.stdout.buffer:
-            wf.close()
-
-
-def _decode_frames(rf, samples_per_slot, formats):
-    """Yield an IqSlot per input frame, appending the frame's format to
-    ``formats`` so that its output frame is written back the same way."""
-    while (frame := read_frame(rf, samples_per_slot)) is not None:
-        slot_index, samples, fmt = frame
-        formats.append(fmt)
-        yield IqSlot(slot_index, samples)
-
-
 def _cmd_emulate(args):
     timeline = read_timeline(args.timeline)
-    if not len(timeline):
-        raise InvalidInputError("timeline holds no snapshots")
     if args.signal_gain_db == "auto":
         gain_db = calibrate_signal_gain(timeline.taps)
         print(f"auto signal gain: {gain_db:.3f} dB", file=sys.stderr)
@@ -230,21 +188,17 @@ def _cmd_emulate(args):
         signal_gain_db=gain_db,
         noise_power_db=args.noise_db,
         rng_seed=args.seed,
-        history_mode=args.history,
+        history_mode=args.history_mode,
     )
 
     stats_fh = open(args.stats, "w", encoding="utf-8") if args.stats else None
     if stats_fh:
         stats_fh.write("slot_index,latency_s,clipped_samples\n")
-    formats = []  # one frame is in flight: run_scenario yields before it pulls
     try:
-        with _frame_streams(args) as (rf, wf):
-            slots = _decode_frames(rf, fmt.samples_per_slot, formats)
-            for out, seconds in run_scenario(cfg, slots):
-                clipped = write_frame(wf, out.slot_index, out.samples,
-                                      fmt=formats.pop())
+        with frame_streams(args.input, args.out, args.listen) as (rf, wf):
+            for slot_index, seconds, clipped in run_scenario(cfg, rf, wf):
                 if stats_fh:
-                    stats_fh.write(f"{out.slot_index},{seconds:.9f},{clipped}\n")
+                    stats_fh.write(f"{slot_index},{seconds:.9f},{clipped}\n")
     except EndOfScenario:
         print("end of scenario reached with input remaining", file=sys.stderr)
         return EXIT_END_OF_SCENARIO
@@ -292,9 +246,11 @@ def build_parser():
     p.add_argument("--timeline", required=True)
     p.add_argument("--taps", type=int, default=DEFAULT_TAP_BUDGET)
     p.add_argument("--signal-gain-db", type=_signal_gain, default="auto")
-    p.add_argument("--noise-db", type=_noise_power, default=-math.inf)
+    p.add_argument("--noise-db", type=_noise_power, default=-math.inf,
+                   help=NOISE_DB_HELP)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--history", choices=[CARRY, ZERO], default=CARRY)
+    p.add_argument("--history", dest="history_mode", choices=[CARRY, ZERO],
+                   default=CARRY)
     p.add_argument("--fft", type=int, default=1536)
     p.add_argument("--in", dest="input", default="-")
     p.add_argument("--out", default="-")
@@ -339,7 +295,8 @@ def build_parser():
     p.add_argument("--fft", type=int, default=1536)
     p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise-db", type=_noise_power, default=-math.inf)
+    p.add_argument("--noise-db", type=_noise_power, default=-math.inf,
+                   help=NOISE_DB_HELP)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -6,6 +6,8 @@ circular complex Gaussian noise.  Snapshots advance every
 ``slots_per_snapshot`` slots; slot history carries across slot boundaries
 so the streaming output equals one long convolution (``carry`` mode), or is
 zeroed per slot to reproduce strict per-slot matrix processing (``zero``).
+:func:`run_scenario` drives a stream of OWIQ frames through it, decoding
+each frame into the stream's own buffer.
 
 The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
 3x more per slot and misses the real-time budget on a desktop core.
@@ -21,6 +23,7 @@ from scipy.linalg import blas as _blas
 from .cir import path_gain_total
 from .errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                      SequencingError)
+from .iqstream import read_frame, write_frame
 from .timeline import CirTimeline
 
 _zaxpy = _blas.zaxpy
@@ -50,19 +53,6 @@ class SlotFormat:
     @property
     def slot_duration(self):
         return self.samples_per_slot / self.f_samp
-
-
-@dataclass
-class IqSlot:
-    """One slot of complex baseband samples."""
-
-    slot_index: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.slot_index < 0:
-            raise InvalidInputError(f"slot_index must be >= 0, got {self.slot_index}")
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
 
 
 def noise_block(seed, slot_index, count):
@@ -147,49 +137,52 @@ class EmulatorConfig:
 
 
 class EmulatorState:
-    """Mutable per-stream state: input history tail and slot sequencing."""
+    """Mutable per-stream state: the slot buffers and slot sequencing.
+
+    ``ext`` holds the ``l_max - 1`` carried input samples followed by the
+    current slot; ``slot`` is a view of that tail, where frames are decoded.
+    ``out`` receives each slot's output and is overwritten by the next.
+    """
 
     def __init__(self, cfg):
         n_s = cfg.slot_format.samples_per_slot
-        hist = cfg.timeline.l_max - 1
-        self.history = np.zeros(hist, dtype=np.complex128)
+        self.hist = cfg.timeline.l_max - 1
         self.next_slot_index = 0
-        self._ext = np.zeros(hist + n_s, dtype=np.complex128)
+        self.ext = np.zeros(self.hist + n_s, dtype=np.complex128)
+        self.slot = self.ext[self.hist:]
+        self.out = np.empty(n_s, dtype=np.complex128)
 
 
-def convolve_slot(state, cfg, slot):
+def convolve_slot(state, cfg, slot_index, samples):
     """Convolve one slot with the active snapshot's taps and add noise.
 
-    Slots must arrive in index order; an index at or beyond the timeline
-    capacity raises :class:`EndOfScenario`.
+    Returns ``state.out``, which the next call overwrites.  ``samples`` may
+    be ``state.slot`` itself, which then is not copied.  Slots must arrive
+    in index order; an index at or beyond the timeline capacity raises
+    :class:`EndOfScenario`.
     """
-    if slot.slot_index != state.next_slot_index:
+    if slot_index != state.next_slot_index:
         raise SequencingError(
-            f"slot {slot.slot_index} arrived, expected {state.next_slot_index}"
+            f"slot {slot_index} arrived, expected {state.next_slot_index}"
         )
-    snap = slot.slot_index // cfg.slots_per_snapshot
+    snap = slot_index // cfg.slots_per_snapshot
     if snap >= len(cfg.sorted_snapshots):
         raise EndOfScenario(
-            f"slot {slot.slot_index} lies beyond the {len(cfg.sorted_snapshots)}-snapshot timeline"
+            f"slot {slot_index} lies beyond the {len(cfg.sorted_snapshots)}-snapshot timeline"
         )
     n_s = cfg.slot_format.samples_per_slot
-    if len(slot.samples) != n_s:
+    if len(samples) != n_s:
         raise InvalidInputError(
-            f"slot has {len(slot.samples)} samples, expected {n_s}"
+            f"slot has {len(samples)} samples, expected {n_s}"
         )
 
-    hist = len(state.history)
-    ext = state._ext
-    if hist:
-        ext[:hist] = state.history if cfg.history_mode == CARRY else 0.0
-    ext[hist:] = slot.samples
-
+    hist, ext, out = state.hist, state.ext, state.out
+    state.slot[...] = samples
     sigma = cfg.noise_scale
     if sigma > 0.0:
-        out = noise_block(cfg.rng_seed, slot.slot_index, n_s)
-        out *= sigma
+        np.multiply(noise_block(cfg.rng_seed, slot_index, n_s), sigma, out=out)
     else:
-        out = np.zeros(n_s, dtype=np.complex128)
+        out.fill(0.0)
 
     cir = cfg.sorted_snapshots[snap]
     scale = cfg.signal_scale
@@ -197,10 +190,10 @@ def convolve_slot(state, cfg, slot):
         start = hist - int(k)
         out = _zaxpy(ext[start:start + n_s], out, a=scale * amp)
 
-    if hist:
-        state.history[:] = ext[n_s:]
+    if cfg.history_mode == CARRY:  # in zero mode ext[:hist] stays zero
+        ext[:hist] = ext[n_s:]
     state.next_slot_index += 1
-    return IqSlot(slot.slot_index, out)
+    return out
 
 
 def calibrate_signal_gain(taps, headroom_db=5.0):
@@ -219,17 +212,21 @@ def calibrate_signal_gain(taps, headroom_db=5.0):
     return headroom_db - best
 
 
-def run_scenario(cfg, slots):
-    """Convolve each slot of ``slots`` in turn; yield (output slot, seconds).
+def run_scenario(cfg, rf, wf):
+    """Drive one frame stream; yield (slot_index, seconds, clipped) per slot.
 
-    This is the one place a stream is driven: it owns the
-    :class:`EmulatorState`.  The seconds cover :func:`convolve_slot` alone,
-    timed after the slot has been pulled from ``slots``.  A slot past the
-    end of the timeline raises :class:`EndOfScenario`; sequencing and input
-    errors propagate too.  No per-slot state is kept.
+    This is the one frame loop: it owns the stream's :class:`EmulatorState`,
+    reads each OWIQ frame from ``rf`` straight into ``state.slot``, convolves
+    it and writes the output frame to ``wf`` in the input frame's format.
+    The seconds cover :func:`convolve_slot` alone; ``clipped`` counts the
+    int16 values the output frame saturated.  A slot past the end of the
+    timeline raises :class:`EndOfScenario`; frame, sequencing and input
+    errors propagate too.
     """
     state = EmulatorState(cfg)
-    for slot in slots:
+    while (frame := read_frame(rf, state.slot)) is not None:
+        slot_index, fmt = frame
         t0 = time.perf_counter()
-        out = convolve_slot(state, cfg, slot)
-        yield out, time.perf_counter() - t0
+        out = convolve_slot(state, cfg, slot_index, state.slot)
+        seconds = time.perf_counter() - t0
+        yield slot_index, seconds, write_frame(wf, slot_index, out, fmt)

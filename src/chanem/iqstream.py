@@ -15,7 +15,10 @@ statistics can track saturation.  An f32 payload holding a NaN or an
 infinity is rejected on read, before it reaches the emulator.
 """
 
+import contextlib
+import socket
 import struct
+import sys
 
 import numpy as np
 
@@ -76,13 +79,15 @@ def _read_exact(fh, n):
     return b"".join(chunks)
 
 
-def read_frame(fh, sample_count):
-    """Read one frame; returns (slot_index, samples, fmt) or None at clean EOF.
+def read_frame(fh, samples):
+    """Read one frame into ``samples``; returns (slot_index, fmt) or None at
+    clean EOF.
 
-    A header declaring other than ``sample_count`` samples is rejected before
-    its payload is read, so a corrupt header cannot make the reader allocate
-    for it.  The payload is decoded in one pass into the float64 view of the
-    returned complex128 array; a non-finite f32 value raises
+    ``samples`` is the caller's contiguous complex128 array, and its length
+    is the sample count the stream carries.  A header declaring another count
+    is rejected before its payload is read, so a corrupt header cannot make
+    the reader allocate for it.  The payload is decoded in one pass into the
+    float64 view of ``samples``; a non-finite f32 value raises
     :class:`FormatError` at its byte offset in the frame.
     """
     header = _read_exact(fh, _HEADER.size)
@@ -96,10 +101,10 @@ def read_frame(fh, sample_count):
         raise FormatError(f"bad frame magic {magic!r}", offset=0)
     if version != STREAM_VERSION:
         raise FormatError(f"unsupported frame version {version}", offset=4)
-    if count != sample_count:
+    if count != len(samples):
         raise FormatError(
             f"slot {slot_index} declares {count} samples, the stream carries "
-            f"{sample_count} per slot",
+            f"{len(samples)} per slot",
             offset=16,
         )
     fmt = FMT_F32 if flags & FLAG_F32 else FMT_I16
@@ -111,7 +116,6 @@ def read_frame(fh, sample_count):
             f"bytes, got {len(payload)}",
             offset=_HEADER.size + len(payload),
         )
-    samples = np.empty(count, dtype=np.complex128)
     iq = samples.view(np.float64)
     iq[:] = np.frombuffer(payload, dtype="<f4" if fmt == FMT_F32 else "<i2")
     if fmt == FMT_F32 and not np.isfinite(iq).all():
@@ -121,4 +125,33 @@ def read_frame(fh, sample_count):
             f"in sample {first // 2}",
             offset=_HEADER.size + first * width,
         )
-    return slot_index, samples, fmt
+    return slot_index, fmt
+
+
+@contextlib.contextmanager
+def frame_streams(input_path, out_path, listen=None):
+    """Yield (reader, writer) binary streams for a frame stream.
+
+    With ``listen`` = (host, port), both are the first TCP connection
+    accepted there; its set-up is reported on stderr.  Otherwise they are
+    the files ``input_path`` and ``out_path``, where "-" means stdin or
+    stdout.  The writer is flushed on the way out.
+    """
+    if listen:
+        host, port = listen
+        with socket.create_server((host, port)) as server:
+            print(f"listening on {host}:{port}", file=sys.stderr)
+            conn, peer = server.accept()
+            print(f"connection from {peer}", file=sys.stderr)
+            with conn, conn.makefile("rb") as rf, conn.makefile("wb") as wf:
+                yield rf, wf
+        return
+    with contextlib.ExitStack() as stack:
+        rf = (sys.stdin.buffer if input_path == "-"
+              else stack.enter_context(open(input_path, "rb")))
+        wf = (sys.stdout.buffer if out_path == "-"
+              else stack.enter_context(open(out_path, "wb")))
+        try:
+            yield rf, wf
+        finally:
+            wf.flush()

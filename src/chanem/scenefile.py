@@ -15,7 +15,11 @@ lines are ignored:
 
 Traces are CSV with header ``t,x,y,z`` (seconds, meters) at a uniform time
 step.  Delay-profile CSVs carry ``re,im,delay_s`` rows (header optional).
+Every number in all three formats must be finite; ``nan``, ``inf`` and
+overflowing literals such as ``1e400`` are parse errors at their line.
 """
+
+import math
 
 import numpy as np
 
@@ -31,9 +35,14 @@ def _floats(tokens, n, path, line_no, what):
         raise ScenarioParseError(f"{what}: expected {n} numbers, got {len(tokens)}",
                                  path=path, line=line_no)
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
         raise ScenarioParseError(f"{what}: {exc}", path=path, line=line_no) from None
+    for token, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ScenarioParseError(f"{what}: {token.strip()!r} is not a finite number",
+                                     path=path, line=line_no)
+    return values
 
 
 def parse_scene(text, path="<scene>", max_depth=None):

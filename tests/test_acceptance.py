@@ -12,7 +12,7 @@ import pytest
 
 from chanem.bench import bench
 from chanem.cir import CirConfig, discretize, sort_truncate
-from chanem.emulator import (EmulatorConfig, EmulatorState, IqSlot, SlotFormat,
+from chanem.emulator import (EmulatorConfig, EmulatorState, SlotFormat,
                              convolve_slot)
 from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
                         mcs_lookup, ofdm_feasibility, tdd_occupancy)
@@ -115,7 +115,7 @@ def test_criterion_5_convolution_oracles():
             slots = [rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
                      for _ in range(4)]
             got = np.concatenate(
-                [convolve_slot(state, cfg, IqSlot(i, s)).samples
+                [convolve_slot(state, cfg, i, s).copy()
                  for i, s in enumerate(slots)])
             stream = np.concatenate(slots)
             want = np.convolve(stream, taps)[:len(stream)]
@@ -227,7 +227,7 @@ def test_criterion_8_noise_calibration():
         total = 0.0
         count = 0
         for i in range(50):  # 1.152e6 samples
-            y = convolve_slot(state, cfg, IqSlot(i, zero)).samples
+            y = convolve_slot(state, cfg, i, zero)
             total += float(np.sum(np.abs(y) ** 2))
             count += n_s
         assert count >= 1_000_000
@@ -251,7 +251,7 @@ def test_criterion_9_snapshot_scheduling():
         impulse[0] = 1.0
         boundary = None
         for i in range(cfg.capacity_slots):
-            y = convolve_slot(state, cfg, IqSlot(i, impulse)).samples
+            y = convolve_slot(state, cfg, i, impulse)
             tap = int(np.argmax(np.abs(y)))
             if tap != 0:
                 boundary = i

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from chanem.cir import (CirConfig, DEFAULT_TAP_BUDGET, discretize,
-                        path_gain_total, sort_truncate)
+from chanem.cir import (CirConfig, DEFAULT_TAP_BUDGET, MAX_TAP_VECTOR_LEN,
+                        SINC_GUARD_TAPS, discretize, path_gain_total,
+                        sort_truncate)
 from chanem.errors import DelayRangeError, InvalidInputError
 from chanem.propagation import DelayProfile
 
@@ -23,6 +24,18 @@ def test_tap_grid_size_at_system_rate():
     assert cfg.k_max == 145
     taps = discretize(make_profile([1.0], [0.0]), cfg)
     assert len(taps) == 146
+
+
+def test_tap_vector_length_is_bounded():
+    # l_max = ceil(spread * rate) + guard + 1 reaches the limit exactly ...
+    span = MAX_TAP_VECTOR_LEN - SINC_GUARD_TAPS - 1
+    assert CirConfig(f_samp=1.0, max_delay_spread=span).l_max == MAX_TAP_VECTOR_LEN
+    # ... and one tap more, a finite but huge product, or an overflowing one
+    # is rejected before anything is sized by it
+    for f_samp, spread in [(1.0, span + 0.5), (F_SAMP, 1.0), (1e300, 1e300)]:
+        with pytest.raises(InvalidInputError, match="tap vector limit"):
+            CirConfig(f_samp=f_samp, max_delay_spread=spread)
+    assert MAX_TAP_VECTOR_LEN > 100 * CirConfig(f_samp=F_SAMP).l_max
 
 
 def test_on_grid_impulse_lands_on_single_tap():

@@ -1,3 +1,4 @@
+import io
 import socket
 import struct
 import tempfile
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
-from chanem.emulator import (EmulatorConfig, EmulatorState, IqSlot,
-                             SlotFormat, convolve_slot, run_scenario)
+from chanem.emulator import (EmulatorConfig, EmulatorState, SlotFormat,
+                             convolve_slot, run_scenario)
 from chanem.iqstream import FMT_F32, read_frame, write_frame
 from chanem.timeline import CirTimeline, read_timeline, write_timeline
 
@@ -37,6 +38,15 @@ def make_timeline(taps_list, t_int=0.002):
     return CirTimeline(taps, F_SAMP, t_int)
 
 
+def read_frames(fh):
+    """Every OWIQ frame left in ``fh``, decoded."""
+    buf = np.empty(N_S, complex)
+    frames = []
+    while read_frame(fh, buf) is not None:
+        frames.append(buf.copy())
+    return frames
+
+
 def write_test_timeline(path, taps_list, t_int=0.002):
     write_timeline(make_timeline(taps_list, t_int), path)
 
@@ -45,7 +55,7 @@ def emulate_reference(taps_list, slots, t_int=0.002, **cfg_kw):
     cfg = EmulatorConfig(make_timeline(taps_list, t_int), 10,
                          SlotFormat(fft_size=8, f_samp=F_SAMP), **cfg_kw)
     state = EmulatorState(cfg)
-    return [convolve_slot(state, cfg, IqSlot(i, s)).samples
+    return [convolve_slot(state, cfg, i, s).copy()
             for i, s in enumerate(slots)]
 
 
@@ -170,6 +180,47 @@ class TestScenarioPipeline:
         assert main(["trace", "--scene", str(scene), "--trace", str(trace),
                      "--out", str(tmp_path / "x.cirt")]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("kind, line_no, text", [
+        ("scene", 3, "tx nan 0 10"),
+        ("scene", 1, "ground z nan material concrete"),
+        ("scene", 2, "wall -inf 6 inf 6 0 12 material glass"),
+        ("scene", 4, "freq nan"),
+        ("scene", 4, "freq inf"),
+        ("scene", 4, "freq 1e400"),
+        ("trace", 2, "0,nan,0,1.5"),
+        ("trace", 3, "nan,10,0,1.5"),
+        ("profile", 2, "nan,0.0,0.0"),
+        ("profile", 3, "0.5,inf,1e-6"),
+    ])
+    def test_non_finite_text_number_is_parse_error_at_its_line(
+            self, tmp_path, capsys, kind, line_no, text):
+        files = {"scene": SCENE.splitlines(),
+                 "trace": ["t,x,y,z", "0,10,0,1.5", "0.1,12,0,1.5"],
+                 "profile": ["re,im,delay_s", "1.0,0.0,0.0", "0.5,0.5,1e-6"]}
+        files[kind][line_no - 1] = text
+        for name, lines in files.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.cirt"
+        if kind == "profile":
+            args = ["cir", "--profile", str(tmp_path / "profile"), "--fsamp", "46.08e6"]
+        else:
+            args = ["trace", "--scene", str(tmp_path / "scene"),
+                    "--trace", str(tmp_path / "trace")]
+        assert main([*args, "--out", str(out)]) == EXIT_PARSE
+        assert f"{tmp_path / kind}:{line_no}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fsamp, max_delay", [("1e300", "1e300"), ("46.08e6", "1")])
+    def test_oversized_tap_vector_is_precondition_error(
+            self, tmp_path, capsys, fsamp, max_delay):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("re,im,delay_s\n1.0,0.0,0.0\n")
+        out = tmp_path / "one.cirt"
+        assert main(["cir", "--profile", str(profile), "--fsamp", fsamp,
+                     "--max-delay", max_delay, "--out", str(out)]) == EXIT_PRECONDITION
+        assert "tap vector limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cir_command(self, tmp_path):
         profile = tmp_path / "profile.csv"
         profile.write_text("re,im,delay_s\n1.0,0.0,0.0\n0.5,0.5,1e-6\n")
@@ -191,11 +242,8 @@ class TestEmulateCommand:
         return inp, tmp_path / "out.owiq"
 
     def read_all(self, path):
-        out = []
         with open(path, "rb") as fh:
-            while (frame := read_frame(fh, N_S)) is not None:
-                out.append(frame[1])
-        return out
+            return read_frames(fh)
 
     def test_pipe_matches_library(self, tmp_path):
         timeline = tmp_path / "t.cirt"
@@ -306,6 +354,18 @@ class TestEmulateCommand:
         assert f"byte offset {20 + 4 * 15}" in err
         assert len(self.read_all(outp)) == 1  # slot 0 only
 
+    @pytest.mark.parametrize("gain", ["auto", "0"])
+    def test_empty_timeline_is_precondition_error(self, tmp_path, capsys, gain):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--signal-gain-db", gain,
+                     "--in", str(inp), "--out", str(outp)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty" in err
+        assert not outp.exists()
+
     def test_wrong_frame_length_is_parse_error(self, tmp_path):
         timeline = tmp_path / "t.cirt"
         write_test_timeline(timeline, [{0: 1.0}])
@@ -350,11 +410,13 @@ class TestEmulateCommand:
             from_cli = np.concatenate(self.read_all(outp))
             cirt = read_timeline(timeline)
 
-        cfg = EmulatorConfig(cirt, 10, SlotFormat(fft_size=8, f_samp=F_SAMP),
-                             history_mode=history)
-        from_driver = np.concatenate(
-            [out.samples for out, _ in
-             run_scenario(cfg, (IqSlot(i, x) for i, x in enumerate(slots)))])
+            cfg = EmulatorConfig(cirt, 10, SlotFormat(fft_size=8, f_samp=F_SAMP),
+                                 history_mode=history)
+            wf = io.BytesIO()
+            with open(inp, "rb") as rf:
+                list(run_scenario(cfg, rf, wf))
+            wf.seek(0)
+            from_driver = np.concatenate(read_frames(wf))
 
         for got in (from_cli, from_driver):
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
@@ -396,9 +458,7 @@ class TestEmulateCommand:
                 write_frame(wf, i, s, fmt=FMT_F32)
             wf.flush()
             conn.shutdown(socket.SHUT_WR)
-            got = []
-            while (frame := read_frame(rf, N_S)) is not None:
-                got.append(frame[1])
+            got = read_frames(rf)
         thread.join(timeout=5.0)
         assert results.get("code") == EXIT_OK
         want = emulate_reference(taps_list, slots)

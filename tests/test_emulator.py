@@ -1,12 +1,14 @@
+import io
+
 import numpy as np
 import pytest
 
-from chanem.emulator import (ZERO, EmulatorConfig, EmulatorState,
-                             IqSlot, SlotFormat,
+from chanem.emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState, SlotFormat,
                              calibrate_signal_gain, convolve_slot,
                              noise_block, run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
+from chanem.iqstream import FMT_F32, read_frame, write_frame
 from chanem.timeline import CirTimeline
 
 # small format for unit tests: N_s = 120 samples, 0.5 ms slots
@@ -25,8 +27,27 @@ def make_cfg(snapshots, l_sel=16, t_int=0.1, **kw):
 
 
 def random_slots(rng, count):
-    return [IqSlot(i, rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S))
-            for i in range(count)]
+    return [rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
+            for _ in range(count)]
+
+
+def owiq(slots):
+    """The slots as a stream of f32 OWIQ frames, read from the start."""
+    rf = io.BytesIO()
+    for i, x in enumerate(slots):
+        write_frame(rf, i, x, fmt=FMT_F32)
+    rf.seek(0)
+    return rf
+
+
+def decode(wf):
+    """Every frame written to ``wf``, decoded."""
+    wf.seek(0)
+    buf = np.empty(N_S, complex)
+    frames = []
+    while read_frame(wf, buf) is not None:
+        frames.append(buf.copy())
+    return frames
 
 
 class TestSlotFormat:
@@ -48,8 +69,8 @@ class TestConvolveSlot:
         state = EmulatorState(cfg)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        y = convolve_slot(state, cfg, IqSlot(0, x))
-        np.testing.assert_array_equal(y.samples, x)
+        y = convolve_slot(state, cfg, 0, x)
+        np.testing.assert_array_equal(y, x)
 
     def test_delayed_tap_reads_previous_slot_tail(self):
         a = 0.7 - 0.2j
@@ -58,11 +79,11 @@ class TestConvolveSlot:
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
         x1 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        convolve_slot(state, cfg, IqSlot(0, x0))
-        y1 = convolve_slot(state, cfg, IqSlot(1, x1))
+        convolve_slot(state, cfg, 0, x0)
+        y1 = convolve_slot(state, cfg, 1, x1)
         for n in range(5):
-            assert y1.samples[n] == pytest.approx(a * x0[N_S - 5 + n])
-        np.testing.assert_allclose(y1.samples[5:], a * x1[:-5], rtol=1e-12)
+            assert y1[n] == pytest.approx(a * x0[N_S - 5 + n])
+        np.testing.assert_allclose(y1[5:], a * x1[:-5], rtol=1e-12)
 
     def test_zero_history_mode_isolates_slots(self):
         a = 0.7 - 0.2j
@@ -71,9 +92,9 @@ class TestConvolveSlot:
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
         x1 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        convolve_slot(state, cfg, IqSlot(0, x0))
-        y1 = convolve_slot(state, cfg, IqSlot(1, x1))
-        np.testing.assert_array_equal(y1.samples[:5], np.zeros(5))
+        convolve_slot(state, cfg, 0, x0)
+        y1 = convolve_slot(state, cfg, 1, x1)
+        np.testing.assert_array_equal(y1[:5], np.zeros(5))
 
     def test_full_budget_matches_dense_convolution(self):
         rng = np.random.default_rng(3)
@@ -83,8 +104,8 @@ class TestConvolveSlot:
         state = EmulatorState(cfg)
         slots = random_slots(rng, 3)
         got = np.concatenate(
-            [convolve_slot(state, cfg, s).samples for s in slots])
-        stream = np.concatenate([s.samples for s in slots])
+            [convolve_slot(state, cfg, i, s).copy() for i, s in enumerate(slots)])
+        stream = np.concatenate(slots)
         want = np.convolve(stream, taps)[:len(stream)]
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err < 1e-6
@@ -102,7 +123,7 @@ class TestConvolveSlot:
             cfg = make_cfg([cir])
             state = EmulatorState(cfg)
             return np.concatenate(
-                [convolve_slot(state, cfg, IqSlot(i, x)).samples
+                [convolve_slot(state, cfg, i, x).copy()
                  for i, x in enumerate(xs)])
 
         lhs = run([alpha * a + beta * b for a, b in zip(x1, x2)])
@@ -118,7 +139,7 @@ class TestConvolveSlot:
         def run(xs):
             cfg = make_cfg([cir])
             state = EmulatorState(cfg)
-            return [convolve_slot(state, cfg, IqSlot(i, s)).samples
+            return [convolve_slot(state, cfg, i, s).copy()
                     for i, s in enumerate(xs)]
 
         direct = run([x, zero, zero])
@@ -126,12 +147,46 @@ class TestConvolveSlot:
         np.testing.assert_allclose(shifted[1], direct[0], atol=1e-15)
         np.testing.assert_allclose(shifted[2], direct[1], atol=1e-15)
 
+    def test_stream_buffers_are_reused(self):
+        a = 0.7 - 0.2j
+        rng = np.random.default_rng(12)
+        x0, x1 = random_slots(rng, 2)
+        cfg = make_cfg([dense_cir([0, 5], [1.0, a])])
+        state = EmulatorState(cfg)
+        want = [convolve_slot(state, cfg, i, x).copy() for i, x in enumerate((x0, x1))]
+        state = EmulatorState(cfg)
+        outs = []
+        for i, x in enumerate((x0, x1)):
+            state.slot[:] = x  # decoded in place, as run_scenario does
+            outs.append(convolve_slot(state, cfg, i, state.slot))
+            np.testing.assert_array_equal(outs[-1], want[i])
+        assert outs[0] is outs[1] is state.out
+        np.testing.assert_array_equal(state.ext[:state.hist], x1[-state.hist:])  # carried
+
+    @pytest.mark.parametrize("mode", [CARRY, ZERO])
+    def test_history_longer_than_a_slot(self, mode):
+        fmt = SlotFormat(fft_size=1, f_samp=15 / 0.5e-3)  # N_s = 15
+        rng = np.random.default_rng(13)
+        taps = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        cfg = EmulatorConfig(CirTimeline([taps], fmt.f_samp, 0.1), 40, fmt,
+                             history_mode=mode)
+        state = EmulatorState(cfg)
+        slots = [rng.standard_normal(15) + 1j * rng.standard_normal(15)
+                 for _ in range(6)]
+        got = np.concatenate([convolve_slot(state, cfg, i, x).copy()
+                              for i, x in enumerate(slots)])
+        if mode == ZERO:
+            want = np.concatenate([np.convolve(x, taps)[:15] for x in slots])
+        else:
+            want = np.convolve(np.concatenate(slots), taps)[:90]
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
     def test_out_of_order_slot_rejected(self):
         cfg = make_cfg([dense_cir([0], [1.0])])
         state = EmulatorState(cfg)
-        convolve_slot(state, cfg, IqSlot(0, np.zeros(N_S)))
+        convolve_slot(state, cfg, 0, np.zeros(N_S))
         with pytest.raises(SequencingError):
-            convolve_slot(state, cfg, IqSlot(2, np.zeros(N_S)))
+            convolve_slot(state, cfg, 2, np.zeros(N_S))
 
     def test_snapshot_schedule_switches_every_200_slots(self):
         first = dense_cir([0], [1.0])
@@ -143,7 +198,7 @@ class TestConvolveSlot:
         impulse[0] = 1.0
         boundary = None
         for i in range(cfg.capacity_slots):
-            y = convolve_slot(state, cfg, IqSlot(i, impulse)).samples
+            y = convolve_slot(state, cfg, i, impulse)
             tap = int(np.argmax(np.abs(y)))
             if tap != 0 and boundary is None:
                 boundary = i
@@ -155,7 +210,7 @@ class TestConvolveSlot:
         state = EmulatorState(cfg)
         state.next_slot_index = 400
         with pytest.raises(EndOfScenario):
-            convolve_slot(state, cfg, IqSlot(400, np.zeros(N_S)))
+            convolve_slot(state, cfg, 400, np.zeros(N_S))
 
     def test_t_int_must_be_slot_multiple(self):
         with pytest.raises(InvalidInputError):
@@ -192,7 +247,7 @@ class TestNoise:
         total = 0.0
         count = 0
         for i in range(200):
-            y = convolve_slot(state, cfg, IqSlot(i, zero)).samples
+            y = convolve_slot(state, cfg, i, zero)
             total += np.sum(np.abs(y) ** 2)
             count += len(y)
         mean_power = total / count
@@ -256,10 +311,11 @@ class TestNoise:
         def run():
             cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=-30.0, rng_seed=77)
-            return np.concatenate(
-                [out.samples for out, _ in run_scenario(cfg, iter(slots))])
+            wf = io.BytesIO()
+            list(run_scenario(cfg, owiq(slots), wf))
+            return wf.getvalue()
 
-        np.testing.assert_array_equal(run(), run())
+        assert run() == run()
 
     def test_same_taps_different_noise_across_directions(self):
         rng = np.random.default_rng(7)
@@ -268,8 +324,9 @@ class TestNoise:
         def run(seed, noise_db):
             cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=noise_db, rng_seed=seed)
-            return np.concatenate(
-                [out.samples for out, _ in run_scenario(cfg, iter(slots))])
+            wf = io.BytesIO()
+            list(run_scenario(cfg, owiq(slots), wf))
+            return np.concatenate(decode(wf))
 
         clean = run(1, float("-inf"))
         dl = run(1, -20.0)
@@ -309,17 +366,22 @@ class TestRunScenario:
     def test_accepts_exactly_capacity_then_ends(self):
         cfg = make_cfg([dense_cir([0], [1.0])] * 2)
         slots = random_slots(np.random.default_rng(8), cfg.capacity_slots + 5)
+        wf = io.BytesIO()
         outs = []
         with pytest.raises(EndOfScenario):
-            for out, seconds in run_scenario(cfg, iter(slots)):
+            for slot_index, seconds, clipped in run_scenario(cfg, owiq(slots), wf):
                 assert seconds >= 0.0
-                outs.append(out)
+                outs.append(slot_index)
         assert len(outs) == cfg.capacity_slots == 400
-        assert [o.slot_index for o in outs] == list(range(400))
+        assert outs == list(range(400))
+        decoded_in = decode(owiq(slots))
+        np.testing.assert_array_equal(decode(wf), decoded_in[:400])
 
     def test_empty_input_is_fine(self):
         cfg = make_cfg([dense_cir([0], [1.0])])
-        assert list(run_scenario(cfg, iter([]))) == []
+        wf = io.BytesIO()
+        assert list(run_scenario(cfg, io.BytesIO(), wf)) == []
+        assert wf.getvalue() == b""
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(42)
@@ -333,7 +395,7 @@ class TestRunScenario:
             slots = random_slots(rng, 4)
             state = EmulatorState(cfg)
             got = np.concatenate(
-                [convolve_slot(state, cfg, s).samples for s in slots])
-            stream = np.concatenate([s.samples for s in slots])
+                [convolve_slot(state, cfg, i, s).copy() for i, s in enumerate(slots)])
+            stream = np.concatenate(slots)
             want = np.convolve(stream, taps)[:len(stream)]
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chanem.errors import FormatError, InvalidInputError
 from chanem.iqstream import (FMT_F32, FMT_I16, read_frame, write_frame)
@@ -15,11 +16,12 @@ def test_f32_round_trip():
     clipped = write_frame(buf, 7, samples, fmt=FMT_F32)
     assert clipped == 0
     buf.seek(0)
-    slot_index, back, fmt = read_frame(buf, 64)
+    back = np.empty(64, complex)
+    slot_index, fmt = read_frame(buf, back)
     assert slot_index == 7
     assert fmt == FMT_F32
     np.testing.assert_allclose(back, samples, rtol=1e-6)
-    assert read_frame(buf, 64) is None  # clean EOF
+    assert read_frame(buf, back) is None  # clean EOF
 
 
 def test_i16_round_trip_is_exact_for_integers():
@@ -30,7 +32,8 @@ def test_i16_round_trip_is_exact_for_integers():
     clipped = write_frame(buf, 0, samples, fmt=FMT_I16)
     assert clipped == 0
     buf.seek(0)
-    _, back, fmt = read_frame(buf, 32)
+    back = np.empty(32, complex)
+    _, fmt = read_frame(buf, back)
     assert fmt == FMT_I16
     np.testing.assert_array_equal(back, samples)
 
@@ -41,7 +44,8 @@ def test_i16_clipping_counts_saturated_samples():
     clipped = write_frame(buf, 0, samples, fmt=FMT_I16)
     assert clipped == 2
     buf.seek(0)
-    _, back, _ = read_frame(buf, len(samples))
+    back = np.empty(len(samples), complex)
+    read_frame(buf, back)
     assert back[0] == 32767.0
     assert back[1] == -32767.0j
     assert back[3] == 32767.0
@@ -53,7 +57,7 @@ def test_multiple_frames_stream():
         write_frame(buf, i, np.full(8, float(i)), fmt=FMT_F32)
     buf.seek(0)
     seen = []
-    while (frame := read_frame(buf, 8)) is not None:
+    while (frame := read_frame(buf, np.empty(8, complex))) is not None:
         seen.append(frame[0])
     assert seen == [0, 1, 2]
 
@@ -63,7 +67,7 @@ def test_truncated_header_rejected():
     write_frame(buf, 0, np.zeros(4), fmt=FMT_F32)
     raw = buf.getvalue()
     with pytest.raises(FormatError):
-        read_frame(io.BytesIO(raw[:10]), 4)
+        read_frame(io.BytesIO(raw[:10]), np.empty(4, complex))
 
 
 def test_truncated_payload_rejected():
@@ -71,7 +75,7 @@ def test_truncated_payload_rejected():
     write_frame(buf, 0, np.zeros(4), fmt=FMT_F32)
     raw = buf.getvalue()
     with pytest.raises(FormatError, match="payload"):
-        read_frame(io.BytesIO(raw[:-5]), 4)
+        read_frame(io.BytesIO(raw[:-5]), np.empty(4, complex))
 
 
 def test_bad_magic_rejected():
@@ -80,7 +84,7 @@ def test_bad_magic_rejected():
     raw = bytearray(buf.getvalue())
     raw[:4] = b"NOPE"
     with pytest.raises(FormatError):
-        read_frame(io.BytesIO(bytes(raw)), 4)
+        read_frame(io.BytesIO(bytes(raw)), np.empty(4, complex))
 
 
 def test_unknown_format_rejected():
@@ -105,7 +109,7 @@ def test_sample_count_checked_before_payload_read():
     write_frame(buf, 0, np.zeros(7))
     reader = _RecordingReader(buf.getvalue())
     with pytest.raises(FormatError, match="7 samples"):
-        read_frame(reader, 120)
+        read_frame(reader, np.empty(120, complex))
     assert reader.requests == [20]  # the header only
 
 
@@ -150,7 +154,8 @@ def test_codec_is_bit_identical_to_reference(fmt, samples):
     np.testing.assert_array_equal(samples, before)  # input left untouched
 
     buf.seek(0)
-    slot_index, back, got_fmt = read_frame(buf, len(samples))
+    back = np.empty(len(samples), complex)
+    slot_index, got_fmt = read_frame(buf, back)
     code = "<f" if fmt == FMT_F32 else "<h"
     values = [v for (v,) in struct.iter_unpack(code, payload)]
     want = np.array(values[0::2]) + 1j * np.array(values[1::2])
@@ -167,6 +172,45 @@ def test_non_finite_f32_value_rejected(bad, position):
     inter[position + 1:] = np.nan  # only the first one is named
     frame = struct.pack("<4sHHQI", b"OWIQ", 1, 1, 3, 8) + inter.tobytes()
     with pytest.raises(FormatError, match="slot 3") as exc:
-        read_frame(io.BytesIO(frame), 8)
+        read_frame(io.BytesIO(frame), np.empty(8, complex))
     assert exc.value.offset == 20 + 4 * position
     assert f"sample {position // 2}" in str(exc.value)
+
+
+@st.composite
+def exact_frames(draw):
+    """(fmt, slot_index, samples) whose values the format carries exactly."""
+    fmt = draw(st.sampled_from([FMT_I16, FMT_F32]))
+    n = draw(st.integers(0, 24))
+    if fmt == FMT_I16:
+        value = st.integers(-32767, 32767).map(float)
+    else:
+        value = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    iq = np.array(draw(st.lists(value, min_size=2 * n, max_size=2 * n)),
+                  dtype=np.float64)
+    return fmt, draw(st.integers(0, 2**64 - 1)), iq[0::2] + 1j * iq[1::2]
+
+
+@given(exact_frames())
+def test_frames_round_trip(frame):
+    fmt, slot_index, samples = frame
+    buf = io.BytesIO()
+    assert write_frame(buf, slot_index, samples, fmt=fmt) == 0
+    assert len(buf.getvalue()) == 20 + len(samples) * (8 if fmt == FMT_F32 else 4)
+    buf.seek(0)
+    back = np.empty(len(samples), complex)
+    assert read_frame(buf, back) == (slot_index, fmt)
+    np.testing.assert_array_equal(back, samples)
+    assert read_frame(buf, back) is None
+
+
+@given(exact_frames())
+def test_truncation_at_every_byte_raises_format_error(frame):
+    fmt, slot_index, samples = frame
+    buf = io.BytesIO()
+    write_frame(buf, slot_index, samples, fmt=fmt)
+    raw = buf.getvalue()
+    back = np.empty(len(samples), complex)
+    for cut in range(1, len(raw)):
+        with pytest.raises(FormatError):
+            read_frame(io.BytesIO(raw[:cut]), back)

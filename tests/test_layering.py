@@ -1,7 +1,7 @@
 """Layering rules of the package, read from the source with ``ast``.
 
 File-format modules do not reach the tracer or the scene parser, and the
-CLI only parses and prints (no array code of its own).
+CLI only parses and prints (no array code or sockets of its own).
 """
 
 import ast
@@ -62,6 +62,12 @@ def test_file_formats_do_not_reach_the_tracer(module):
 
 def test_cli_does_not_import_numpy():
     assert "numpy" not in direct_imports("cli")
+
+
+def test_cli_does_not_import_socket():
+    # the frame streams, sockets included, are set up in iqstream
+    assert "socket" not in direct_imports("cli")
+    assert "socket" in direct_imports("iqstream")
 
 
 def test_import_reader_sees_the_imports():

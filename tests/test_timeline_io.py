@@ -266,6 +266,39 @@ class TestBuildScenario:
         assert err.value.snapshot_index == 1
 
 
+# Text for the parsers: well-formed records and CSV rows whose numbers may be
+# negative, huge, non-finite, overflowing (1e400) or not numbers, mixed with
+# the headers and with lines of random tokens joined by spaces or commas.
+PARSER_NUMBER = st.sampled_from([
+    "0", "1", "-1", "2.5", "12", "1e9", "4.01916e9", "1e-6", "1e300", "-1e300",
+    "nan", "inf", "-inf", "1e400", "abc"]) | st.floats().map(repr)
+PARSER_NAME = st.sampled_from(["concrete", "glass", "metal", "brick", "vacuum", "nope"])
+PARSER_RECORD = st.one_of(
+    st.builds("material {} {} {} {} {}".format, PARSER_NAME, *[PARSER_NUMBER] * 4),
+    st.builds("ground z {} material {}".format, PARSER_NUMBER, PARSER_NAME),
+    st.builds("wall {} {} {} {} {} {} material {}".format,
+              *[PARSER_NUMBER] * 6, PARSER_NAME),
+    st.builds("tx {} {} {}".format, *[PARSER_NUMBER] * 3),
+    st.builds("freq {}".format, PARSER_NUMBER),
+    st.builds("max_depth {}".format, PARSER_NUMBER))
+PARSER_CSV_ROW = st.one_of(st.builds("{},{},{},{}".format, *[PARSER_NUMBER] * 4),
+                           st.builds("{},{},{}".format, *[PARSER_NUMBER] * 3))
+PARSER_TOKEN = st.sampled_from([
+    "material", "ground", "wall", "tx", "freq", "max_depth", "z", "#", ""]) \
+    | PARSER_NAME | PARSER_NUMBER | st.text(max_size=4)
+PARSER_LINE = st.one_of(
+    st.sampled_from(["t,x,y,z", "re,im,delay_s", "tx 0 0 10", "freq 1e9"]),
+    PARSER_RECORD, PARSER_CSV_ROW,
+    st.tuples(st.sampled_from([" ", ","]), st.lists(PARSER_TOKEN, max_size=9))
+    .map(lambda sep_tokens: sep_tokens[0].join(sep_tokens[1])))
+PARSER_TEXT = st.one_of(
+    st.lists(PARSER_LINE, max_size=8),
+    st.tuples(st.sampled_from(["t,x,y,z", "re,im,delay_s"]),
+              st.lists(PARSER_CSV_ROW, max_size=6))
+    .map(lambda header_rows: [header_rows[0], *header_rows[1]]),
+).map("\n".join)
+
+
 class TestParsers:
     def test_scene_records(self):
         text = """
@@ -314,6 +347,15 @@ class TestParsers:
         assert profile.n_paths == 2
         assert profile.amps[0] == 1.0 + 0.5j
         assert profile.delays[1] == 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=PARSER_TEXT)
+    def test_parsers_raise_only_parse_errors(self, text):
+        for parse in (parse_scene, parse_trace, parse_profile):
+            try:
+                parse(text)
+            except ScenarioParseError:
+                pass
 
     def test_randomized_trace_round_trip(self):
         rng = np.random.default_rng(8)
