@@ -1,11 +1,12 @@
 """Slot-based streaming convolution of baseband IQ with sorted CIR taps.
 
 Each radio slot of N_s samples is convolved with the active snapshot's
-selected taps (a sparse tapped delay line), scaled, and mixed with seeded
-circular complex Gaussian noise.  Snapshots advance every
-``slots_per_snapshot`` slots; slot history carries across slot boundaries
-so the streaming output equals one long convolution (``carry`` mode), or is
-zeroed per slot to reproduce strict per-slot matrix processing (``zero``).
+selected taps (a sparse tapped delay line), scaled, and mixed with circular
+complex Gaussian noise read from a per-stream bank, keyed per (seed, slot).
+Snapshots advance every ``slots_per_snapshot`` slots; slot history carries
+across slot boundaries so the streaming output equals one long convolution
+(``carry`` mode), or is zeroed per slot to reproduce strict per-slot matrix
+processing (``zero``).
 :func:`run_scenario` drives a stream of OWIQ frames through it, decoding
 each frame into the stream's own buffer.
 
@@ -13,6 +14,7 @@ The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
 3x more per slot and misses the real-time budget on a desktop core.
 """
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,16 +25,21 @@ from scipy.linalg import blas as _blas
 from .cir import path_gain_total
 from .errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                      SequencingError)
-from .iqstream import read_frame, write_frame
+from .iqstream import FrameBuffers, read_frame, write_frame
 from .timeline import CirTimeline
 
 _zaxpy = _blas.zaxpy
+_caxpy = _blas.caxpy
 
 CARRY = "carry"
 ZERO = "zero"
 
 _U64_MASK = (1 << 64) - 1
 _SQRT_HALF = math.sqrt(0.5)
+
+# Entries in a stream's noise bank (2 MB of complex64); a bank grows to the
+# smallest larger power of two whose halves each hold two slots.
+NOISE_BANK_SIZE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -55,27 +62,37 @@ class SlotFormat:
         return self.samples_per_slot / self.f_samp
 
 
-def noise_block(seed, slot_index, count):
-    """Unit-variance circular complex Gaussian noise for one slot.
+def noise_block(state, cfg, slot_index):
+    """Write slot ``slot_index``'s noise, at ``cfg.noise_scale``, into ``state.out``.
 
-    Keyed per (seed, slot): the generator is ``SFC64`` seeded by
-    ``SeedSequence(seed mod 2**64, spawn_key=(slot_index,))``, the
-    ``slot_index``-th child that ``SeedSequence.spawn`` would give, so any
-    slot's noise is reproducible without generating its predecessors and
-    neighbouring slots draw from unrelated streams.  (An entropy tuple
-    ``(seed, slot_index)`` would not do: numpy concatenates its 32-bit words,
-    so seed 2**32 + 5 at slot 0 would repeat seed 5 at slot 1.)  numpy's
-    ziggurat ``standard_normal`` fills the interleaved I/Q of a fresh complex
-    array in place, so the values are exactly Gaussian with variance 0.5 per
-    real component; a 23040-sample slot costs about 0.7 ms on one 2-vCPU Xeon
-    sandbox core.
+    Circular complex Gaussian noise read from the stream's bank (see
+    :class:`EmulatorState`), keyed per (seed, slot): an ``SFC64`` generator
+    seeded by ``SeedSequence(seed mod 2**64, spawn_key=(slot_index,))``, the
+    ``slot_index``-th child that ``SeedSequence.spawn`` would give, draws one
+    window offset in each half of the bank and two uniform phases, and the
+    slot is ``sigma * (lo * e^{j phi1} + hi * e^{j phi2}) / sqrt(2)``.  So
+    any slot's noise is reproducible without generating its predecessors,
+    and a slot's two windows never share a sample.  (An entropy tuple
+    ``(seed, slot_index)`` would not do: numpy concatenates its 32-bit
+    words, so seed 2**32 + 5 at slot 0 would repeat seed 5 at slot 1.)
+    The sum is formed in the complex64 scratch ``state.noise``, copied into
+    ``state.out`` and scaled there; ``state.out`` is returned.  Nothing
+    slot-sized is allocated (a casting multiply would allocate numpy's
+    128 KB cast buffer on every call).
     """
+    bank, acc = state.bank, state.noise
+    n = len(acc)
+    half = len(bank) // 2
     gen = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed & _U64_MASK, spawn_key=(slot_index,))))
-    out = np.empty(count, dtype=np.complex128)
-    iq = out.view(np.float64)
-    gen.standard_normal(out=iq)
-    iq *= _SQRT_HALF
+        np.random.SeedSequence(cfg.rng_seed & _U64_MASK, spawn_key=(slot_index,))))
+    lo, hi = gen.integers(0, half - n, size=2, endpoint=True)
+    phi_lo, phi_hi = gen.uniform(0.0, 2.0 * math.pi, size=2)
+    np.multiply(bank[lo:lo + n], np.complex64(cmath.rect(_SQRT_HALF, phi_lo)), out=acc)
+    hi += half
+    acc = _caxpy(bank[hi:hi + n], acc, a=cmath.rect(_SQRT_HALF, phi_hi))
+    out = state.out
+    np.copyto(out, acc)
+    out *= cfg.noise_scale  # float64, so no noise level under- or overflows
     return out
 
 
@@ -142,6 +159,13 @@ class EmulatorState:
     ``ext`` holds the ``l_max - 1`` carried input samples followed by the
     current slot; ``slot`` is a view of that tail, where frames are decoded.
     ``out`` receives each slot's output and is overwritten by the next.
+
+    With noise on, ``bank`` holds the stream's Gaussian samples: complex64
+    with variance 0.5 per component, drawn once from the root
+    ``SeedSequence(seed mod 2**64)`` (never equal to a slot's child key).
+    It has ``NOISE_BANK_SIZE`` entries, or more when a slot is longer than a
+    quarter of that.  ``noise`` is the complex64 scratch of
+    :func:`noise_block`.  Both are None with noise off.
     """
 
     def __init__(self, cfg):
@@ -151,6 +175,18 @@ class EmulatorState:
         self.ext = np.zeros(self.hist + n_s, dtype=np.complex128)
         self.slot = self.ext[self.hist:]
         self.out = np.empty(n_s, dtype=np.complex128)
+        self.bank = self.noise = None
+        if cfg.noise_scale > 0.0:
+            size = NOISE_BANK_SIZE
+            while size < 4 * n_s:
+                size *= 2
+            self.bank = np.empty(size, dtype=np.complex64)
+            iq = self.bank.view(np.float32)
+            gen = np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(cfg.rng_seed & _U64_MASK)))
+            gen.standard_normal(dtype=np.float32, out=iq)
+            iq *= np.float32(_SQRT_HALF)
+            self.noise = np.empty(n_s, dtype=np.complex64)
 
 
 def convolve_slot(state, cfg, slot_index, samples):
@@ -178,9 +214,8 @@ def convolve_slot(state, cfg, slot_index, samples):
 
     hist, ext, out = state.hist, state.ext, state.out
     state.slot[...] = samples
-    sigma = cfg.noise_scale
-    if sigma > 0.0:
-        np.multiply(noise_block(cfg.rng_seed, slot_index, n_s), sigma, out=out)
+    if cfg.noise_scale > 0.0:
+        noise_block(state, cfg, slot_index)
     else:
         out.fill(0.0)
 
@@ -215,18 +250,21 @@ def calibrate_signal_gain(taps, headroom_db=5.0):
 def run_scenario(cfg, rf, wf):
     """Drive one frame stream; yield (slot_index, seconds, clipped) per slot.
 
-    This is the one frame loop: it owns the stream's :class:`EmulatorState`,
-    reads each OWIQ frame from ``rf`` straight into ``state.slot``, convolves
-    it and writes the output frame to ``wf`` in the input frame's format.
+    This is the one frame loop: it owns the stream's :class:`EmulatorState`
+    and :class:`~chanem.iqstream.FrameBuffers`, so no slot allocates an
+    array.  It reads each OWIQ frame from ``rf`` straight into
+    ``state.slot``, convolves it and writes the output frame to ``wf`` in
+    the input frame's format.
     The seconds cover :func:`convolve_slot` alone; ``clipped`` counts the
     int16 values the output frame saturated.  A slot past the end of the
     timeline raises :class:`EndOfScenario`; frame, sequencing and input
     errors propagate too.
     """
     state = EmulatorState(cfg)
-    while (frame := read_frame(rf, state.slot)) is not None:
+    bufs = FrameBuffers(len(state.slot))
+    while (frame := read_frame(rf, state.slot, bufs)) is not None:
         slot_index, fmt = frame
         t0 = time.perf_counter()
         out = convolve_slot(state, cfg, slot_index, state.slot)
         seconds = time.perf_counter() - t0
-        yield slot_index, seconds, write_frame(wf, slot_index, out, fmt)
+        yield slot_index, seconds, write_frame(wf, slot_index, out, fmt, bufs)

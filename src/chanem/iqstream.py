@@ -37,28 +37,48 @@ FMT_I16 = "i16"
 FMT_F32 = "f32"
 
 
-def write_frame(fh, slot_index, samples, fmt=FMT_I16):
+class FrameBuffers:
+    """Codec scratch for one stream of frames of ``count`` samples.
+
+    :func:`read_frame` reads each payload into ``payload``;
+    :func:`write_frame` rounds into ``values``, counts clipped values in
+    ``mask`` and encodes into ``payload``.  Reusing one set per stream keeps
+    the frame loop free of per-slot arrays, so its speed does not depend on
+    how the C heap happens to trim and re-fault freed slot-sized blocks.
+    """
+
+    def __init__(self, count):
+        self.payload = np.empty(8 * count, dtype=np.uint8)  # f32 width
+        self.values = np.empty(2 * count)
+        self.mask = np.empty(2 * count, dtype=bool)
+
+
+def write_frame(fh, slot_index, samples, fmt=FMT_I16, bufs=None):
     """Write one slot frame; returns the number of clipped samples (i16 only).
 
     The payload is encoded from the float64 view of the samples, which is
-    already interleaved I/Q; int16 values round half to even.
+    already interleaved I/Q; int16 values round half to even.  ``bufs`` is
+    the stream's :class:`FrameBuffers` for ``len(samples)`` samples, or None
+    for a fresh set.
     """
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     iq = samples.view(np.float64)
+    if bufs is None:
+        bufs = FrameBuffers(len(samples))
     clipped = 0
     if fmt == FMT_F32:
         flags = FLAG_F32
-        inter = iq.astype("<f4")
+        inter = bufs.payload[:4 * len(iq)].view("<f4")
+        np.copyto(inter, iq, casting="same_kind")
     elif fmt == FMT_I16:
         flags = 0
-        raw = np.rint(iq)
-        # two comparisons, not np.abs(raw) > FS: that slot-sized temporary
-        # made glibc trim and re-fault heap pages on every slot of a TCP
-        # stream (about 160 minor faults and 0.25 ms per slot)
-        clipped = int(np.count_nonzero(raw > INT16_FULL_SCALE)
-                      + np.count_nonzero(raw < -INT16_FULL_SCALE))
+        raw, mask = bufs.values, bufs.mask
+        np.rint(iq, out=raw)
+        clipped = int(np.count_nonzero(np.greater(raw, INT16_FULL_SCALE, out=mask))
+                      + np.count_nonzero(np.less(raw, -INT16_FULL_SCALE, out=mask)))
         np.clip(raw, -INT16_FULL_SCALE, INT16_FULL_SCALE, out=raw)
-        inter = raw.astype("<i2")
+        inter = bufs.payload[:2 * len(iq)].view("<i2")
+        np.copyto(inter, raw, casting="unsafe")
     else:
         raise InvalidInputError(f"frame format must be 'i16' or 'f32', got {fmt!r}")
     fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, flags,
@@ -67,35 +87,36 @@ def write_frame(fh, slot_index, samples, fmt=FMT_I16):
     return clipped
 
 
-def _read_exact(fh, n):
-    chunks = []
+def _read_into(fh, buf):
+    """Fill ``buf`` from ``fh``; returns the number of bytes read before EOF."""
+    view = memoryview(buf)
     got = 0
-    while got < n:
-        chunk = fh.read(n - got)
-        if not chunk:
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
             break
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += n
+    return got
 
 
-def read_frame(fh, samples):
+def read_frame(fh, samples, bufs=None):
     """Read one frame into ``samples``; returns (slot_index, fmt) or None at
     clean EOF.
 
     ``samples`` is the caller's contiguous complex128 array, and its length
     is the sample count the stream carries.  A header declaring another count
     is rejected before its payload is read, so a corrupt header cannot make
-    the reader allocate for it.  The payload is decoded in one pass into the
+    the reader allocate for it.  The payload is read into ``bufs.payload``
+    (``bufs`` as for :func:`write_frame`) and decoded in one pass into the
     float64 view of ``samples``; a non-finite f32 value raises
     :class:`FormatError` at its byte offset in the frame.
     """
-    header = _read_exact(fh, _HEADER.size)
-    if not header:
+    header = bytearray(_HEADER.size)
+    got = _read_into(fh, header)
+    if not got:
         return None
-    if len(header) < _HEADER.size:
-        raise FormatError(f"truncated frame header ({len(header)} bytes)",
-                          offset=len(header))
+    if got < _HEADER.size:
+        raise FormatError(f"truncated frame header ({got} bytes)", offset=got)
     magic, version, flags, slot_index, count = _HEADER.unpack(header)
     if magic != STREAM_MAGIC:
         raise FormatError(f"bad frame magic {magic!r}", offset=0)
@@ -107,19 +128,22 @@ def read_frame(fh, samples):
             f"{len(samples)} per slot",
             offset=16,
         )
+    if bufs is None:
+        bufs = FrameBuffers(count)
     fmt = FMT_F32 if flags & FLAG_F32 else FMT_I16
     width = 4 if fmt == FMT_F32 else 2
-    payload = _read_exact(fh, count * 2 * width)
-    if len(payload) < count * 2 * width:
+    payload = bufs.payload[:count * 2 * width]
+    got = _read_into(fh, payload)
+    if got < len(payload):
         raise FormatError(
-            f"truncated frame payload: slot {slot_index} needs {count * 2 * width} "
-            f"bytes, got {len(payload)}",
-            offset=_HEADER.size + len(payload),
+            f"truncated frame payload: slot {slot_index} needs {len(payload)} "
+            f"bytes, got {got}",
+            offset=_HEADER.size + got,
         )
     iq = samples.view(np.float64)
-    iq[:] = np.frombuffer(payload, dtype="<f4" if fmt == FMT_F32 else "<i2")
-    if fmt == FMT_F32 and not np.isfinite(iq).all():
-        first = int(np.flatnonzero(~np.isfinite(iq))[0])
+    iq[:] = payload.view("<f4" if fmt == FMT_F32 else "<i2")
+    if fmt == FMT_F32 and not np.isfinite(iq, out=bufs.mask).all():
+        first = int(np.argmin(bufs.mask))
         raise FormatError(
             f"slot {slot_index} carries the non-finite value {iq[first]} "
             f"in sample {first // 2}",

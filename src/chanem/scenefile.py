@@ -120,8 +120,8 @@ def load_scene(path, max_depth=None):
 def parse_trace(text, path="<trace>", default_interval=0.1):
     """Parse a ``t,x,y,z`` CSV into a :class:`MobilityTrace`.
 
-    The time column must be uniformly spaced; a single-row trace takes
-    ``default_interval``.
+    The time column must be uniformly spaced, over a span that is a finite
+    float; a single-row trace takes ``default_interval``.
     """
     rows = []
     lines = [l.strip() for l in text.splitlines() if l.strip()]
@@ -139,11 +139,18 @@ def parse_trace(text, path="<trace>", default_interval=0.1):
     data = np.asarray(rows)
     times = data[:, 0]
     if len(times) > 1:
-        span = float(times[-1] - times[0])
+        # Python floats: a span past the largest float reads inf, silently
+        span = float(times[-1]) - float(times[0])
         interval = span / (len(times) - 1)
+        if not math.isfinite(interval):
+            raise ScenarioParseError(
+                f"trace times {times[0]:g} to {times[-1]:g} span more than the "
+                f"largest float", path=path)
         grid = times[0] + interval * np.arange(len(times))
+        with np.errstate(over="ignore"):  # an overflowing step is not uniform
+            deviation = float(np.max(np.abs(times - grid)))
         # tolerance scales with the span to absorb decimal-text rounding
-        if interval <= 0.0 or np.max(np.abs(times - grid)) > 1e-6 * max(span, 1.0):
+        if interval <= 0.0 or not deviation <= 1e-6 * max(span, 1.0):
             raise ScenarioParseError("trace time steps must be uniform and positive",
                                      path=path)
     else:

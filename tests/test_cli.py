@@ -4,6 +4,7 @@ import struct
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,24 @@ class TestScenarioPipeline:
                     "--trace", str(tmp_path / "trace")]
         assert main([*args, "--out", str(out)]) == EXIT_PARSE
         assert f"{tmp_path / kind}:{line_no}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_span_past_largest_float_is_parse_error(self, tmp_path, capsys):
+        # each time is finite, but their span overflows to inf
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n-1.7e308,10,0,1.5\n1.7e308,12,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["trace", "--scene", str(scene), "--trace", str(trace),
+                         "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {trace}: trace times -1.7e+308 to 1.7e+308 span more than "
+            f"the largest float\n")
+        assert not caught  # no numpy overflow warning reaches stderr first
         assert not out.exists()
 
     @pytest.mark.parametrize("fsamp, max_delay", [("1e300", "1e300"), ("46.08e6", "1")])

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,38 @@ def make_cfg(snapshots, l_sel=16, t_int=0.1, **kw):
 def random_slots(rng, count):
     return [rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
             for _ in range(count)]
+
+
+def noise_stream(seed, fft_size=1536):
+    """Config and state of a unit-power, noise-only stream of 15 * fft_size
+    samples per slot."""
+    fmt = SlotFormat(fft_size=fft_size, f_samp=fft_size * 15 / 0.5e-3)
+    cfg = EmulatorConfig(CirTimeline([[1.0]], fmt.f_samp, 0.5e-3), 1, fmt,
+                         noise_power_db=0.0, rng_seed=seed)
+    return cfg, EmulatorState(cfg)
+
+
+def slot_noise(seed, slots, fft_size=1536):
+    """Copies of the noise of the given slots of one stream."""
+    cfg, state = noise_stream(seed, fft_size)
+    return [noise_block(state, cfg, k).copy() for k in slots]
+
+
+def noise_samples(seed, first, count):
+    """``count`` noise samples from consecutive 23040-sample slots of one
+    stream, starting at slot ``first``."""
+    cfg, state = noise_stream(seed)
+    slots = range(first, first + -(-count // cfg.slot_format.samples_per_slot))
+    return np.concatenate([noise_block(state, cfg, k).copy() for k in slots])[:count]
+
+
+def correlation(a, b):
+    """(1/N) * sum_n a[n + d] conj(b[n]) at every lag d, by FFT; lag d is
+    entry d for d >= 0 and entry len - |d| for d < 0."""
+    n = len(a)
+    size = 1 << (2 * n - 1).bit_length()
+    r = np.fft.ifft(np.fft.fft(a, size) * np.conj(np.fft.fft(b, size)))
+    return np.concatenate([r[:n], r[size - n + 1:]]) / n
 
 
 def owiq(slots):
@@ -254,7 +287,7 @@ class TestNoise:
         assert mean_power == pytest.approx(1e-10, rel=0.01)
 
     def test_components_uncorrelated_and_balanced(self):
-        w = noise_block(99, 0, 400_000)
+        w = noise_samples(99, 0, 400_000)
         n = len(w)
         corr = np.mean(w.real * w.imag)
         se = 0.5 / np.sqrt(n)  # std error of the cross moment
@@ -264,10 +297,9 @@ class TestNoise:
         assert abs(np.mean(w)) < 4 / np.sqrt(n)
 
     def test_deterministic_per_seed_and_slot(self):
-        a = noise_block(1234, 17, 512)
-        b = noise_block(1234, 17, 512)
-        c = noise_block(1234, 18, 512)
-        d = noise_block(1235, 17, 512)
+        a, c = slot_noise(1234, [17, 18], FMT.fft_size)
+        (b,) = slot_noise(1234, [17], FMT.fft_size)
+        (d,) = slot_noise(1235, [17], FMT.fft_size)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
@@ -276,25 +308,26 @@ class TestNoise:
         ((2**32 + 5, 0), (5, 1)), ((-1, 0), (2**32 - 1, 2**32 - 1)),
     ])
     def test_distinct_seed_slot_pairs_give_distinct_noise(self, a, b):
-        assert not np.allclose(noise_block(*a, 64), noise_block(*b, 64))
+        (wa,) = slot_noise(a[0], [a[1]], FMT.fft_size)
+        (wb,) = slot_noise(b[0], [b[1]], FMT.fft_size)
+        assert not np.allclose(wa, wb)
 
     def test_negative_seed_accepted(self):
-        w = noise_block(-1, 0, 64)
+        (w,) = slot_noise(-1, [0], FMT.fft_size)
         assert np.all(np.isfinite(w))
-        np.testing.assert_array_equal(w, noise_block(-1, 0, 64))
+        np.testing.assert_array_equal(w, slot_noise(-1, [0], FMT.fft_size)[0])
 
     @pytest.mark.parametrize("seed, slot", [
         (0, 0), (1234, 17), (-1, 5), (7, 2**32 - 1), (7, 2**32), (-1, 2**40),
     ])
     def test_neighbouring_slots_uncorrelated(self, seed, slot):
-        n = 23040
-        a = noise_block(seed, slot, n)
-        b = noise_block(seed, slot + 1, n)
+        a, b = slot_noise(seed, [slot, slot + 1])
+        n = len(a)
         # <a, b>/n of independent unit-variance noise has standard error 1/sqrt(n)
         assert abs(np.vdot(a, b)) / n < 4 / np.sqrt(n)
 
     def test_tails_are_gaussian(self):
-        w = noise_block(2024, 3, 1_000_000)
+        w = noise_samples(2024, 3, 1_000_000)
         x = w.real / np.sqrt(0.5)
         n = len(x)
         kurtosis = np.mean(x ** 4) / np.mean(x ** 2) ** 2
@@ -303,6 +336,76 @@ class TestNoise:
         p3 = 0.0026997960632601866  # P(|x| > 3) for a standard normal
         beyond = np.count_nonzero(np.abs(iq) > 3.0) / len(iq)
         assert beyond == pytest.approx(p3, abs=5 * np.sqrt(p3 / len(iq)))
+
+    @pytest.mark.parametrize("seed", [0, 1234, -1, 2**40])
+    def test_slot_is_white_at_every_lag(self, seed):
+        """A slot's two bank windows lie in different halves, so no lag but 0
+        repeats a sample: every other autocorrelation lag stays at the i.i.d.
+        level, whose standard error is at most 1/sqrt(N).  (Windows drawn
+        from one half would share samples in about 38% of slots.)"""
+        for w in slot_noise(seed, range(5)):
+            n = len(w)
+            r = correlation(w, w)
+            assert r[0] == pytest.approx(1.0, rel=0.05)
+            assert np.max(np.abs(r[1:])) < 5 / np.sqrt(n)
+
+    def test_slots_uncorrelated_at_every_lag_but_shared_windows(self):
+        """Cross-correlation of slots k and k + j at every lag, against the
+        overlap model of the bank.
+
+        Slot k is (lo_k e^{j phi1} + hi_k e^{j phi2}) / sqrt(2), where lo_k and
+        hi_k are N-sample windows of the lower and upper bank halves.  If slot
+        k + j's window in the same half starts d samples away, |d| < N, the two
+        windows share N - |d| samples, and at lag d they add
+        (1/N) * sum |b|^2 / 2 over the shared samples: magnitude
+        1/2 * (N - |d|) / N, since each window carries half the slot's power.
+        Windows in different halves share nothing.  So at most two lags (one
+        per half) carry a shared window; every other lag is a sum of products
+        of distinct unit-variance samples, with standard error
+        sqrt(N - |d|) / N <= 1/sqrt(N).  The bound is therefore 5/sqrt(N) at
+        every lag but at most two, and 1/2 * (N - |d|) / N + 5/sqrt(N) at
+        those two.  (Both halves shifted by the same d, which would double the
+        shared term, has probability about 1 / (half - N) per pair.)  At least
+        one pair here shares a window, so the bound is exercised.
+        """
+        shared = 0
+        for seed in (0, 1234, -1, 7, 2024):
+            for j in (1, 2, 7, 100):
+                k = 3
+                a, b = slot_noise(seed, [k, k + j])
+                n = len(a)
+                stat = 5 / np.sqrt(n)
+                r = np.abs(correlation(a, b))
+                lags = np.arange(len(r))
+                lags = np.minimum(lags, len(r) - lags)  # |d| of each entry
+                over = np.flatnonzero(r >= stat)
+                assert len(over) <= 2, (seed, j, over)
+                assert np.all(r[over] <= 0.5 * (n - lags[over]) / n + stat), (seed, j)
+                shared += len(over)
+        assert shared > 0
+
+    def test_slot_alone_equals_slot_in_run(self):
+        cfg = make_cfg([dense_cir([0, 3], [1.0, 0.5])],
+                       signal_gain_db=float("-inf"), noise_power_db=-20.0,
+                       rng_seed=5)
+        state = EmulatorState(cfg)
+        zero = np.zeros(N_S)
+        in_run = [convolve_slot(state, cfg, i, zero).copy() for i in range(7)]
+        alone = EmulatorState(cfg)
+        np.testing.assert_array_equal(noise_block(alone, cfg, 6), in_run[6])
+        assert alone.next_slot_index == 0
+
+    @pytest.mark.parametrize("fft_size, bank", [(4369, 2**18), (4370, 2**19)])
+    def test_slot_longer_than_quarter_bank_grows_it(self, fft_size, bank):
+        # N_s = 65535 fits twice into each half of 2**18 entries; 65550 does not
+        cfg, state = noise_stream(3, fft_size)
+        assert len(state.bank) == bank
+        w = noise_block(state, cfg, 2)
+        assert np.max(np.abs(correlation(w, w)[1:])) < 5 / np.sqrt(len(w))
+
+    def test_noise_off_draws_no_bank(self):
+        state = EmulatorState(make_cfg([dense_cir([0], [1.0])]))
+        assert state.bank is None and state.noise is None
 
     def test_identical_config_gives_bit_identical_output(self):
         rng = np.random.default_rng(6)
@@ -399,3 +502,40 @@ class TestRunScenario:
             stream = np.concatenate(slots)
             want = np.convolve(stream, taps)[:len(stream)]
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
+
+    @pytest.mark.parametrize("fmt, noise_db", [
+        ("i16", 40.0), (FMT_F32, 40.0), ("i16", float("-inf")),
+    ])
+    def test_slot_loop_allocates_no_slot_sized_array(self, fmt, noise_db):
+        # a freed slot-sized block lets the C heap trim and re-fault its pages
+        # every slot; the loop must reuse the stream's buffers instead
+        slot_format = SlotFormat(fft_size=1536, f_samp=46.08e6)
+        n_s = slot_format.samples_per_slot
+        taps = np.zeros((1, 40), complex)
+        taps[0, [0, 5, 39]] = [1.0, 0.3, 0.1j]
+        cfg = EmulatorConfig(CirTimeline(taps, slot_format.f_samp, 0.05), 28,
+                             slot_format, noise_power_db=noise_db, rng_seed=3)
+        rng = np.random.default_rng(1)
+        rf = io.BytesIO()
+        for i in range(8):
+            x = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
+            write_frame(rf, i, 3000.0 * x, fmt=fmt)
+        rf.seek(0)
+
+        class Sink:
+            def write(self, data):
+                return len(data)
+
+        slots = run_scenario(cfg, rf, Sink())
+        tracemalloc.start()
+        try:
+            next(slots)
+            next(slots)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert len(list(slots)) == 6
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the smallest slot-sized array is one bool per I/Q value
+        assert peak - start < 2 * n_s

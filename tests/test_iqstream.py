@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chanem.errors import FormatError, InvalidInputError
-from chanem.iqstream import (FMT_F32, FMT_I16, read_frame, write_frame)
+from chanem.iqstream import FMT_F32, FMT_I16, FrameBuffers, read_frame, write_frame
 
 
 def test_f32_round_trip():
@@ -103,6 +103,10 @@ class _RecordingReader(io.BytesIO):
         self.requests.append(n)
         return super().read(n)
 
+    def readinto(self, b):
+        self.requests.append(len(b))
+        return super().readinto(b)
+
 
 def test_sample_count_checked_before_payload_read():
     buf = io.BytesIO()
@@ -111,6 +115,47 @@ def test_sample_count_checked_before_payload_read():
     with pytest.raises(FormatError, match="7 samples"):
         read_frame(reader, np.empty(120, complex))
     assert reader.requests == [20]  # the header only
+
+
+class _TrickleReader(io.BytesIO):
+    """A byte stream that fills at most 7 bytes per readinto, like a socket."""
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[:7])
+
+
+def test_payload_read_in_pieces():
+    x = np.arange(12.0) * 1000.0 - 2000.5j
+    buf = io.BytesIO()
+    write_frame(buf, 4, x, fmt=FMT_F32)
+    write_frame(buf, 5, -x)
+    reader = _TrickleReader(buf.getvalue())
+    back = np.empty(12, complex)
+    bufs = FrameBuffers(12)
+    assert read_frame(reader, back, bufs) == (4, FMT_F32)
+    np.testing.assert_array_equal(back, x)
+    assert read_frame(reader, back, bufs) == (5, FMT_I16)
+    np.testing.assert_array_equal(back, np.rint(-x.real) + 1j * np.rint(-x.imag))
+    assert read_frame(reader, back, bufs) is None
+
+
+def test_one_buffer_set_per_stream_gives_the_same_bytes():
+    # a stream reuses one FrameBuffers for frames of either format
+    rng = np.random.default_rng(9)
+    frames = [(fmt, (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 3e4)
+              for fmt in (FMT_I16, FMT_F32, FMT_I16, FMT_I16, FMT_F32)]
+    shared, fresh = io.BytesIO(), io.BytesIO()
+    bufs = FrameBuffers(40)
+    clipped = [write_frame(shared, i, x, fmt, bufs) for i, (fmt, x) in enumerate(frames)]
+    assert clipped == [write_frame(fresh, i, x, fmt) for i, (fmt, x) in enumerate(frames)]
+    assert sum(clipped) > 0
+    assert shared.getvalue() == fresh.getvalue()
+    shared.seek(0)
+    fresh.seek(0)
+    a, b = np.empty(40, complex), np.empty(40, complex)
+    for i, (fmt, _) in enumerate(frames):
+        assert read_frame(shared, a, bufs) == read_frame(fresh, b) == (i, fmt)
+        np.testing.assert_array_equal(a, b)
 
 
 def _reference_payload(samples, fmt):
