@@ -24,9 +24,9 @@ from .kpi import (LinkConfig, McsEntry, OfdmFeasibility, TddPattern,
                   tdd_occupancy, tdd_occupancy_exact)
 from .materials import (BUILTIN_MATERIALS, EmProperties, MaterialSpec,
                         complex_permittivity, evaluate_material, get_material)
-from .propagation import (DelayProfile, GroundPlane, MobilityTrace, Scene,
-                          VerticalRectangle, reflection_coefficient,
-                          trace_snapshot, trace_timeline)
+from .propagation import (DelayProfile, Facet, MobilityTrace, Scene,
+                          reflection_coefficient, trace_snapshot,
+                          trace_timeline)
 from .scenefile import build_scenario
 from .timeline import (CirTimeline, ReportRow, read_timeline, report,
                        timeline_from_profiles, write_timeline)

@@ -34,7 +34,6 @@ class CirConfig:
 
     f_samp: float
     max_delay_spread: float = 3e-6
-    l_guard: int = SINC_GUARD_TAPS
 
     def __post_init__(self):
         for name in ("f_samp", "max_delay_spread"):
@@ -42,14 +41,14 @@ class CirConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"{name} must be finite and positive, got {value}")
         span = self.max_delay_spread * self.f_samp
-        if span + self.l_guard + 1 > MAX_TAP_VECTOR_LEN:
+        if span + SINC_GUARD_TAPS + 1 > MAX_TAP_VECTOR_LEN:
             raise InvalidInputError(
                 f"max_delay_spread * f_samp = {span:.6g} taps exceeds the "
                 f"{MAX_TAP_VECTOR_LEN}-tap vector limit")
 
     @property
     def l_max(self):
-        return math.ceil(self.max_delay_spread * self.f_samp) + self.l_guard + 1
+        return math.ceil(self.max_delay_spread * self.f_samp) + SINC_GUARD_TAPS + 1
 
     @property
     def k_max(self):

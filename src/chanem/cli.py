@@ -23,6 +23,7 @@ from .iqstream import STREAM_VERSION, frame_streams
 from .kpi import (LinkConfig, TddPattern, effective_throughput, max_bitrate,
                   mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from .materials import evaluate_material, get_material
+from .propagation import MAX_REFLECTION_DEPTH
 from .scenefile import build_scenario, load_profile
 from .timeline import (TIMELINE_VERSION, read_timeline, report,
                        timeline_from_profiles, write_path_gain_csv,
@@ -72,6 +73,18 @@ def _positive_finite(text):
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number, got {text!r}")
     return value
+
+
+def _reflection_depth(text):
+    """An integer reflection depth in 0..MAX_REFLECTION_DEPTH."""
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if not 0 <= depth <= MAX_REFLECTION_DEPTH:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in 0..{MAX_REFLECTION_DEPTH}, got {text!r}")
+    return depth
 
 
 def _noise_power(text):
@@ -229,7 +242,7 @@ def build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=_reflection_depth, default=None)
     p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
     p.add_argument("--max-delay", type=_positive_finite, default=3e-6)
     p.set_defaults(func=_cmd_trace)

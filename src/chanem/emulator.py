@@ -41,10 +41,15 @@ _SQRT_HALF = math.sqrt(0.5)
 # smallest larger power of two whose halves each hold two slots.
 NOISE_BANK_SIZE = 1 << 18
 
+# Upper bound on N_s: it sizes the stream buffers, the noise bank and bench's
+# input pool.  It admits OAI's 6144-point FFT (92,160 samples per slot).
+MAX_SLOT_SAMPLES = 1 << 17
+
 
 @dataclass(frozen=True)
 class SlotFormat:
-    """Baseband slot geometry: N_s = fft_size * 15 samples per slot."""
+    """Baseband slot geometry: N_s = fft_size * 15 samples per slot, at most
+    :data:`MAX_SLOT_SAMPLES`."""
 
     fft_size: int
     f_samp: float
@@ -52,6 +57,10 @@ class SlotFormat:
     def __post_init__(self):
         if self.fft_size < 1 or not (math.isfinite(self.f_samp) and self.f_samp > 0.0):
             raise InvalidInputError("fft_size must be >= 1 and f_samp finite and positive")
+        if self.samples_per_slot > MAX_SLOT_SAMPLES:
+            raise InvalidInputError(
+                f"fft_size {self.fft_size} gives {self.samples_per_slot} samples "
+                f"per slot, above the {MAX_SLOT_SAMPLES}-sample limit")
 
     @property
     def samples_per_slot(self):
@@ -100,6 +109,7 @@ def noise_block(state, cfg, slot_index):
 class EmulatorConfig:
     """Everything needed to run a scenario over an IQ stream.
 
+    The slot format's rate must be the timeline's tap rate.
     ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps, selected
     once from the timeline when the config is built.
     """
@@ -126,6 +136,10 @@ class EmulatorConfig:
             raise InvalidInputError(
                 f"history_mode must be '{CARRY}' or '{ZERO}', got {self.history_mode!r}"
             )
+        if self.slot_format.f_samp != self.timeline.f_samp:
+            raise InvalidInputError(
+                f"slot format rate {self.slot_format.f_samp:.10g} Hz differs from "
+                f"the timeline's tap rate {self.timeline.f_samp:.10g} Hz")
         t_int = self.timeline.t_int
         slot_dur = self.slot_format.slot_duration
         ratio = t_int / slot_dur

@@ -1,12 +1,13 @@
-"""Deterministic multipath snapshots: free-space LoS plus image-method
-specular reflections off planar facets.
+"""Deterministic multipath snapshots: image-method specular paths off
+planar facets, line of sight included as the path with no reflection.
 
-Scenes are desk-scale: an optional infinite ground plane and axis-aligned
-vertical rectangles (walls).  Reflection paths are constructed exactly by
-mirroring the transmitter across facet planes, walking the chain back from
-the receiver, and validating bounds and occlusion per segment.  Each path
-carries the Friis free-space amplitude over its total unfolded length times
-the product of Fresnel reflection coefficients.
+Scenes are desk-scale: axis-aligned rectangular facets (:class:`Facet`), an
+optional infinite ground plane and vertical walls.  Every path is
+constructed exactly by mirroring the transmitter across the planes of its
+facet sequence, walking the chain back from the receiver, and validating
+bounds and occlusion per segment.  Each path carries the Friis free-space
+amplitude over its total unfolded length times the product of Fresnel
+reflection coefficients.
 """
 
 import cmath
@@ -51,75 +52,52 @@ def reflection_coefficient(props, incidence_angle, polarization):
     raise InvalidInputError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
 
 
-@dataclass(frozen=True)
-class GroundPlane:
-    """Infinite horizontal plane z = height."""
-
-    height: float
-    material: str = "concrete"
-
-    axis = 2
-    polarization = TM  # vertical field bouncing off the ground
-
-    @property
-    def value(self):
-        return self.height
-
-    def mirror(self, p):
-        return np.array([p[0], p[1], 2.0 * self.height - p[2]])
-
-    def contains(self, p, tol=GEOM_TOL):
-        return abs(p[2] - self.height) <= tol
-
-    def in_bounds(self, p, tol=GEOM_TOL):
-        return True
+# In-plane axes of a facet, in increasing order, by its plane axis.
+_IN_PLANE = ((1, 2), (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
-class VerticalRectangle:
-    """Axis-aligned vertical rectangle: the plane axis is x (0) or y (1)."""
+class Facet:
+    """Axis-aligned planar rectangle: the plane ``p[axis] = value``.
 
-    axis: int          # 0 -> plane x = value, 1 -> plane y = value
+    ``lo``/``hi`` bound the two in-plane axes ``_IN_PLANE[axis]``, in
+    increasing axis order; the ground has infinite bounds.  Polarization
+    follows the axis: TM off the horizontal ground (vertical field), TE off
+    the vertical walls (horizontal field).
+    """
+
+    axis: int          # 0 -> plane x = value, 1 -> y = value, 2 -> z = value
     value: float
-    u_min: float       # span along the other horizontal axis
-    u_max: float
-    z_min: float
-    z_max: float
+    lo: tuple
+    hi: tuple
     material: str = "concrete"
-
-    polarization = TE  # horizontal field bouncing off a wall
 
     def __post_init__(self):
-        if self.axis not in (0, 1):
-            raise SceneGeometryError(f"wall axis must be 0 or 1, got {self.axis}")
-        if self.u_max - self.u_min <= GEOM_TOL or self.z_max - self.z_min <= GEOM_TOL:
-            raise SceneGeometryError("wall must have positive extent")
-
-    @property
-    def u_axis(self):
-        return 1 - self.axis
+        if self.axis not in (0, 1, 2):
+            raise SceneGeometryError(f"facet axis must be 0, 1 or 2, got {self.axis}")
+        if any(high - low <= GEOM_TOL for low, high in zip(self.lo, self.hi)):
+            raise SceneGeometryError("facet must have positive extent")
 
     @classmethod
-    def from_endpoints(cls, x1, y1, x2, y2, z_min, z_max, material):
-        """Build from two ground-track endpoints; one coordinate must repeat."""
+    def ground(cls, height, material="concrete"):
+        """Infinite horizontal plane z = height."""
+        return cls(2, height, (-math.inf, -math.inf), (math.inf, math.inf), material)
+
+    @classmethod
+    def wall(cls, x1, y1, x2, y2, z_min, z_max, material):
+        """Vertical rectangle over two ground-track endpoints; one coordinate
+        must repeat."""
         if abs(x1 - x2) <= GEOM_TOL and abs(y1 - y2) > GEOM_TOL:
-            return cls(0, x1, min(y1, y2), max(y1, y2), z_min, z_max, material)
+            return cls(0, x1, (min(y1, y2), z_min), (max(y1, y2), z_max), material)
         if abs(y1 - y2) <= GEOM_TOL and abs(x1 - x2) > GEOM_TOL:
-            return cls(1, y1, min(x1, x2), max(x1, x2), z_min, z_max, material)
+            return cls(1, y1, (min(x1, x2), z_min), (max(x1, x2), z_max), material)
         raise SceneGeometryError(
             f"wall ({x1},{y1})-({x2},{y2}) is not axis-aligned"
         )
 
     @property
-    def corners(self):
-        pts = []
-        for z in (self.z_min, self.z_max):
-            for u in (self.u_min, self.u_max):
-                p = [0.0, 0.0, z]
-                p[self.axis] = self.value
-                p[self.u_axis] = u
-                pts.append(tuple(p))
-        return pts
+    def polarization(self):
+        return TM if self.axis == 2 else TE
 
     def mirror(self, p):
         q = np.array(p, dtype=float)
@@ -130,8 +108,9 @@ class VerticalRectangle:
         return abs(p[self.axis] - self.value) <= tol and self.in_bounds(p, tol)
 
     def in_bounds(self, p, tol=GEOM_TOL):
-        return (self.u_min - tol <= p[self.u_axis] <= self.u_max + tol
-                and self.z_min - tol <= p[2] <= self.z_max + tol)
+        a, b = _IN_PLANE[self.axis]
+        return (self.lo[0] - tol <= p[a] <= self.hi[0] + tol
+                and self.lo[1] - tol <= p[b] <= self.hi[1] + tol)
 
 
 @dataclass
@@ -142,7 +121,6 @@ class Scene:
     tx_position: np.ndarray
     carrier_freq: float
     max_depth: int = 3
-    antenna_gain: float = 1.0
     materials: dict = field(default_factory=lambda: dict(BUILTIN_MATERIALS))
 
     def __post_init__(self):
@@ -153,8 +131,7 @@ class Scene:
             raise InvalidInputError(
                 f"max_depth must be in 0..{MAX_REFLECTION_DEPTH}, got {self.max_depth}"
             )
-        grounds = [f for f in self.facets if isinstance(f, GroundPlane)]
-        if len(grounds) > 1:
+        if sum(f.axis == 2 for f in self.facets) > 1:
             raise SceneGeometryError("at most one ground plane per scene")
         for f in self.facets:
             get_material(f.material, self.materials)  # name must resolve
@@ -199,7 +176,6 @@ class DelayProfile:
 
     amps: np.ndarray
     delays: np.ndarray
-    snapshot_time: float = 0.0
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=np.complex128)
@@ -213,10 +189,6 @@ class DelayProfile:
     @property
     def n_paths(self):
         return len(self.amps)
-
-    @property
-    def paths(self):
-        return list(zip(self.amps.tolist(), self.delays.tolist()))
 
 
 def _plane_param(p0, d, axis, value):
@@ -248,7 +220,9 @@ def _segment_blocked(facets, p0, p1):
 
 
 def _reflection_sequences(n_facets, max_depth):
-    for depth in range(1, max_depth + 1):
+    """Facet index sequences with no facet twice in a row, by depth; depth 0
+    is the empty sequence, the line-of-sight path."""
+    for depth in range(max_depth + 1):
         for seq in itertools.product(range(n_facets), repeat=depth):
             if all(seq[i] != seq[i + 1] for i in range(depth - 1)):
                 yield seq
@@ -278,12 +252,12 @@ def _walk_reflection_points(scene, seq, rx):
     return points
 
 
-def trace_snapshot(scene, rx_position, snapshot_time=0.0):
+def trace_snapshot(scene, rx_position):
     """Compute the multipath delay profile for one receiver position.
 
     Returns one path per unobstructed specular route with at most
-    ``scene.max_depth`` reflections, plus the LoS path when clear.  The
-    profile may be empty under total blockage.
+    ``scene.max_depth`` reflections, the LoS path (no reflection) included
+    when clear.  The profile may be empty under total blockage.
     """
     rx = np.asarray(rx_position, dtype=float)
     if rx[2] <= 0.0:
@@ -298,14 +272,6 @@ def trace_snapshot(scene, rx_position, snapshot_time=0.0):
     props = scene.facet_properties()
     lam = scene.wavelength
     found = []  # (delay, amplitude)
-
-    if not _segment_blocked(scene.facets, tx, rx):
-        length = float(np.linalg.norm(rx - tx))
-        tau = length / SPEED_OF_LIGHT
-        amp = (lam / (4.0 * math.pi * length)
-               * cmath.exp(-2j * math.pi * scene.carrier_freq * tau))
-        found.append((tau, amp))
-
     for seq in _reflection_sequences(len(scene.facets), scene.max_depth):
         points = _walk_reflection_points(scene, seq, rx)
         if points is None:
@@ -332,15 +298,15 @@ def trace_snapshot(scene, rx_position, snapshot_time=0.0):
     found.sort(key=lambda pa: (pa[0], -abs(pa[1])))
     amps = np.array([a for _, a in found], dtype=np.complex128)
     delays = np.array([t for t, _ in found], dtype=np.float64)
-    return DelayProfile(amps=amps, delays=delays, snapshot_time=snapshot_time)
+    return DelayProfile(amps=amps, delays=delays)
 
 
 def trace_timeline(scene, trace):
-    """One delay profile per trace position, snapshot_time = index * interval."""
+    """One delay profile per trace position, in trace order."""
     profiles = []
     for i, pos in enumerate(trace.positions):
         try:
-            profiles.append(trace_snapshot(scene, pos, snapshot_time=i * trace.interval))
+            profiles.append(trace_snapshot(scene, pos))
         except (InvalidInputError, SceneGeometryError) as exc:
             raise type(exc)(f"snapshot {i}: {exc}") from exc
     return profiles

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ScenarioParseError, SceneGeometryError, InvalidInputError
 from .materials import BUILTIN_MATERIALS, MaterialSpec
-from .propagation import (DelayProfile, GroundPlane, MobilityTrace, Scene,
-                          VerticalRectangle, trace_timeline)
+from .propagation import (MAX_REFLECTION_DEPTH, DelayProfile, Facet,
+                          MobilityTrace, Scene, trace_timeline)
 from .timeline import timeline_from_profiles
 
 
@@ -74,15 +74,14 @@ def parse_scene(text, path="<scene>", max_depth=None):
                     raise ScenarioParseError("ground: expected 'z <height> material <name>'",
                                              path=path, line=line_no)
                 (height,) = _floats(args[1:2], 1, path, line_no, "ground")
-                facets.append(GroundPlane(height=height, material=args[3]))
+                facets.append(Facet.ground(height, args[3]))
             elif kind == "wall":
                 if len(args) != 8 or args[6].lower() != "material":
                     raise ScenarioParseError(
                         "wall: expected 'x1 y1 x2 y2 zmin zmax material <name>'",
                         path=path, line=line_no)
                 x1, y1, x2, y2, zmin, zmax = _floats(args[:6], 6, path, line_no, "wall")
-                facets.append(VerticalRectangle.from_endpoints(
-                    x1, y1, x2, y2, zmin, zmax, args[7]))
+                facets.append(Facet.wall(x1, y1, x2, y2, zmin, zmax, args[7]))
             elif kind == "tx":
                 tx = _floats(args, 3, path, line_no, "tx")
             elif kind == "freq":
@@ -93,6 +92,10 @@ def parse_scene(text, path="<scene>", max_depth=None):
                 except (IndexError, ValueError):
                     raise ScenarioParseError("max_depth: expected an integer",
                                              path=path, line=line_no) from None
+                if not 0 <= depth <= MAX_REFLECTION_DEPTH:
+                    raise ScenarioParseError(
+                        f"max_depth must be in 0..{MAX_REFLECTION_DEPTH}, got {depth}",
+                        path=path, line=line_no)
             else:
                 raise ScenarioParseError(f"unknown record {kind!r}",
                                          path=path, line=line_no)

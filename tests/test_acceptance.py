@@ -17,8 +17,7 @@ from chanem.emulator import (EmulatorConfig, EmulatorState, SlotFormat,
 from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
                         mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from chanem.materials import evaluate_material, get_material
-from chanem.propagation import (MobilityTrace, Scene, VerticalRectangle,
-                                trace_timeline)
+from chanem.propagation import Facet, MobilityTrace, Scene, trace_timeline
 from chanem.timeline import (CirTimeline, report, timeline_from_profiles,
                              write_pdp_csv, write_report_rows_csv)
 
@@ -156,9 +155,9 @@ def test_criterion_6_real_time_budget():
 
 def _canyon_scenario():
     facets = [
-        VerticalRectangle.from_endpoints(-120, -8, 120, -8, 0, 15, "concrete"),
-        VerticalRectangle.from_endpoints(-120, 8, 30, 8, 0, 15, "concrete"),
-        VerticalRectangle.from_endpoints(60, 8, 120, 8, 0, 15, "concrete"),
+        Facet.wall(-120, -8, 120, -8, 0, 15, "concrete"),
+        Facet.wall(-120, 8, 30, 8, 0, 15, "concrete"),
+        Facet.wall(60, 8, 120, 8, 0, 15, "concrete"),
     ]
     scene = Scene(facets=facets, tx_position=(0.0, 0.0, 10.0),
                   carrier_freq=F_REF, max_depth=2)

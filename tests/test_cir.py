@@ -13,9 +13,9 @@ from chanem.propagation import DelayProfile
 F_SAMP = 46.08e6
 
 
-def make_profile(amps, delays, t=0.0):
+def make_profile(amps, delays):
     return DelayProfile(amps=np.asarray(amps, complex),
-                        delays=np.asarray(delays, float), snapshot_time=t)
+                        delays=np.asarray(delays, float))
 
 
 def test_tap_grid_size_at_system_rate():

@@ -229,6 +229,36 @@ class TestScenarioPipeline:
         assert not caught  # no numpy overflow warning reaches stderr first
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["6", "-1", "two"])
+    def test_max_depth_flag_out_of_range_is_usage_error(self, tmp_path, capsys, value):
+        # the flag is blamed, not the scene file it overrides
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--scene", str(scene), "--trace", str(trace),
+                  "--out", str(out), f"--max-depth={value}"])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--max-depth: expected an integer in 0..5" in err
+        assert str(scene) not in err
+        assert not out.exists()
+
+    def test_scene_max_depth_out_of_range_is_parse_error_at_its_line(
+            self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE.replace("max_depth 2", "max_depth 6"))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert main(["trace", "--scene", str(scene), "--trace", str(trace),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {scene}:5: max_depth must be in 0..5, got 6\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fsamp, max_delay", [("1e300", "1e300"), ("46.08e6", "1")])
     def test_oversized_tap_vector_is_precondition_error(
             self, tmp_path, capsys, fsamp, max_delay):
@@ -359,6 +389,23 @@ class TestEmulateCommand:
                   "--in", str(inp), "--out", str(outp), flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "emulate"])
+    def test_oversized_slot_is_precondition_error(self, tmp_path, capsys, command):
+        # 1.5e9 samples per slot: rejected before any buffer is sized
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        args = {"bench": ["bench", "--slots", "1", "--taps", "1"],
+                "emulate": ["emulate", "--timeline", str(timeline),
+                            "--in", str(inp), "--out", str(outp)]}[command]
+        assert main([*args, "--fft", "100000000"]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "error: fft_size 100000000 gives 1500000000 samples per slot, "
+            "above the 131072-sample limit")
+        assert "Traceback" not in err
+        assert not outp.exists()
 
     def test_non_finite_sample_is_parse_error(self, tmp_path, capsys):
         timeline = tmp_path / "t.cirt"

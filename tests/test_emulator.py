@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chanem.emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState, SlotFormat,
-                             calibrate_signal_gain, convolve_slot,
-                             noise_block, run_scenario)
+from chanem.emulator import (CARRY, MAX_SLOT_SAMPLES, ZERO, EmulatorConfig,
+                             EmulatorState, SlotFormat, calibrate_signal_gain,
+                             convolve_slot, noise_block, run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
 from chanem.iqstream import FMT_F32, read_frame, write_frame
@@ -94,6 +94,16 @@ class TestSlotFormat:
     def test_rate_must_be_finite_and_positive(self, f_samp):
         with pytest.raises(InvalidInputError, match="f_samp"):
             SlotFormat(fft_size=8, f_samp=f_samp)
+
+    def test_slot_length_is_bounded(self):
+        # OAI's 6144-point FFT fits; one FFT point past the limit, or a
+        # billion, is rejected before any slot-sized array exists
+        assert SlotFormat(fft_size=6144, f_samp=184.32e6).samples_per_slot == 92160
+        largest = MAX_SLOT_SAMPLES // 15
+        assert SlotFormat(fft_size=largest, f_samp=1.0).samples_per_slot <= MAX_SLOT_SAMPLES
+        for fft_size in (largest + 1, 10**9):
+            with pytest.raises(InvalidInputError, match=f"{MAX_SLOT_SAMPLES}-sample limit"):
+                SlotFormat(fft_size=fft_size, f_samp=46.08e6)
 
 
 class TestConvolveSlot:
@@ -248,6 +258,13 @@ class TestConvolveSlot:
     def test_t_int_must_be_slot_multiple(self):
         with pytest.raises(InvalidInputError):
             make_cfg([dense_cir([0], [1.0])], t_int=0.00075)
+
+    def test_slot_rate_must_match_timeline_rate(self):
+        # 0.3 s is a whole number of 30.72 Msps slots, so only the rate
+        # check catches taps applied at the wrong rate
+        timeline = CirTimeline([dense_cir([0], [1.0], l_max=146)], 46.08e6, 0.3)
+        with pytest.raises(InvalidInputError, match="30720000 Hz .* 46080000 Hz"):
+            EmulatorConfig(timeline, 1, SlotFormat(fft_size=1536, f_samp=30.72e6))
 
     def test_full_scale_scenario_capacity(self):
         # 570 snapshots at 100 ms over 0.5 ms slots accept 114000 slots

@@ -1,7 +1,8 @@
 """Layering rules of the package, read from the source with ``ast``.
 
-File-format modules do not reach the tracer or the scene parser, and the
-CLI only parses and prints (no array code or sockets of its own).
+File-format modules do not reach the tracer or the scene parser, the tracer
+reaches no later stage, and the CLI only parses and prints (no array code or
+sockets of its own).
 """
 
 import ast
@@ -58,6 +59,15 @@ def package_closure(module):
 @pytest.mark.parametrize("module", ["timeline", "iqstream"])
 def test_file_formats_do_not_reach_the_tracer(module):
     assert not package_closure(module) & {"propagation", "scenefile"}
+
+
+@pytest.mark.parametrize("module", ["propagation", "materials"])
+def test_tracer_reaches_no_later_stage(module):
+    # the tracer stands alone: no CIR, timeline, emulator or parser code,
+    # and no scipy
+    closure = package_closure(module)
+    assert not closure & {"cir", "timeline", "emulator", "iqstream", "scenefile"}
+    assert not any("scipy" in direct_imports(m) for m in closure)
 
 
 def test_cli_does_not_import_numpy():

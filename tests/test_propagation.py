@@ -1,18 +1,26 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chanem.cir import CirConfig
 from chanem.constants import SPEED_OF_LIGHT
 from chanem.errors import InvalidInputError, SceneGeometryError
 from chanem.materials import (complex_permittivity, evaluate_material,
                               get_material)
-from chanem.propagation import (GroundPlane, MobilityTrace, Scene,
-                                VerticalRectangle, reflection_coefficient,
-                                trace_snapshot, trace_timeline)
+from chanem.propagation import (TE, TM, Facet, MobilityTrace, Scene,
+                                reflection_coefficient, trace_snapshot,
+                                trace_timeline)
+from chanem.scenefile import parse_scene
+from chanem.timeline import timeline_from_profiles
 
 F_REF = 4.01916e9
+
+# 13-facet scene, 360 receiver positions and their complex64 taps, as traced
+# by ``chanem trace`` at 46.08 Msps with a 3 us delay spread
+BLOCK13 = Path(__file__).resolve().parents[1] / "e2ebench" / "reference" / "block13.npz"
 
 
 def empty_scene(tx=(0.0, 0.0, 10.0), depth=3):
@@ -21,9 +29,9 @@ def empty_scene(tx=(0.0, 0.0, 10.0), depth=3):
 
 def canyon_scene(depth=2):
     facets = [
-        GroundPlane(0.0, "concrete"),
-        VerticalRectangle.from_endpoints(-100, -8, 100, -8, 0, 15, "concrete"),
-        VerticalRectangle.from_endpoints(-100, 8, 100, 8, 0, 15, "glass"),
+        Facet.ground(0.0, "concrete"),
+        Facet.wall(-100, -8, 100, -8, 0, 15, "concrete"),
+        Facet.wall(-100, 8, 100, 8, 0, 15, "glass"),
     ]
     return Scene(facets=facets, tx_position=(0.0, 0.0, 10.0),
                  carrier_freq=F_REF, max_depth=depth)
@@ -66,6 +74,71 @@ class TestReflectionCoefficient:
             reflection_coefficient(props, -0.1, "TM")
 
 
+class TestFacet:
+    def test_ground_is_unbounded(self):
+        ground = Facet.ground(2.0, "concrete")
+        assert ground.axis == 2 and ground.value == 2.0
+        assert ground.contains((1e9, -1e9, 2.0))
+        assert not ground.contains((0.0, 0.0, 2.1))
+        np.testing.assert_array_equal(ground.mirror((3.0, 4.0, 5.0)), [3.0, 4.0, -1.0])
+
+    def test_wall_endpoint_order_does_not_matter(self):
+        for ends in [(-5, 6, 7, 6), (7, 6, -5, 6)]:
+            wall = Facet.wall(*ends, 1, 12, "glass")
+            assert wall == Facet(1, 6, (-5, 1), (7, 12), "glass")
+        assert Facet.wall(3, 9, 3, -2, 0, 4, "metal") == Facet(0, 3, (-2, 0), (9, 4), "metal")
+
+    def test_wall_bounds_and_mirror(self):
+        wall = Facet.wall(3, -2, 3, 9, 0, 4, "metal")  # plane x = 3
+        assert wall.contains((3.0, 9.0, 4.0))
+        assert not wall.contains((3.0, 9.1, 2.0))
+        assert not wall.contains((3.0, 5.0, 4.1))
+        assert wall.in_bounds((-40.0, 5.0, 2.0))  # bounds ignore the plane axis
+        np.testing.assert_array_equal(wall.mirror((1.0, 5.0, 2.0)), [5.0, 5.0, 2.0])
+
+    @pytest.mark.parametrize("ends", [
+        (4, 4, 4, 4, 0, 5),     # a point
+        (0, 0, 10, 0, 5, 5),    # no height
+        (0, 0, 10, 0, 5, 1),    # upside down
+    ])
+    def test_empty_wall_rejected(self, ends):
+        with pytest.raises(SceneGeometryError):
+            Facet.wall(*ends, "concrete")
+
+    def test_axis_must_be_a_coordinate(self):
+        with pytest.raises(SceneGeometryError, match="axis"):
+            Facet(3, 0.0, (0, 0), (1, 1))
+
+    def test_polarization_follows_axis(self):
+        assert Facet.ground(0.0).polarization == TM
+        assert Facet.wall(0, 0, 10, 0, 0, 5, "glass").polarization == TE
+        assert Facet.wall(0, 0, 0, 10, 0, 5, "glass").polarization == TE
+
+    def test_depth_zero_yields_exactly_the_free_space_path(self):
+        scene = canyon_scene(depth=0)
+        rx = np.array([20.0, -3.0, 1.5])
+        profile = trace_snapshot(scene, rx)
+        length = float(np.linalg.norm(rx - scene.tx_position))
+        tau = length / SPEED_OF_LIGHT
+        amp = (scene.wavelength / (4.0 * math.pi * length)
+               * cmath.exp(-2j * math.pi * F_REF * tau))
+        assert profile.delays.tolist() == [tau]
+        assert profile.amps.tolist() == [amp]
+
+
+class TestReference:
+    def test_block13_taps_match_the_stored_reference(self):
+        with np.load(BLOCK13) as ref:
+            scene_text, positions, taps = ref["scene"], ref["positions"], ref["taps"]
+        picks = np.arange(0, len(positions), 30)  # 12 positions
+        scene = parse_scene(str(scene_text))
+        trace = MobilityTrace(interval=0.1, positions=positions[picks])
+        timeline = timeline_from_profiles(trace_timeline(scene, trace),
+                                          CirConfig(f_samp=46.08e6), trace.interval)
+        assert len(picks) == 12 and scene.max_depth == 3 and len(scene.facets) == 13
+        np.testing.assert_array_equal(timeline.taps.astype(np.complex64), taps[picks])
+
+
 class TestFreeSpace:
     def test_friis_gain_and_delay_at_100m(self):
         profile = trace_snapshot(empty_scene(), (100.0, 0.0, 10.0))
@@ -75,7 +148,7 @@ class TestFreeSpace:
         assert profile.delays[0] == pytest.approx(333.6e-9, abs=0.2e-9)
 
     def test_blocking_wall_empties_profile(self):
-        wall = VerticalRectangle.from_endpoints(50, -5, 50, 5, 0, 20, "concrete")
+        wall = Facet.wall(50, -5, 50, 5, 0, 20, "concrete")
         scene = Scene(facets=[wall], tx_position=(0, 0, 10),
                       carrier_freq=F_REF, max_depth=0)
         profile = trace_snapshot(scene, (100.0, 0.0, 10.0))
@@ -87,7 +160,7 @@ class TestGroundBounce:
     D = 30.0
 
     def scene(self):
-        return Scene(facets=[GroundPlane(0.0, "concrete")],
+        return Scene(facets=[Facet.ground(0.0, "concrete")],
                      tx_position=(0, 0, self.H), carrier_freq=F_REF, max_depth=1)
 
     def test_closed_form_two_ray_geometry(self):
@@ -163,12 +236,15 @@ class TestPathProperties:
 class TestSceneValidation:
     def test_two_ground_planes_rejected(self):
         with pytest.raises(SceneGeometryError):
-            Scene(facets=[GroundPlane(0.0), GroundPlane(1.0)],
+            Scene(facets=[Facet.ground(0.0), Facet.ground(1.0)],
+                  tx_position=(0, 0, 10), carrier_freq=F_REF)
+        with pytest.raises(SceneGeometryError, match="one ground"):
+            Scene(facets=[Facet.ground(0.0), Facet(2, 20.0, (0, 0), (5, 5))],
                   tx_position=(0, 0, 10), carrier_freq=F_REF)
 
     def test_tx_on_facet_rejected(self):
         with pytest.raises(SceneGeometryError):
-            Scene(facets=[GroundPlane(10.0)], tx_position=(0, 0, 10.0),
+            Scene(facets=[Facet.ground(10.0)], tx_position=(0, 0, 10.0),
                   carrier_freq=F_REF)
 
     def test_depth_range_enforced(self):
@@ -179,7 +255,7 @@ class TestSceneValidation:
 
     def test_skewed_wall_rejected(self):
         with pytest.raises(SceneGeometryError):
-            VerticalRectangle.from_endpoints(0, 0, 10, 10, 0, 5, "concrete")
+            Facet.wall(0, 0, 10, 10, 0, 5, "concrete")
 
 
 class TestTimeline:
@@ -190,15 +266,12 @@ class TestTimeline:
         trace = MobilityTrace(interval=0.1, positions=positions)
         profiles = trace_timeline(scene, trace)
         assert len(profiles) == 570
-        assert profiles[0].snapshot_time == 0.0
-        assert profiles[-1].snapshot_time == pytest.approx(56.9)
         assert len(profiles) * trace.interval == pytest.approx(57.0)
 
     def test_single_position(self):
         trace = MobilityTrace(interval=0.1, positions=[[50.0, 0.0, 1.5]])
         profiles = trace_timeline(empty_scene(), trace)
         assert len(profiles) == 1
-        assert profiles[0].snapshot_time == 0.0
 
     def test_monotone_approach_shrinks_delay(self):
         xs = np.linspace(200, 20, 40)
