@@ -5,14 +5,17 @@ Scenes are desk-scale: axis-aligned rectangular facets (:class:`Facet`), an
 optional infinite ground plane and vertical walls.  Every path is
 constructed exactly by mirroring the transmitter across the planes of its
 facet sequence, walking the chain back from the receiver, and validating
-bounds and occlusion per segment.  Each path carries the Friis free-space
-amplitude over its total unfolded length times the product of Fresnel
-reflection coefficients.
+bounds and occlusion per segment.  The images depend only on the sequence,
+so each scene computes them once, as an image tree of arrays; each receiver
+then walks back every sequence at once in numpy and tests the survivors'
+segments against every facet in one step.  Each path carries the
+Friis free-space amplitude over its total unfolded length times the product
+of Fresnel reflection coefficients, computed path by path.
 """
 
 import cmath
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +53,15 @@ def reflection_coefficient(props, incidence_angle, polarization):
     if polarization == TM:
         return (root - eta * cos_t) / (root + eta * cos_t)
     raise InvalidInputError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
+
+
+def check_depth(depth):
+    """Raise :class:`InvalidInputError` unless ``depth`` is an integer
+    reflection depth in 0..MAX_REFLECTION_DEPTH."""
+    if (isinstance(depth, bool) or not isinstance(depth, numbers.Integral)
+            or not 0 <= depth <= MAX_REFLECTION_DEPTH):
+        raise InvalidInputError(
+            f"max_depth must be in 0..{MAX_REFLECTION_DEPTH}, got {depth!r}")
 
 
 # In-plane axes of a facet, in increasing order, by its plane axis.
@@ -115,22 +127,24 @@ class Facet:
 
 @dataclass
 class Scene:
-    """Static propagation scene: facets plus a fixed transmitter."""
+    """Static propagation scene: facets plus a fixed transmitter.
+
+    The first trace builds the scene's image tree and evaluates its
+    materials; both are kept until a field they depend on changes.
+    """
 
     facets: list
     tx_position: np.ndarray
     carrier_freq: float
     max_depth: int = 3
     materials: dict = field(default_factory=lambda: dict(BUILTIN_MATERIALS))
+    _tree: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tx_position = np.asarray(self.tx_position, dtype=float)
         if self.carrier_freq <= 0.0:
             raise InvalidInputError("carrier frequency must be positive")
-        if not 0 <= self.max_depth <= MAX_REFLECTION_DEPTH:
-            raise InvalidInputError(
-                f"max_depth must be in 0..{MAX_REFLECTION_DEPTH}, got {self.max_depth}"
-            )
+        check_depth(self.max_depth)
         if sum(f.axis == 2 for f in self.facets) > 1:
             raise SceneGeometryError("at most one ground plane per scene")
         for f in self.facets:
@@ -191,65 +205,151 @@ class DelayProfile:
         return len(self.amps)
 
 
-def _plane_param(p0, d, axis, value):
-    """Segment parameter t where p0 + t*d crosses the coordinate plane."""
-    denom = d[axis]
-    if abs(denom) < 1e-15:
-        return None
-    return (value - p0[axis]) / denom
+# Sequences walked back at once: bounds the walk's temporaries to a few MB
+# at any depth (depth 5 over 13 facets has 294,073 sequences).
+_WALK_CHUNK = 1 << 14
 
 
-def _segment_blocked(facets, p0, p1):
-    """True if any facet crosses the open interior of segment p0 -> p1.
+@dataclass(frozen=True)
+class _ImageTree:
+    """One scene's image-method data, built once (Allen & Berkley, 1979).
 
-    Crossings within GEOM_TOL of an endpoint do not block, which exempts the
-    reflection points sitting on their own facets.
+    The facet table is the facets' (axis, value, bounds) rows as arrays, the
+    bounds already widened by GEOM_TOL.  Each node is one facet sequence
+    with no facet twice in a row: ``facet[i]`` is its last facet,
+    ``parent[i]`` the node it extends and ``image[i]`` the transmitter
+    mirrored across its facets' planes, in order.  Node 0 is the root, the
+    empty sequence of line of sight.  Nodes are ordered by depth, then
+    lexicographically; those of depth d are ``start[d]:start[d + 1]``.
     """
-    d = p1 - p0
-    length = float(np.linalg.norm(d))
-    if length < GEOM_TOL:
-        return False
-    eps = GEOM_TOL / length
-    for facet in facets:
-        t = _plane_param(p0, d, facet.axis, facet.value)
-        if t is None or t <= eps or t >= 1.0 - eps:
-            continue
-        if facet.in_bounds(p0 + t * d):
-            return True
-    return False
+
+    key: tuple
+    axis: np.ndarray     # (n_f,) facet table
+    value: np.ndarray
+    plane: np.ndarray    # (n_f, 2) in-plane axes
+    lo: np.ndarray       # (n_f, 2) lower bounds - GEOM_TOL
+    hi: np.ndarray       # (n_f, 2) upper bounds + GEOM_TOL
+    props: list          # EmProperties per facet at the carrier
+    start: np.ndarray    # (max_depth + 2,) first node of each depth, then the count
+    facet: np.ndarray    # (n_nodes,) last facet, -1 at the root
+    parent: np.ndarray   # (n_nodes,) -1 at the root
+    image: np.ndarray    # (n_nodes, 3)
 
 
-def _reflection_sequences(n_facets, max_depth):
-    """Facet index sequences with no facet twice in a row, by depth; depth 0
-    is the empty sequence, the line-of-sight path."""
-    for depth in range(max_depth + 1):
-        for seq in itertools.product(range(n_facets), repeat=depth):
-            if all(seq[i] != seq[i + 1] for i in range(depth - 1)):
-                yield seq
+def _image_tree(scene):
+    """The scene's image tree, built on first use and rebuilt only when a
+    field it depends on has changed."""
+    key = (tuple(scene.facets), scene.tx_position.tobytes(), scene.max_depth,
+           scene.carrier_freq, tuple(scene.materials.items()))
+    if scene._tree is None or scene._tree.key != key:
+        scene._tree = _build_image_tree(scene, key)
+    return scene._tree
 
 
-def _walk_reflection_points(scene, seq, rx):
-    """Reflection points for a facet sequence, or None if geometrically invalid."""
-    images = []
-    img = scene.tx_position
-    for fi in seq:
-        img = scene.facets[fi].mirror(img)
-        images.append(img)
-    points = []
-    q = rx
-    for fi, img in zip(reversed(seq), reversed(images)):
-        facet = scene.facets[fi]
-        d = img - q
-        t = _plane_param(q, d, facet.axis, facet.value)
-        if t is None or not GEOM_TOL < t < 1.0 - GEOM_TOL:
-            return None
-        p = q + t * d
-        if not facet.in_bounds(p):
-            return None
-        points.append(p)
-        q = p
-    points.reverse()  # now ordered tx-side first
-    return points
+def _build_image_tree(scene, key):
+    facets = scene.facets
+    n = len(facets)
+    axis = np.array([f.axis for f in facets], dtype=np.intp)
+    value = np.array([f.value for f in facets], dtype=float)
+    sizes = [1] + [n * (n - 1) ** (d - 1) for d in range(1, scene.max_depth + 1)]
+    start = np.cumsum([0] + sizes)
+    facet = np.full(start[-1], -1, dtype=np.intp)
+    parent = np.full(start[-1], -1, dtype=np.intp)
+    image = np.empty((start[-1], 3))
+    image[0] = scene.tx_position
+    for d in range(1, scene.max_depth + 1):
+        up = np.repeat(np.arange(start[d - 1], start[d]), n)
+        fi = np.tile(np.arange(n), sizes[d - 1])
+        keep = fi != facet[up]
+        up, fi = up[keep], fi[keep]
+        nodes = slice(start[d], start[d + 1])
+        facet[nodes], parent[nodes] = fi, up
+        np.take(image, up, axis=0, out=image[nodes])
+        flat = image.reshape(-1)
+        at = np.arange(start[d], start[d + 1]) * 3 + axis[fi]
+        flat[at] = 2.0 * value[fi] - flat[at]
+    return _ImageTree(
+        key=key, axis=axis, value=value,
+        plane=np.array([_IN_PLANE[a] for a in axis], dtype=np.intp).reshape(n, 2),
+        lo=np.array([f.lo for f in facets], dtype=float).reshape(n, 2) - GEOM_TOL,
+        hi=np.array([f.hi for f in facets], dtype=float).reshape(n, 2) + GEOM_TOL,
+        props=scene.facet_properties(), start=start, facet=facet, parent=parent,
+        image=image)
+
+
+def _crossings(tree, f, p0, d):
+    """Where each line ``p0 + s * d`` crosses the plane of facet ``f``, row
+    by row: the parameter ``s``, the crossing point, and whether that point
+    lies within the facet's bounds.  A line within 1e-15 of parallel to the
+    plane crosses nowhere."""
+    rows = np.arange(len(f))
+    ax = tree.axis[f]
+    denom = d[rows, ax]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (tree.value[f] - p0[rows, ax]) / denom
+        p = p0 + s[:, None] * d
+    inside = _inside(tree.lo[f], tree.hi[f], denom,
+                     p[rows, tree.plane[f, 0]], p[rows, tree.plane[f, 1]])
+    return s, p, inside
+
+
+def _inside(lo, hi, denom, u, v):
+    """Whether in-plane coordinates (u, v) lie within facet bounds (lo, hi),
+    for a line not parallel to the plane (``|denom| >= 1e-15``)."""
+    return ((np.abs(denom) >= 1e-15) & (lo[..., 0] <= u) & (u <= hi[..., 0])
+            & (lo[..., 1] <= v) & (v <= hi[..., 1]))
+
+
+def _walk_back(tree, rx):
+    """Reflection chains from ``rx`` for every sequence in the tree.
+
+    Walks from the receiver towards each sequence's image, then parent by
+    parent to the root, over up to _WALK_CHUNK sequences at once.  A
+    sequence drops out at the first facet whose plane the ray toward the
+    image does not cross inside the (GEOM_TOL, 1 - GEOM_TOL) window of its
+    parameter, or crosses out of the facet's bounds.  Returns the
+    survivors' depths (n,), facets (n, max_depth) and reflection points
+    (n, max_depth, 3), in node order; row i holds its first depth[i] facets
+    and points, tx side first, and zeros after them.
+    """
+    max_depth = len(tree.start) - 2
+    out = []
+    for first in range(0, tree.start[-1], _WALK_CHUNK):
+        at = np.arange(first, min(first + _WALK_CHUNK, tree.start[-1]))
+        depth = np.searchsorted(tree.start, at, side="right") - 1
+        q = np.tile(rx, (len(at), 1))
+        fac = np.zeros((len(at), max_depth), dtype=np.intp)
+        pts = np.zeros((len(at), max_depth, 3))
+        for k in range(1, max_depth + 1):
+            # rows stay in depth order, so those from a on have a k-th
+            # reflection counted back from rx; ``at`` is each row's node
+            a = np.searchsorted(depth, k)
+            f = tree.facet[at[a:]]
+            t, p, inside = _crossings(tree, f, q[a:], tree.image[at[a:]] - q[a:])
+            rows = np.arange(a, len(at))
+            fac[rows, depth[a:] - k], pts[rows, depth[a:] - k] = f, p
+            ok = np.ones(len(at), dtype=bool)
+            ok[a:] = inside & (t > GEOM_TOL) & (t < 1.0 - GEOM_TOL)
+            q[a:], at[a:] = p, tree.parent[at[a:]]
+            at, depth, q, fac, pts = (x[ok] for x in (at, depth, q, fac, pts))
+        out.append((depth, fac, pts))
+    return [np.concatenate(x) for x in zip(*out)]
+
+
+def _blocked(tree, starts, steps, lengths):
+    """Whether any facet crosses each segment ``start + s * step`` in its
+    open interior, ``GEOM_TOL / length < s < 1 - GEOM_TOL / length``, within
+    its bounds; the exemption near the ends spares the reflection points
+    sitting on their own facets.  Takes (m, 3) starts and steps and (m,)
+    lengths; returns (m,)."""
+    eps = GEOM_TOL / lengths[:, None]
+    denom = steps[:, tree.axis]                # every segment against every facet
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (tree.value - starts[:, tree.axis]) / denom
+        u = starts[:, tree.plane[:, 0]] + s * steps[:, tree.plane[:, 0]]
+        v = starts[:, tree.plane[:, 1]] + s * steps[:, tree.plane[:, 1]]
+    hit = _inside(tree.lo, tree.hi, denom, u, v) & (s > eps) & (s < 1.0 - eps)
+    return hit.any(axis=1)
 
 
 def trace_snapshot(scene, rx_position):
@@ -269,27 +369,35 @@ def trace_snapshot(scene, rx_position):
         if facet.contains(rx, GEOM_TOL):
             raise SceneGeometryError(f"rx position {tuple(rx)} lies on a facet")
 
-    props = scene.facet_properties()
+    tree = _image_tree(scene)
+    depth, seqs, points = _walk_back(tree, rx)
+    n, max_depth = points.shape[:2]
+    # row i's chain is tx, its depth[i] points, rx; its segment k is real
+    # for k <= depth[i]
+    chain = np.empty((n, max_depth + 2, 3))
+    chain[:, 0], chain[:, 1:-1], chain[:, -1] = tx, points, rx
+    chain[np.arange(n), depth + 1] = rx
+    steps = chain[:, 1:] - chain[:, :-1]
+    real = np.arange(max_depth + 1) <= depth[:, None]
+    # one norm per 3-vector, as a path's length is summed below
+    lengths = np.zeros(real.shape)
+    lengths[real] = [np.linalg.norm(s) for s in steps[real]]
+    clear = ~np.any(real & (lengths < GEOM_TOL), axis=1)  # else a degenerate corner hit
+    seg = real & clear[:, None]
+    blocked = np.zeros(real.shape, dtype=bool)
+    blocked[seg] = _blocked(tree, chain[:, :-1][seg], steps[seg], lengths[seg])
+    clear &= ~blocked.any(axis=1)
+
     lam = scene.wavelength
     found = []  # (delay, amplitude)
-    for seq in _reflection_sequences(len(scene.facets), scene.max_depth):
-        points = _walk_reflection_points(scene, seq, rx)
-        if points is None:
-            continue
-        chain = [tx] + points + [rx]
-        segments = list(zip(chain[:-1], chain[1:]))
-        if any(np.linalg.norm(b - a) < GEOM_TOL for a, b in segments):
-            continue  # degenerate corner hit
-        if any(_segment_blocked(scene.facets, a, b) for a, b in segments):
-            continue
-        length = float(sum(np.linalg.norm(b - a) for a, b in segments))
+    for i in np.flatnonzero(clear):
+        length = float(sum(lengths[i, :depth[i] + 1]))
         gamma = complex(1.0)
-        for (a, b), fi in zip(segments, seq):
+        for k, fi in enumerate(seqs[i, :depth[i]]):
             facet = scene.facets[fi]
-            d = (b - a) / np.linalg.norm(b - a)
-            cos_t = min(abs(float(d[facet.axis])), 1.0)
-            angle = math.acos(cos_t)
-            gamma *= reflection_coefficient(props[fi], angle, facet.polarization)
+            cos_t = min(abs(float(steps[i, k, facet.axis] / lengths[i, k])), 1.0)
+            gamma *= reflection_coefficient(tree.props[fi], math.acos(cos_t),
+                                            facet.polarization)
         tau = length / SPEED_OF_LIGHT
         amp = (lam / (4.0 * math.pi * length) * gamma
                * cmath.exp(-2j * math.pi * scene.carrier_freq * tau))

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ScenarioParseError, SceneGeometryError, InvalidInputError
 from .materials import BUILTIN_MATERIALS, MaterialSpec
-from .propagation import (MAX_REFLECTION_DEPTH, DelayProfile, Facet,
-                          MobilityTrace, Scene, trace_timeline)
+from .propagation import (DelayProfile, Facet, MobilityTrace, Scene,
+                          check_depth, trace_timeline)
 from .timeline import timeline_from_profiles
 
 
@@ -48,8 +48,11 @@ def _floats(tokens, n, path, line_no, what):
 def parse_scene(text, path="<scene>", max_depth=None):
     """Parse scene text into a :class:`Scene`.
 
-    ``max_depth`` overrides the file's value when given.
+    ``max_depth`` overrides the file's value when given; an out-of-range
+    override is the caller's error, not the file's.
     """
+    if max_depth is not None:
+        check_depth(max_depth)
     materials = dict(BUILTIN_MATERIALS)
     facets = []
     tx = None
@@ -92,10 +95,7 @@ def parse_scene(text, path="<scene>", max_depth=None):
                 except (IndexError, ValueError):
                     raise ScenarioParseError("max_depth: expected an integer",
                                              path=path, line=line_no) from None
-                if not 0 <= depth <= MAX_REFLECTION_DEPTH:
-                    raise ScenarioParseError(
-                        f"max_depth must be in 0..{MAX_REFLECTION_DEPTH}, got {depth}",
-                        path=path, line=line_no)
+                check_depth(depth)
             else:
                 raise ScenarioParseError(f"unknown record {kind!r}",
                                          path=path, line=line_no)

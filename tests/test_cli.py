@@ -1,7 +1,11 @@
 import io
+import os
 import socket
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 import time
 import warnings
@@ -11,11 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chanem.cir import CirConfig
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
 from chanem.emulator import (EmulatorConfig, EmulatorState, SlotFormat,
                              convolve_slot, run_scenario)
+from chanem.errors import InvalidInputError, ScenarioParseError
 from chanem.iqstream import FMT_F32, read_frame, write_frame
+from chanem.scenefile import build_scenario
 from chanem.timeline import CirTimeline, read_timeline, write_timeline
 
 F_SAMP = 240000.0  # fft 8 -> N_s 120 -> 0.5 ms slots
@@ -258,6 +265,54 @@ class TestScenarioPipeline:
         assert capsys.readouterr().err == (
             f"error: {scene}:5: max_depth must be in 0..5, got 6\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("depth", [7, -1, 2.5])
+    def test_max_depth_argument_out_of_range_is_the_callers_error(self, tmp_path, depth):
+        # the library call blames its argument, not the scene file it overrides
+        scene = tmp_path / "canyon.txt"
+        scene.write_text(SCENE)
+        trace = tmp_path / "canyon.csv"
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n")
+        with pytest.raises(InvalidInputError) as exc:
+            build_scenario(str(scene), str(trace), CirConfig(46.08e6), max_depth=depth)
+        assert not isinstance(exc.value, ScenarioParseError)
+        assert str(exc.value) == f"max_depth must be in 0..5, got {depth!r}"
+        assert build_scenario(str(scene), str(trace), CirConfig(46.08e6),
+                              max_depth=np.int64(0)).taps.shape == (1, 146)
+
+    def test_only_streaming_commands_load_scipy(self, tmp_path):
+        # scipy's BLAS loads when the emulator is set up, so tracing,
+        # reporting and the KPI commands never import it
+        (tmp_path / "scene.txt").write_text(SCENE)
+        (tmp_path / "trace.csv").write_text("t,x,y,z\n0,10,0,1.5\n0.1,12,0,1.5\n")
+        (tmp_path / "profile.csv").write_text("re,im,delay_s\n1.0,0.0,0.0\n")
+        (tmp_path / "empty.owiq").write_bytes(b"")
+        script = textwrap.dedent(f"""\
+            import sys
+            from chanem.cli import main
+            d = {str(tmp_path)!r} + "/"
+            for argv in (
+                    ["trace", "--scene", d + "scene.txt", "--trace", d + "trace.csv",
+                     "--out", d + "t.cirt"],
+                    ["report", "--timeline", d + "t.cirt", "--rows", d + "rows.csv"],
+                    ["cir", "--profile", d + "profile.csv", "--fsamp", "46.08e6",
+                     "--out", d + "p.cirt"],
+                    ["kpi", "--mcs", "27", "--bler", "0.01", "--dir", "dl"],
+                    ["check-ofdm", "--speed", "11.78"]):
+                assert main(argv) == 0, argv
+            print("scipy loaded:", "scipy" in sys.modules)
+            assert main(["emulate", "--timeline", d + "t.cirt",
+                         "--in", d + "empty.owiq", "--out", d + "out.owiq"]) == 0
+            print("scipy loaded:", "scipy" in sys.modules)
+            """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert [l for l in result.stdout.splitlines() if l.startswith("scipy")] == [
+            "scipy loaded: False", "scipy loaded: True"]
 
     @pytest.mark.parametrize("fsamp, max_delay", [("1e300", "1e300"), ("46.08e6", "1")])
     def test_oversized_tap_vector_is_precondition_error(

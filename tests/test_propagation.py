@@ -1,18 +1,22 @@
 import cmath
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chanem.cir import CirConfig
 from chanem.constants import SPEED_OF_LIGHT
 from chanem.errors import InvalidInputError, SceneGeometryError
 from chanem.materials import (complex_permittivity, evaluate_material,
                               get_material)
-from chanem.propagation import (TE, TM, Facet, MobilityTrace, Scene,
-                                reflection_coefficient, trace_snapshot,
-                                trace_timeline)
+from chanem import propagation
+from chanem.propagation import (GEOM_TOL, TE, TM, DelayProfile, Facet,
+                                MobilityTrace, Scene, reflection_coefficient,
+                                trace_snapshot, trace_timeline)
 from chanem.scenefile import parse_scene
 from chanem.timeline import timeline_from_profiles
 
@@ -21,6 +25,94 @@ F_REF = 4.01916e9
 # 13-facet scene, 360 receiver positions and their complex64 taps, as traced
 # by ``chanem trace`` at 46.08 Msps with a 3 us delay spread
 BLOCK13 = Path(__file__).resolve().parents[1] / "e2ebench" / "reference" / "block13.npz"
+
+
+def _oracle_blocked(facets, p0, p1):
+    """True if any facet crosses the open interior of segment p0 -> p1."""
+    d = p1 - p0
+    length = float(np.linalg.norm(d))
+    if length < GEOM_TOL:
+        return False
+    eps = GEOM_TOL / length
+    for facet in facets:
+        if abs(d[facet.axis]) < 1e-15:
+            continue
+        t = (facet.value - p0[facet.axis]) / d[facet.axis]
+        if t <= eps or t >= 1.0 - eps:
+            continue
+        if facet.in_bounds(p0 + t * d):
+            return True
+    return False
+
+
+def _oracle_points(scene, seq, rx):
+    """Reflection points of one facet sequence, tx side first, or None."""
+    images = []
+    img = scene.tx_position
+    for fi in seq:
+        img = scene.facets[fi].mirror(img)
+        images.append(img)
+    points = []
+    q = rx
+    for fi, img in zip(reversed(seq), reversed(images)):
+        facet = scene.facets[fi]
+        d = img - q
+        if abs(d[facet.axis]) < 1e-15:
+            return None
+        t = (facet.value - q[facet.axis]) / d[facet.axis]
+        if not GEOM_TOL < t < 1.0 - GEOM_TOL:
+            return None
+        p = q + t * d
+        if not facet.in_bounds(p):
+            return None
+        points.append(p)
+        q = p
+    points.reverse()
+    return points
+
+
+def oracle_trace(scene, rx_position):
+    """The scalar image-method tracer: every facet sequence with no facet
+    twice in a row, one at a time, walked back, checked and blocked
+    segment by segment."""
+    rx = np.asarray(rx_position, dtype=float)
+    tx = scene.tx_position
+    props = [evaluate_material(get_material(f.material, scene.materials),
+                               scene.carrier_freq) for f in scene.facets]
+    found = []
+    for depth in range(scene.max_depth + 1):
+        for seq in itertools.product(range(len(scene.facets)), repeat=depth):
+            if any(a == b for a, b in zip(seq, seq[1:])):
+                continue
+            points = _oracle_points(scene, seq, rx)
+            if points is None:
+                continue
+            chain = [tx] + points + [rx]
+            segments = list(zip(chain[:-1], chain[1:]))
+            if any(np.linalg.norm(b - a) < GEOM_TOL for a, b in segments):
+                continue
+            if any(_oracle_blocked(scene.facets, a, b) for a, b in segments):
+                continue
+            length = float(sum(np.linalg.norm(b - a) for a, b in segments))
+            gamma = complex(1.0)
+            for (a, b), fi in zip(segments, seq):
+                facet = scene.facets[fi]
+                d = (b - a) / np.linalg.norm(b - a)
+                cos_t = min(abs(float(d[facet.axis])), 1.0)
+                gamma *= reflection_coefficient(props[fi], math.acos(cos_t),
+                                                facet.polarization)
+            tau = length / SPEED_OF_LIGHT
+            amp = (scene.wavelength / (4.0 * math.pi * length) * gamma
+                   * cmath.exp(-2j * math.pi * scene.carrier_freq * tau))
+            found.append((tau, amp))
+    found.sort(key=lambda pa: (pa[0], -abs(pa[1])))
+    return DelayProfile(amps=[a for _, a in found], delays=[t for t, _ in found])
+
+
+def assert_same_profile(got, want):
+    assert got.n_paths == want.n_paths
+    np.testing.assert_allclose(got.delays, want.delays, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.amps, want.amps, rtol=1e-12, atol=0)
 
 
 def empty_scene(tx=(0.0, 0.0, 10.0), depth=3):
@@ -296,3 +388,152 @@ class TestTimeline:
             MobilityTrace(interval=0.1, positions=np.zeros((0, 3)))
         with pytest.raises(InvalidInputError):
             MobilityTrace(interval=0.1, positions=[[0, 0, 0.0]])
+
+
+MATERIALS = ("concrete", "glass", "metal", "vacuum")
+# integer coordinates make coplanar walls, shared edges and rays through
+# corners likely; the floats cover everything between
+COORD = st.one_of(st.integers(-12, 12).map(float),
+                  st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def random_scenes(draw):
+    facets = []
+    if draw(st.booleans()):
+        facets.append(Facet.ground(draw(st.sampled_from([0.0, -1.0, 0.5])),
+                                   draw(st.sampled_from(MATERIALS))))
+    for _ in range(draw(st.integers(1, 6))):
+        fixed, start = draw(COORD), draw(COORD)
+        end = start + draw(st.one_of(st.integers(1, 20).map(float),
+                                     st.floats(0.01, 20.0)))
+        z_min = draw(st.sampled_from([0.0, -1.0, 2.0]))
+        z_max = z_min + draw(st.floats(0.5, 15.0))
+        ends = (start, fixed, end, fixed) if draw(st.booleans()) else (fixed, start, fixed, end)
+        facets.append(Facet.wall(*ends, z_min, z_max, draw(st.sampled_from(MATERIALS))))
+    tx = (draw(COORD), draw(COORD), draw(st.floats(0.5, 12.0)))
+    try:
+        scene = Scene(facets=facets, tx_position=tx, carrier_freq=F_REF,
+                      max_depth=draw(st.integers(0, 3)))
+    except SceneGeometryError:  # tx on a facet
+        assume(False)
+    rx = np.array([draw(COORD), draw(COORD), draw(st.floats(0.1, 12.0))])
+    assume(np.linalg.norm(rx - scene.tx_position) >= GEOM_TOL)
+    assume(not any(f.contains(rx) for f in facets))
+    return scene, rx
+
+
+def canyon_with_cross_wall(depth, ground=True):
+    facets = [
+        Facet.ground(0.0, "concrete"),
+        Facet.wall(-100, -8, 100, -8, 0, 15, "concrete"),
+        Facet.wall(-100, 8, 30, 8, 0, 15, "glass"),
+        Facet.wall(31, 8, 100, 8, 0, 25, "metal"),
+        Facet.wall(40, -8, 40, 8, 0, 4, "concrete"),
+    ]
+    return Scene(facets=facets if ground else facets[1:], tx_position=(0.0, 0.0, 10.0),
+                 carrier_freq=3.5e9, max_depth=depth)
+
+
+class TestImageTree:
+    @settings(max_examples=150, deadline=None)
+    @given(random_scenes())
+    def test_matches_the_scalar_oracle_on_random_scenes(self, case):
+        scene, rx = case
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+
+    @pytest.mark.parametrize("ground", [True, False])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_matches_the_scalar_oracle_in_a_canyon(self, depth, ground):
+        scene = canyon_with_cross_wall(depth, ground)
+        rng = np.random.default_rng(depth)
+        for _ in range(8):
+            rx = (rng.uniform(-90, 90), rng.uniform(-7.5, 7.5), rng.uniform(0.5, 14))
+            assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+
+    @pytest.mark.parametrize("overshoot, paths", [(0.0, 2), (5e-7, 2), (2e-6, 1)])
+    @pytest.mark.parametrize("edge, outward", [(10.0, 1.0), (0.0, -1.0)])
+    def test_facet_bounds_hold_to_geom_tol(self, edge, outward, overshoot, paths):
+        # the wall spans x = 0..10 and the specular point sits at the
+        # midpoint of tx and rx along x, overshoot past one of its ends
+        wall = Facet.wall(0, 5, 10, 5, 0, 10, "metal")
+        scene = Scene(facets=[wall], tx_position=(4.0, 0.0, 2.0),
+                      carrier_freq=F_REF, max_depth=1)
+        rx = (2 * (edge + outward * overshoot) - 4.0, 0.0, 2.0)
+        assert trace_snapshot(scene, rx).n_paths == paths
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+
+    @pytest.mark.parametrize("gap, paths", [(2e-6, 1), (1.0, 2)])
+    @pytest.mark.parametrize("near", ["rx", "tx"])
+    def test_reflection_next_to_an_end_must_clear_the_window(self, near, gap, paths):
+        # 2 um off the wall, the specular point lies about 4e-7 of the way
+        # from that end: inside the GEOM_TOL margin of the walk's window at
+        # either end of the ray, so it is dropped
+        wall = Facet.wall(0, 5, 10, 5, 0, 10, "metal")
+        close, far = (6.0, 5.0 - gap, 2.0), (4.0, 0.0, 2.0)
+        tx, rx = (far, close) if near == "rx" else (close, far)
+        scene = Scene(facets=[wall], tx_position=tx, carrier_freq=F_REF, max_depth=1)
+        assert trace_snapshot(scene, rx).n_paths == paths
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+
+    def test_nodes_list_every_sequence_by_depth_in_order_with_its_image(self):
+        scene = canyon_scene(depth=3)
+        tree = propagation._image_tree(scene)
+        seqs = []
+        for node in range(len(tree.facet)):
+            seq = []
+            while node > 0:  # the root is node 0; -1 marks no parent
+                seq.append(int(tree.facet[node]))
+                node = tree.parent[node]
+            seqs.append(tuple(reversed(seq)))
+        assert seqs == [s for depth in range(4)
+                        for s in itertools.product(range(3), repeat=depth)
+                        if all(a != b for a, b in zip(s, s[1:]))]
+        assert tree.start.tolist() == [0, 1, 4, 10, 22]
+        for seq, image in zip(seqs, tree.image):
+            want = scene.tx_position
+            for fi in seq:
+                want = scene.facets[fi].mirror(want)
+            np.testing.assert_array_equal(image, want)
+
+    def test_materials_are_evaluated_once_per_facet_per_scene(self, monkeypatch):
+        calls = []
+        real = propagation.evaluate_material
+
+        def counted(spec, freq):
+            calls.append(spec.name)
+            return real(spec, freq)
+
+        monkeypatch.setattr(propagation, "evaluate_material", counted)
+        trace = MobilityTrace(interval=0.1,
+                              positions=[[x, 0.0, 1.5] for x in range(10, 30)])
+        assert len(trace_timeline(canyon_scene(depth=2), trace)) == 20
+        assert calls == ["concrete", "concrete", "glass"]
+
+    def test_editing_a_scene_rebuilds_its_tree(self):
+        scene = canyon_scene(depth=1)
+        rx = (20.0, -3.0, 1.5)
+        trace_snapshot(scene, rx)
+        scene.max_depth = 3
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+        scene.tx_position = np.array([5.0, 2.0, 8.0])
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+        scene.facets = scene.facets[1:]
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+        scene.materials["glass"] = get_material("metal")
+        assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
+
+    def test_depth_five_snapshot_allocates_a_bounded_peak(self):
+        with np.load(BLOCK13) as ref:
+            scene = parse_scene(str(ref["scene"]), max_depth=5)
+            rx = ref["positions"][0]
+        tracemalloc.start()
+        try:
+            profile = trace_snapshot(scene, rx)  # builds the tree, then walks it
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_seq = len(scene._tree.facet) - 1  # all but the root
+        assert n_seq == sum(13 * 12 ** (d - 1) for d in range(1, 6)) == 294_073
+        assert profile.n_paths > 0
+        assert peak < 32e6
