@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import CARRY, EmulatorConfig, EmulatorState, convolve_slot
+from .emulator import EmulatorConfig, EmulatorState, convolve_slot
 from .errors import InvalidInputError
 from .timeline import CirTimeline
 
@@ -31,9 +31,10 @@ class BenchStats:
         return self.median_s < self.budget_s
 
 
-def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
+def bench(slot_count, l_sel, fft_size, f_samp, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
           noise_power_db=float("-inf")):
-    """Time ``convolve_slot`` over synthetic random slots on one stream state.
+    """Time ``convolve_slot`` over synthetic random slots of 15 * ``fft_size``
+    samples at ``f_samp`` on one stream state.
 
     Only the convolution call is timed (the stage that
     :func:`~chanem.emulator.run_scenario` times); input generation happens
@@ -49,16 +50,11 @@ def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
     indices = rng.choice(l_max, size=l_sel, replace=False)
     taps = np.zeros((1, l_max), dtype=np.complex128)
     taps[0, indices] = rng.standard_normal(l_sel) + 1j * rng.standard_normal(l_sel)
-    timeline = CirTimeline(taps, slot_format.f_samp,
-                           t_int=slot_count * slot_format.slot_duration)
+    timeline = CirTimeline(taps, f_samp, t_int=slot_count * (fft_size * 15 / f_samp))
 
-    cfg = EmulatorConfig(
-        timeline, l_sel, slot_format,
-        noise_power_db=noise_power_db,
-        rng_seed=seed,
-        history_mode=CARRY,
-    )
-    n_s = slot_format.samples_per_slot
+    cfg = EmulatorConfig(timeline, l_sel, fft_size, noise_power_db=noise_power_db,
+                         rng_seed=seed)
+    n_s = cfg.samples_per_slot
     pool = [
         rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
         for _ in range(min(8, slot_count))
@@ -78,5 +74,5 @@ def bench(slot_count, l_sel, slot_format, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
         median_s=latencies[slot_count // 2],
         p99_s=latencies[min(slot_count - 1, math.ceil(0.99 * slot_count) - 1)],
         max_s=latencies[-1],
-        budget_s=slot_format.slot_duration,
+        budget_s=cfg.slot_duration,
     )

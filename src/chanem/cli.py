@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .bench import bench
 from .cir import CirConfig, DEFAULT_TAP_BUDGET
-from .emulator import (CARRY, ZERO, EmulatorConfig, SlotFormat,
+from .emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState,
                        calibrate_signal_gain, run_scenario)
 from .errors import (ChanemError, EndOfScenario, FormatError,
                      ScenarioParseError)
@@ -172,8 +172,7 @@ def _cmd_report(args):
 
 
 def _cmd_bench(args):
-    fmt = SlotFormat(fft_size=args.fft, f_samp=args.fsamp)
-    stats = bench(args.slots, args.taps, fmt, seed=args.seed,
+    stats = bench(args.slots, args.taps, args.fft, args.fsamp, seed=args.seed,
                   noise_power_db=args.noise_db)
     print(f"slots={stats.slot_count}")
     print(f"taps={stats.l_sel}")
@@ -195,21 +194,21 @@ def _cmd_emulate(args):
     else:
         gain_db = args.signal_gain_db
 
-    fmt = SlotFormat(fft_size=args.fft, f_samp=timeline.f_samp)
     cfg = EmulatorConfig(
-        timeline, args.taps, fmt,
+        timeline, args.taps, args.fft,
         signal_gain_db=gain_db,
         noise_power_db=args.noise_db,
         rng_seed=args.seed,
         history_mode=args.history_mode,
     )
+    state = EmulatorState(cfg)  # before --listen opens, so no slot pays for it
 
     stats_fh = open(args.stats, "w", encoding="utf-8") if args.stats else None
     if stats_fh:
         stats_fh.write("slot_index,latency_s,clipped_samples\n")
     try:
         with frame_streams(args.input, args.out, args.listen) as (rf, wf):
-            for slot_index, seconds, clipped in run_scenario(cfg, rf, wf):
+            for slot_index, seconds, clipped in run_scenario(state, cfg, rf, wf):
                 if stats_fh:
                     stats_fh.write(f"{slot_index},{seconds:.9f},{clipped}\n")
     except EndOfScenario:
@@ -235,7 +234,7 @@ def build_parser():
 
     p = sub.add_parser("materials", help="evaluate material properties")
     p.add_argument("--material", required=True)
-    p.add_argument("--freq-hz", type=float, required=True)
+    p.add_argument("--freq-hz", type=_positive_finite, required=True)
     p.set_defaults(func=_cmd_materials)
 
     p = sub.add_parser("trace", help="trace a scene along a mobility trace into a CIR timeline")
@@ -286,7 +285,7 @@ def build_parser():
 
     p = sub.add_parser("check-ofdm", help="evaluate the OFDM timing feasibility chain")
     p.add_argument("--speed", type=float, required=True)
-    p.add_argument("--freq-hz", type=float, default=4.01916e9)
+    p.add_argument("--freq-hz", type=_positive_finite, default=4.01916e9)
     p.add_argument("--mu", type=int, default=1)
     p.add_argument("--fft", type=int, default=1536)
     p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)

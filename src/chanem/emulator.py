@@ -11,9 +11,7 @@ processing (``zero``).
 each frame into the stream's own buffer.
 
 The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
-3x more per slot and misses the real-time budget on a desktop core.  scipy's
-BLAS wrappers load when an :class:`EmulatorConfig` is built, not when this
-module is imported, so commands that never stream IQ never import scipy.
+3x more per slot and misses the real-time budget on a desktop core.
 """
 
 import cmath
@@ -59,33 +57,6 @@ def _aligned_empty(n, dtype):
     return raw[skip:skip + size].view(dtype)
 
 
-@dataclass(frozen=True)
-class SlotFormat:
-    """Baseband slot geometry: N_s = fft_size * 15 samples per slot, at most
-    :data:`MAX_SLOT_SAMPLES`."""
-
-    fft_size: int
-    f_samp: float
-
-    def __post_init__(self):
-        if isinstance(self.fft_size, bool) or not isinstance(self.fft_size, numbers.Integral):
-            raise InvalidInputError(f"fft_size must be an integer, got {self.fft_size!r}")
-        if self.fft_size < 1 or not (math.isfinite(self.f_samp) and self.f_samp > 0.0):
-            raise InvalidInputError("fft_size must be >= 1 and f_samp finite and positive")
-        if self.samples_per_slot > MAX_SLOT_SAMPLES:
-            raise InvalidInputError(
-                f"fft_size {self.fft_size} gives {self.samples_per_slot} samples "
-                f"per slot, above the {MAX_SLOT_SAMPLES}-sample limit")
-
-    @property
-    def samples_per_slot(self):
-        return self.fft_size * 15
-
-    @property
-    def slot_duration(self):
-        return self.samples_per_slot / self.f_samp
-
-
 def noise_block(state, cfg, slot_index):
     """Write slot ``slot_index``'s noise, at ``cfg.noise_scale``, into ``state.out``.
 
@@ -113,7 +84,7 @@ def noise_block(state, cfg, slot_index):
     phi_lo, phi_hi = gen.uniform(0.0, 2.0 * math.pi, size=2)
     np.multiply(bank[lo:lo + n], np.complex64(cmath.rect(_SQRT_HALF, phi_lo)), out=acc)
     hi += half
-    acc = cfg._blas.caxpy(bank[hi:hi + n], acc, a=cmath.rect(_SQRT_HALF, phi_hi))
+    acc = state.caxpy(bank[hi:hi + n], acc, a=cmath.rect(_SQRT_HALF, phi_hi))
     out = state.out
     np.copyto(out, acc)
     out *= cfg.noise_scale  # float64, so no noise level under- or overflows
@@ -124,24 +95,29 @@ def noise_block(state, cfg, slot_index):
 class EmulatorConfig:
     """Everything needed to run a scenario over an IQ stream.
 
-    The slot format's rate must be the timeline's tap rate.
+    Slots carry N_s = 15 * ``fft_size`` samples, at most
+    :data:`MAX_SLOT_SAMPLES`, at the timeline's tap rate.
     ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps, selected
-    once from the timeline when the config is built.  Building the config is
-    the stream's set-up: it also loads scipy's BLAS (``_blas``), so the CLI
-    pays that import before it listens for a connection, not on a slot.
+    once from the timeline when the config is built.
     """
 
     timeline: CirTimeline
     l_sel: int
-    slot_format: SlotFormat
+    fft_size: int
     signal_gain_db: float = 0.0
     noise_power_db: float = float("-inf")  # -inf disables noise
     rng_seed: int = 0
     history_mode: str = CARRY
     sorted_snapshots: list = field(init=False, repr=False)
-    _blas: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (isinstance(self.fft_size, bool) or not isinstance(self.fft_size, numbers.Integral)
+                or self.fft_size < 1):
+            raise InvalidInputError(f"fft_size must be an integer >= 1, got {self.fft_size!r}")
+        if self.samples_per_slot > MAX_SLOT_SAMPLES:
+            raise InvalidInputError(
+                f"fft_size {self.fft_size} gives {self.samples_per_slot} samples "
+                f"per slot, above the {MAX_SLOT_SAMPLES}-sample limit")
         if not len(self.timeline):
             raise InvalidInputError("timeline must not be empty")
         if math.isnan(self.signal_gain_db):
@@ -154,12 +130,8 @@ class EmulatorConfig:
             raise InvalidInputError(
                 f"history_mode must be '{CARRY}' or '{ZERO}', got {self.history_mode!r}"
             )
-        if self.slot_format.f_samp != self.timeline.f_samp:
-            raise InvalidInputError(
-                f"slot format rate {self.slot_format.f_samp:.10g} Hz differs from "
-                f"the timeline's tap rate {self.timeline.f_samp:.10g} Hz")
         t_int = self.timeline.t_int
-        slot_dur = self.slot_format.slot_duration
+        slot_dur = self.slot_duration
         ratio = t_int / slot_dur
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
             raise InvalidInputError(
@@ -167,12 +139,18 @@ class EmulatorConfig:
                 f"slot duration {slot_dur}"
             )
         self.sorted_snapshots = self.timeline.sorted_snapshots(self.l_sel)
-        from scipy.linalg import blas
-        self._blas = blas
+
+    @property
+    def samples_per_slot(self):
+        return self.fft_size * 15
+
+    @property
+    def slot_duration(self):
+        return self.samples_per_slot / self.timeline.f_samp
 
     @property
     def slots_per_snapshot(self):
-        return round(self.timeline.t_int / self.slot_format.slot_duration)
+        return round(self.timeline.t_int / self.slot_duration)
 
     @property
     def capacity_slots(self):
@@ -188,7 +166,8 @@ class EmulatorConfig:
 
 
 class EmulatorState:
-    """Mutable per-stream state: the slot buffers and slot sequencing.
+    """Every per-stream resource and the slot sequencing: the stream's
+    set-up, which every driver builds before any I/O so no slot pays for it.
 
     ``ext`` holds the ``l_max - 1`` carried input samples followed by the
     current slot; ``slot`` is a view of that tail, where frames are decoded.
@@ -200,11 +179,15 @@ class EmulatorState:
     ``SeedSequence(seed mod 2**64)`` (never equal to a slot's child key).
     It has ``NOISE_BANK_SIZE`` entries, or more when a slot is longer than a
     quarter of that.  ``noise`` is the complex64 scratch of
-    :func:`noise_block`.  Both are None with noise off.
+    :func:`noise_block`.  Both are None with noise off.  ``bufs`` holds the
+    frame codec's scratch.  ``zaxpy`` and ``caxpy`` are scipy's BLAS, loaded
+    here so that commands which never stream IQ never import scipy.
     """
 
     def __init__(self, cfg):
-        n_s = cfg.slot_format.samples_per_slot
+        from scipy.linalg.blas import caxpy, zaxpy
+        self.zaxpy, self.caxpy = zaxpy, caxpy
+        n_s = cfg.samples_per_slot
         self.hist = cfg.timeline.l_max - 1
         self.next_slot_index = 0
         self.ext = np.zeros(self.hist + n_s, dtype=np.complex128)
@@ -222,6 +205,7 @@ class EmulatorState:
             gen.standard_normal(dtype=np.float32, out=iq)
             iq *= np.float32(_SQRT_HALF)
             self.noise = _aligned_empty(n_s, np.complex64)
+        self.bufs = FrameBuffers(n_s)
 
 
 def convolve_slot(state, cfg, slot_index, samples):
@@ -241,7 +225,7 @@ def convolve_slot(state, cfg, slot_index, samples):
         raise EndOfScenario(
             f"slot {slot_index} lies beyond the {len(cfg.sorted_snapshots)}-snapshot timeline"
         )
-    n_s = cfg.slot_format.samples_per_slot
+    n_s = cfg.samples_per_slot
     if len(samples) != n_s:
         raise InvalidInputError(
             f"slot has {len(samples)} samples, expected {n_s}"
@@ -256,7 +240,7 @@ def convolve_slot(state, cfg, slot_index, samples):
 
     cir = cfg.sorted_snapshots[snap]
     scale = cfg.signal_scale
-    zaxpy = cfg._blas.zaxpy
+    zaxpy = state.zaxpy
     for amp, k in zip(cir.amps, cir.indices):
         start = hist - int(k)
         out = zaxpy(ext[start:start + n_s], out, a=scale * amp)
@@ -283,24 +267,21 @@ def calibrate_signal_gain(taps, headroom_db=5.0):
     return headroom_db - best
 
 
-def run_scenario(cfg, rf, wf):
+def run_scenario(state, cfg, rf, wf):
     """Drive one frame stream; yield (slot_index, seconds, clipped) per slot.
 
-    This is the one frame loop: it owns the stream's :class:`EmulatorState`
-    and :class:`~chanem.iqstream.FrameBuffers`, so no slot allocates an
-    array.  It reads each OWIQ frame from ``rf`` straight into
-    ``state.slot``, convolves it and writes the output frame to ``wf`` in
-    the input frame's format.
+    This is the one frame loop.  It reads each OWIQ frame from ``rf``
+    straight into ``state.slot``, convolves it and writes the output frame
+    to ``wf`` in the input frame's format, through ``state.bufs``; no slot
+    allocates an array.
     The seconds cover :func:`convolve_slot` alone; ``clipped`` counts the
     int16 values the output frame saturated.  A slot past the end of the
     timeline raises :class:`EndOfScenario`; frame, sequencing and input
     errors propagate too.
     """
-    state = EmulatorState(cfg)
-    bufs = FrameBuffers(len(state.slot))
-    while (frame := read_frame(rf, state.slot, bufs)) is not None:
+    while (frame := read_frame(rf, state.slot, state.bufs)) is not None:
         slot_index, fmt = frame
         t0 = time.perf_counter()
         out = convolve_slot(state, cfg, slot_index, state.slot)
         seconds = time.perf_counter() - t0
-        yield slot_index, seconds, write_frame(wf, slot_index, out, fmt, bufs)
+        yield slot_index, seconds, write_frame(wf, slot_index, out, fmt, state.bufs)

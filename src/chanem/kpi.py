@@ -45,7 +45,11 @@ class TddPattern:
     @classmethod
     def parse(cls, pattern, special="6,4,4"):
         """Build from strings like 'DDDSU' and '6,4,4'."""
-        return cls(tuple(pattern.upper()), tuple(int(s) for s in special.split(",")))
+        try:
+            counts = tuple(int(s) for s in special.split(","))
+        except ValueError:
+            raise InvalidInputError(f"special counts must be integers, got {special!r}") from None
+        return cls(tuple(pattern.upper()), counts)
 
 
 def tdd_occupancy_exact(tdd):
@@ -235,8 +239,9 @@ def ofdm_feasibility(cfg, sigma_tau, speed, margin=10.0):
     Each 'much less than' is operationalized as left * margin <= right.
     Zero speed gives an infinite fading period (static channel).
     """
-    if speed < 0.0:
-        raise InvalidInputError(f"speed must be >= 0, got {speed}")
+    for name, value in (("speed", speed), ("sigma_tau", sigma_tau), ("margin", margin)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
     t_gi = cfg.cp_short_samples / cfg.f_samp
     t_ofdm = cfg.fft_size / cfg.f_samp
     if speed > 0.0:

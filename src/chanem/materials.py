@@ -52,8 +52,8 @@ class EmProperties:
 
 def evaluate_material(spec, freq_hz):
     """Evaluate a material's permittivity and conductivity at ``freq_hz``."""
-    if freq_hz <= 0.0:
-        raise InvalidInputError(f"frequency must be positive, got {freq_hz}")
+    if not (math.isfinite(freq_hz) and freq_hz > 0.0):
+        raise InvalidInputError(f"frequency must be finite and positive, got {freq_hz}")
     f_ghz = freq_hz * 1e-9
     eps_r = spec.a * f_ghz**spec.b
     sigma_c = spec.c * f_ghz**spec.d

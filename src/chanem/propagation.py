@@ -32,6 +32,11 @@ TM = "TM"
 
 MAX_REFLECTION_DEPTH = 5
 
+# Cap on a scene's image-tree nodes, checked before the tree is sized: at
+# 40 B per node (facet, parent, image) it allows 42 MB.  Block13's 13 facets
+# take 294,074 nodes at depth 5; 16 facets fit at depth 5, 101 at depth 3.
+MAX_IMAGE_NODES = 1 << 20
+
 
 def reflection_coefficient(props, incidence_angle, polarization):
     """Fresnel reflection coefficient for a half-space of the given material.
@@ -62,6 +67,18 @@ def check_depth(depth):
             or not 0 <= depth <= MAX_REFLECTION_DEPTH):
         raise InvalidInputError(
             f"max_depth must be in 0..{MAX_REFLECTION_DEPTH}, got {depth!r}")
+
+
+def image_tree_sizes(n_facets, depth):
+    """Node counts of the image tree of ``n_facets`` facets at depths
+    0..``depth``: the root, then n * (n - 1)**(d - 1) sequences of depth d.
+    Raises :class:`InvalidInputError` when they sum above MAX_IMAGE_NODES."""
+    sizes = [1] + [n_facets * (n_facets - 1) ** (d - 1) for d in range(1, depth + 1)]
+    if sum(sizes) > MAX_IMAGE_NODES:
+        raise InvalidInputError(
+            f"{n_facets} facets at max_depth {depth} give {sum(sizes)} image-tree "
+            f"nodes, above the {MAX_IMAGE_NODES}-node limit")
+    return sizes
 
 
 # In-plane axes of a facet, in increasing order, by its plane axis.
@@ -145,6 +162,7 @@ class Scene:
         if self.carrier_freq <= 0.0:
             raise InvalidInputError("carrier frequency must be positive")
         check_depth(self.max_depth)
+        image_tree_sizes(len(self.facets), self.max_depth)
         if sum(f.axis == 2 for f in self.facets) > 1:
             raise SceneGeometryError("at most one ground plane per scene")
         for f in self.facets:
@@ -249,9 +267,9 @@ def _image_tree(scene):
 def _build_image_tree(scene, key):
     facets = scene.facets
     n = len(facets)
+    sizes = image_tree_sizes(n, scene.max_depth)  # rechecked: scenes may be edited
     axis = np.array([f.axis for f in facets], dtype=np.intp)
     value = np.array([f.value for f in facets], dtype=float)
-    sizes = [1] + [n * (n - 1) ** (d - 1) for d in range(1, scene.max_depth + 1)]
     start = np.cumsum([0] + sizes)
     facet = np.full(start[-1], -1, dtype=np.intp)
     parent = np.full(start[-1], -1, dtype=np.intp)

@@ -12,7 +12,7 @@ import pytest
 
 from chanem.bench import bench
 from chanem.cir import CirConfig, discretize, sort_truncate
-from chanem.emulator import (EmulatorConfig, EmulatorState, SlotFormat,
+from chanem.emulator import (EmulatorConfig, EmulatorState,
                              convolve_slot)
 from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
                         mcs_lookup, ofdm_feasibility, tdd_occupancy)
@@ -98,8 +98,8 @@ def test_criterion_4_materials():
 
 def test_criterion_5_convolution_oracles():
     def body():
-        fmt = SlotFormat(fft_size=8, f_samp=8 * 15 / 0.5e-3)  # N_s = 120
-        n_s = fmt.samples_per_slot
+        f_samp = 8 * 15 / 0.5e-3  # fft_size 8: N_s = 120
+        n_s = 120
         rng = np.random.default_rng(2024)
         for _ in range(100):
             l_max = int(rng.integers(2, 65))
@@ -108,8 +108,8 @@ def test_criterion_5_convolution_oracles():
             taps = np.zeros(l_max, complex)
             taps[idx] = (rng.standard_normal(n_taps)
                          + 1j * rng.standard_normal(n_taps))
-            cfg = EmulatorConfig(CirTimeline([taps], fmt.f_samp, t_int=0.1),
-                                 l_max, fmt)
+            cfg = EmulatorConfig(CirTimeline([taps], f_samp, t_int=0.1),
+                                 l_max, 8)
             state = EmulatorState(cfg)
             slots = [rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
                      for _ in range(4)]
@@ -138,12 +138,12 @@ def test_criterion_5_convolution_oracles():
 
 def test_criterion_6_real_time_budget():
     def body():
-        fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)  # N_s = 23040
-        stats = bench(10000, 28, fmt, seed=1)
+        fmt = (1536, 46.08e6)  # (fft_size, f_samp): N_s = 23040
+        stats = bench(10000, 28, *fmt, seed=1)
         print(f"  bench 28 taps: median {stats.median_s * 1e3:.3f} ms, "
               f"p99 {stats.p99_s * 1e3:.3f} ms, budget {stats.budget_s * 1e3:.3f} ms")
         assert stats.median_s < 0.5e-3
-        full = bench(600, 146, fmt, seed=1)
+        full = bench(600, 146, *fmt, seed=1)
         verdict = "exceeds" if full.median_s >= full.budget_s else "fits"
         print(f"  bench 146 taps: median {full.median_s * 1e3:.3f} ms "
               f"({verdict} the 0.5 ms budget; machine-dependent, reported "
@@ -215,12 +215,11 @@ def test_criterion_7_scenario_structure():
 
 def test_criterion_8_noise_calibration():
     def body():
-        fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)
-        n_s = fmt.samples_per_slot
         unit = [1.0, 0.0]
-        cfg = EmulatorConfig(CirTimeline([unit], fmt.f_samp, t_int=0.1), 1, fmt,
+        cfg = EmulatorConfig(CirTimeline([unit], 46.08e6, t_int=0.1), 1, 1536,
                              signal_gain_db=float("-inf"),
                              noise_power_db=-100.0, rng_seed=31)
+        n_s = cfg.samples_per_slot
         state = EmulatorState(cfg)
         zero = np.zeros(n_s)
         total = 0.0
@@ -238,12 +237,11 @@ def test_criterion_8_noise_calibration():
 
 def test_criterion_9_snapshot_scheduling():
     def body():
-        fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)  # 0.5 ms slots
-        n_s = fmt.samples_per_slot
         first = [1.0, 0, 0, 0, 0, 0]
         second = [0, 0, 0, 0, 0, 1.0]
-        cfg = EmulatorConfig(CirTimeline([first, second], fmt.f_samp, t_int=0.1),
-                             1, fmt)
+        cfg = EmulatorConfig(CirTimeline([first, second], 46.08e6, t_int=0.1),
+                             1, 1536)  # 0.5 ms slots
+        n_s = cfg.samples_per_slot
         assert cfg.slots_per_snapshot == 200
         state = EmulatorState(cfg)
         impulse = np.zeros(n_s, complex)

@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 from chanem.cir import CirConfig
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
-from chanem.emulator import (EmulatorConfig, EmulatorState, SlotFormat,
-                             convolve_slot, run_scenario)
+from chanem import cli
+from chanem.emulator import (EmulatorConfig, EmulatorState, convolve_slot,
+                             run_scenario)
 from chanem.errors import InvalidInputError, ScenarioParseError
-from chanem.iqstream import FMT_F32, read_frame, write_frame
+from chanem.iqstream import FMT_F32, frame_streams, read_frame, write_frame
 from chanem.scenefile import build_scenario
 from chanem.timeline import CirTimeline, read_timeline, write_timeline
 
@@ -60,8 +61,7 @@ def write_test_timeline(path, taps_list, t_int=0.002):
 
 
 def emulate_reference(taps_list, slots, t_int=0.002, **cfg_kw):
-    cfg = EmulatorConfig(make_timeline(taps_list, t_int), 10,
-                         SlotFormat(fft_size=8, f_samp=F_SAMP), **cfg_kw)
+    cfg = EmulatorConfig(make_timeline(taps_list, t_int), 10, 8, **cfg_kw)
     state = EmulatorState(cfg)
     return [convolve_slot(state, cfg, i, s).copy()
             for i, s in enumerate(slots)]
@@ -122,6 +122,24 @@ class TestSimpleCommands:
         out = dict(line.split("=") for line in
                    capsys.readouterr().out.strip().splitlines())
         assert out["isi_ok"] == "False"  # 1e-6 * 10 > 2.3e-6
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--speed", "nan"), ("--speed", "inf"), ("--sigma-tau", "-1"),
+        ("--margin", "nan"),
+    ])
+    def test_check_ofdm_bad_number_is_precondition_error(self, capsys, flag, value):
+        assert main(["check-ofdm", "--speed", "11.78",
+                     f"{flag}={value}"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_kpi_non_integer_special_is_precondition_error(self, capsys):
+        assert main(["kpi", "--mcs", "27", "--bler", "0.01", "--dir", "dl",
+                     "--special", "a,b,c"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: special counts must be integers, got 'a,b,c'\n"
 
     def test_version_reports_format_versions(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -264,6 +282,26 @@ class TestScenarioPipeline:
                      "--out", str(out)]) == EXIT_PARSE
         assert capsys.readouterr().err == (
             f"error: {scene}:5: max_depth must be in 0..5, got 6\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_depth, flag", [(5, []), (2, ["--max-depth", "5"])])
+    def test_scene_over_the_image_tree_cap_is_parse_error(
+            self, tmp_path, capsys, file_depth, flag):
+        # 17 facets at depth 5 need 1,188,386 nodes; nothing is traced
+        walls = "".join(f"wall -50 {6 + i} 50 {6 + i} 0 12 material glass\n"
+                        for i in range(17))
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"{walls}tx 0 0 10\nfreq 4.01916e9\nmax_depth {file_depth}\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert main(["trace", "--scene", str(scene), "--trace", str(trace),
+                     "--out", str(out), *flag]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {scene}: 17 facets at max_depth 5 give 1188386 image-tree "
+            f"nodes, above the 1048576-node limit\n")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("depth", [7, -1, 2.5])
@@ -462,6 +500,28 @@ class TestEmulateCommand:
         assert "Traceback" not in err
         assert not outp.exists()
 
+    def test_stream_is_set_up_before_frame_streams_opens(self, tmp_path, monkeypatch):
+        # with --listen, the connection is accepted only once the state exists
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        events = []
+
+        def state(cfg):
+            events.append("state")
+            return EmulatorState(cfg)
+
+        def streams(*args):
+            events.append("frame_streams")
+            return frame_streams(*args)
+
+        monkeypatch.setattr(cli, "EmulatorState", state)
+        monkeypatch.setattr(cli, "frame_streams", streams)
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--noise-db", "-30", "--in", str(inp), "--out", str(outp)]) == EXIT_OK
+        assert events == ["state", "frame_streams"]
+        assert len(self.read_all(outp)) == 1
+
     def test_non_finite_sample_is_parse_error(self, tmp_path, capsys):
         timeline = tmp_path / "t.cirt"
         write_test_timeline(timeline, [{0: 1.0}])
@@ -531,11 +591,10 @@ class TestEmulateCommand:
             from_cli = np.concatenate(self.read_all(outp))
             cirt = read_timeline(timeline)
 
-            cfg = EmulatorConfig(cirt, 10, SlotFormat(fft_size=8, f_samp=F_SAMP),
-                                 history_mode=history)
+            cfg = EmulatorConfig(cirt, 10, 8, history_mode=history)
             wf = io.BytesIO()
             with open(inp, "rb") as rf:
-                list(run_scenario(cfg, rf, wf))
+                list(run_scenario(EmulatorState(cfg), cfg, rf, wf))
             wf.seek(0)
             from_driver = np.concatenate(read_frames(wf))
 
@@ -613,6 +672,7 @@ class TestTimelineInput:
         ("trace", "--fsamp"), ("trace", "--max-delay"),
         ("cir", "--fsamp"), ("cir", "--max-delay"), ("cir", "--t-int"),
         ("bench", "--fsamp"), ("check-ofdm", "--fsamp"),
+        ("check-ofdm", "--freq-hz"), ("materials", "--freq-hz"),
     ])
     def test_bad_rate_or_interval_flag_is_parse_error(
             self, tmp_path, capsys, command, flag, value):
@@ -620,11 +680,14 @@ class TestTimelineInput:
         base = {"trace": ["--scene", "s.txt", "--trace", "t.csv", "--out", str(out)],
                 "cir": ["--profile", "p.csv", "--fsamp", "46.08e6", "--out", str(out)],
                 "bench": ["--slots", "2", "--taps", "1"],
-                "check-ofdm": ["--speed", "1"]}[command]
+                "check-ofdm": ["--speed", "1"],
+                "materials": ["--material", "concrete"]}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *base, f"{flag}={value}"])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chanem.emulator import (CARRY, MAX_SLOT_SAMPLES, ZERO, EmulatorConfig,
-                             EmulatorState, SlotFormat, calibrate_signal_gain,
+                             EmulatorState, calibrate_signal_gain,
                              convolve_slot, noise_block, run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
@@ -13,8 +13,9 @@ from chanem.iqstream import FMT_F32, read_frame, write_frame
 from chanem.timeline import CirTimeline
 
 # small format for unit tests: N_s = 120 samples, 0.5 ms slots
-FMT = SlotFormat(fft_size=8, f_samp=8 * 15 / 0.5e-3)
-N_S = FMT.samples_per_slot
+FFT = 8
+F_SAMP = FFT * 15 / 0.5e-3
+N_S = 120
 
 
 def dense_cir(indices, amps, l_max=16):
@@ -24,7 +25,7 @@ def dense_cir(indices, amps, l_max=16):
 
 
 def make_cfg(snapshots, l_sel=16, t_int=0.1, **kw):
-    return EmulatorConfig(CirTimeline(snapshots, FMT.f_samp, t_int), l_sel, FMT, **kw)
+    return EmulatorConfig(CirTimeline(snapshots, F_SAMP, t_int), l_sel, FFT, **kw)
 
 
 def random_slots(rng, count):
@@ -35,9 +36,8 @@ def random_slots(rng, count):
 def noise_stream(seed, fft_size=1536):
     """Config and state of a unit-power, noise-only stream of 15 * fft_size
     samples per slot."""
-    fmt = SlotFormat(fft_size=fft_size, f_samp=fft_size * 15 / 0.5e-3)
-    cfg = EmulatorConfig(CirTimeline([[1.0]], fmt.f_samp, 0.5e-3), 1, fmt,
-                         noise_power_db=0.0, rng_seed=seed)
+    cfg = EmulatorConfig(CirTimeline([[1.0]], fft_size * 15 / 0.5e-3, 0.5e-3), 1,
+                         fft_size, noise_power_db=0.0, rng_seed=seed)
     return cfg, EmulatorState(cfg)
 
 
@@ -51,7 +51,7 @@ def noise_samples(seed, first, count):
     """``count`` noise samples from consecutive 23040-sample slots of one
     stream, starting at slot ``first``."""
     cfg, state = noise_stream(seed)
-    slots = range(first, first + -(-count // cfg.slot_format.samples_per_slot))
+    slots = range(first, first + -(-count // cfg.samples_per_slot))
     return np.concatenate([noise_block(state, cfg, k).copy() for k in slots])[:count]
 
 
@@ -73,6 +73,13 @@ def owiq(slots):
     return rf
 
 
+class Sink:
+    """A frame writer that keeps nothing."""
+
+    def write(self, data):
+        return len(data)
+
+
 def decode(wf):
     """Every frame written to ``wf``, decoded."""
     wf.seek(0)
@@ -83,39 +90,49 @@ def decode(wf):
     return frames
 
 
+def slot_cfg(fft_size, f_samp, **kw):
+    """A one-snapshot config of one-slot capacity at the given slot format."""
+    return EmulatorConfig(CirTimeline([[1.0]], f_samp, fft_size * 15 / f_samp), 1,
+                          fft_size, **kw)
+
+
 class TestSlotFormat:
+    """The slot format an :class:`EmulatorConfig` derives from ``fft_size``
+    and the timeline's rate."""
+
     def test_samples_per_slot_is_fft_times_fifteen(self):
-        fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)
-        assert fmt.samples_per_slot == 23040
-        assert fmt.slot_duration == pytest.approx(0.5e-3)
-        assert fmt.samples_per_slot == round(fmt.f_samp * fmt.slot_duration)
+        cfg = slot_cfg(1536, 46.08e6)
+        assert cfg.samples_per_slot == 23040
+        assert cfg.slot_duration == pytest.approx(0.5e-3)
+        assert cfg.samples_per_slot == round(cfg.timeline.f_samp * cfg.slot_duration)
 
     @pytest.mark.parametrize("f_samp", [float("nan"), float("inf"), 0.0])
     def test_rate_must_be_finite_and_positive(self, f_samp):
+        # the slot rate is the timeline's, checked when the timeline is built
         with pytest.raises(InvalidInputError, match="f_samp"):
-            SlotFormat(fft_size=8, f_samp=f_samp)
+            CirTimeline([[1.0]], f_samp, 0.5e-3)
 
-    @pytest.mark.parametrize("fft_size", [2.5, 8.0, "4", True, None])
+    @pytest.mark.parametrize("fft_size", [2.5, 8.0, "4", True, None, 0, -3])
     def test_fft_size_must_be_an_integer(self, fft_size):
         # rejected before N_s sizes anything (2.5 would give 37.5 samples)
+        timeline = CirTimeline([[1.0]], F_SAMP, 0.5e-3)
         with pytest.raises(InvalidInputError, match="fft_size must be an integer"):
-            SlotFormat(fft_size=fft_size, f_samp=1.0)
+            EmulatorConfig(timeline, 1, fft_size)
 
     def test_numpy_integer_fft_size_is_accepted(self):
-        fmt = SlotFormat(fft_size=np.int64(8), f_samp=FMT.f_samp)
-        cfg = EmulatorConfig(CirTimeline([[1.0]], fmt.f_samp, 0.5e-3), 1, fmt)
-        assert fmt.samples_per_slot == 120
+        cfg = slot_cfg(np.int64(8), F_SAMP)
+        assert cfg.samples_per_slot == 120
         assert len(EmulatorState(cfg).out) == 120
 
     def test_slot_length_is_bounded(self):
         # OAI's 6144-point FFT fits; one FFT point past the limit, or a
         # billion, is rejected before any slot-sized array exists
-        assert SlotFormat(fft_size=6144, f_samp=184.32e6).samples_per_slot == 92160
+        assert slot_cfg(6144, 184.32e6).samples_per_slot == 92160
         largest = MAX_SLOT_SAMPLES // 15
-        assert SlotFormat(fft_size=largest, f_samp=1.0).samples_per_slot <= MAX_SLOT_SAMPLES
+        assert slot_cfg(largest, 1.0).samples_per_slot <= MAX_SLOT_SAMPLES
         for fft_size in (largest + 1, 10**9):
             with pytest.raises(InvalidInputError, match=f"{MAX_SLOT_SAMPLES}-sample limit"):
-                SlotFormat(fft_size=fft_size, f_samp=46.08e6)
+                slot_cfg(fft_size, 46.08e6)
 
 
 class TestEmulatorState:
@@ -123,14 +140,12 @@ class TestEmulatorState:
     def test_axpy_accumulators_are_cache_line_aligned(self, fft_size):
         # numpy promises 16 bytes; zaxpy ran about 20% slower on an `out`
         # 16 bytes past a 32-byte boundary
-        fmt = SlotFormat(fft_size=fft_size, f_samp=fft_size * 15 / 0.5e-3)
-        cfg = EmulatorConfig(CirTimeline([[1.0]], fmt.f_samp, 0.5e-3), 1, fmt,
-                             noise_power_db=0.0)
+        cfg = slot_cfg(fft_size, fft_size * 15 / 0.5e-3, noise_power_db=0.0)
         for _ in range(4):
             state = EmulatorState(cfg)
             assert state.out.ctypes.data % 64 == 0
             assert state.noise.ctypes.data % 64 == 0
-            assert len(state.out) == len(state.noise) == fmt.samples_per_slot
+            assert len(state.out) == len(state.noise) == cfg.samples_per_slot
             assert state.out.dtype == np.complex128 and state.noise.dtype == np.complex64
 
 
@@ -236,10 +251,9 @@ class TestConvolveSlot:
 
     @pytest.mark.parametrize("mode", [CARRY, ZERO])
     def test_history_longer_than_a_slot(self, mode):
-        fmt = SlotFormat(fft_size=1, f_samp=15 / 0.5e-3)  # N_s = 15
         rng = np.random.default_rng(13)
         taps = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        cfg = EmulatorConfig(CirTimeline([taps], fmt.f_samp, 0.1), 40, fmt,
+        cfg = EmulatorConfig(CirTimeline([taps], 15 / 0.5e-3, 0.1), 40, 1,  # N_s = 15
                              history_mode=mode)
         state = EmulatorState(cfg)
         slots = [rng.standard_normal(15) + 1j * rng.standard_normal(15)
@@ -287,24 +301,16 @@ class TestConvolveSlot:
         with pytest.raises(InvalidInputError):
             make_cfg([dense_cir([0], [1.0])], t_int=0.00075)
 
-    def test_slot_rate_must_match_timeline_rate(self):
-        # 0.3 s is a whole number of 30.72 Msps slots, so only the rate
-        # check catches taps applied at the wrong rate
-        timeline = CirTimeline([dense_cir([0], [1.0], l_max=146)], 46.08e6, 0.3)
-        with pytest.raises(InvalidInputError, match="30720000 Hz .* 46080000 Hz"):
-            EmulatorConfig(timeline, 1, SlotFormat(fft_size=1536, f_samp=30.72e6))
-
     def test_full_scale_scenario_capacity(self):
         # 570 snapshots at 100 ms over 0.5 ms slots accept 114000 slots
-        fmt = SlotFormat(fft_size=1536, f_samp=46.08e6)
-        timeline = CirTimeline([dense_cir([0], [1.0], l_max=146)] * 570, fmt.f_samp, 0.1)
-        cfg = EmulatorConfig(timeline, 1, fmt)
+        timeline = CirTimeline([dense_cir([0], [1.0], l_max=146)] * 570, 46.08e6, 0.1)
+        cfg = EmulatorConfig(timeline, 1, 1536)
         assert cfg.slots_per_snapshot == 200
         assert cfg.capacity_slots == 114000
 
     def test_nan_input_rejected_by_cir(self):
         with pytest.raises(InvalidInputError):
-            CirTimeline([[1.0, float("nan")]], FMT.f_samp, 0.1)
+            CirTimeline([[1.0, float("nan")]], F_SAMP, 0.1)
 
     @pytest.mark.parametrize("field, value", [
         ("noise_power_db", float("nan")), ("noise_power_db", float("inf")),
@@ -342,9 +348,9 @@ class TestNoise:
         assert abs(np.mean(w)) < 4 / np.sqrt(n)
 
     def test_deterministic_per_seed_and_slot(self):
-        a, c = slot_noise(1234, [17, 18], FMT.fft_size)
-        (b,) = slot_noise(1234, [17], FMT.fft_size)
-        (d,) = slot_noise(1235, [17], FMT.fft_size)
+        a, c = slot_noise(1234, [17, 18], FFT)
+        (b,) = slot_noise(1234, [17], FFT)
+        (d,) = slot_noise(1235, [17], FFT)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
@@ -353,14 +359,14 @@ class TestNoise:
         ((2**32 + 5, 0), (5, 1)), ((-1, 0), (2**32 - 1, 2**32 - 1)),
     ])
     def test_distinct_seed_slot_pairs_give_distinct_noise(self, a, b):
-        (wa,) = slot_noise(a[0], [a[1]], FMT.fft_size)
-        (wb,) = slot_noise(b[0], [b[1]], FMT.fft_size)
+        (wa,) = slot_noise(a[0], [a[1]], FFT)
+        (wb,) = slot_noise(b[0], [b[1]], FFT)
         assert not np.allclose(wa, wb)
 
     def test_negative_seed_accepted(self):
-        (w,) = slot_noise(-1, [0], FMT.fft_size)
+        (w,) = slot_noise(-1, [0], FFT)
         assert np.all(np.isfinite(w))
-        np.testing.assert_array_equal(w, slot_noise(-1, [0], FMT.fft_size)[0])
+        np.testing.assert_array_equal(w, slot_noise(-1, [0], FFT)[0])
 
     @pytest.mark.parametrize("seed, slot", [
         (0, 0), (1234, 17), (-1, 5), (7, 2**32 - 1), (7, 2**32), (-1, 2**40),
@@ -460,7 +466,7 @@ class TestNoise:
             cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=-30.0, rng_seed=77)
             wf = io.BytesIO()
-            list(run_scenario(cfg, owiq(slots), wf))
+            list(run_scenario(EmulatorState(cfg), cfg, owiq(slots), wf))
             return wf.getvalue()
 
         assert run() == run()
@@ -473,7 +479,7 @@ class TestNoise:
             cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
                            noise_power_db=noise_db, rng_seed=seed)
             wf = io.BytesIO()
-            list(run_scenario(cfg, owiq(slots), wf))
+            list(run_scenario(EmulatorState(cfg), cfg, owiq(slots), wf))
             return np.concatenate(decode(wf))
 
         clean = run(1, float("-inf"))
@@ -517,7 +523,8 @@ class TestRunScenario:
         wf = io.BytesIO()
         outs = []
         with pytest.raises(EndOfScenario):
-            for slot_index, seconds, clipped in run_scenario(cfg, owiq(slots), wf):
+            for slot_index, seconds, clipped in run_scenario(EmulatorState(cfg), cfg,
+                                                             owiq(slots), wf):
                 assert seconds >= 0.0
                 outs.append(slot_index)
         assert len(outs) == cfg.capacity_slots == 400
@@ -528,7 +535,7 @@ class TestRunScenario:
     def test_empty_input_is_fine(self):
         cfg = make_cfg([dense_cir([0], [1.0])])
         wf = io.BytesIO()
-        assert list(run_scenario(cfg, io.BytesIO(), wf)) == []
+        assert list(run_scenario(EmulatorState(cfg), cfg, io.BytesIO(), wf)) == []
         assert wf.getvalue() == b""
 
     def test_oracle_equivalence_randomized(self):
@@ -554,24 +561,18 @@ class TestRunScenario:
     def test_slot_loop_allocates_no_slot_sized_array(self, fmt, noise_db):
         # a freed slot-sized block lets the C heap trim and re-fault its pages
         # every slot; the loop must reuse the stream's buffers instead
-        slot_format = SlotFormat(fft_size=1536, f_samp=46.08e6)
-        n_s = slot_format.samples_per_slot
         taps = np.zeros((1, 40), complex)
         taps[0, [0, 5, 39]] = [1.0, 0.3, 0.1j]
-        cfg = EmulatorConfig(CirTimeline(taps, slot_format.f_samp, 0.05), 28,
-                             slot_format, noise_power_db=noise_db, rng_seed=3)
+        cfg = EmulatorConfig(CirTimeline(taps, 46.08e6, 0.05), 28, 1536,
+                             noise_power_db=noise_db, rng_seed=3)
+        n_s = cfg.samples_per_slot
         rng = np.random.default_rng(1)
         rf = io.BytesIO()
         for i in range(8):
             x = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
             write_frame(rf, i, 3000.0 * x, fmt=fmt)
         rf.seek(0)
-
-        class Sink:
-            def write(self, data):
-                return len(data)
-
-        slots = run_scenario(cfg, rf, Sink())
+        slots = run_scenario(EmulatorState(cfg), cfg, rf, Sink())
         tracemalloc.start()
         try:
             next(slots)
@@ -584,3 +585,20 @@ class TestRunScenario:
             tracemalloc.stop()
         # the smallest slot-sized array is one bool per I/Q value
         assert peak - start < 2 * n_s
+
+    def test_first_slot_allocates_none_of_the_stream_set_up(self):
+        # the noise bank (2 MB) and the codec buffers belong to the state,
+        # built before the loop: slot 0 costs what any slot costs
+        cfg = EmulatorConfig(CirTimeline([[1.0, 0.3]], 46.08e6, 0.05), 28, 1536,
+                             noise_power_db=40.0, rng_seed=3)
+        rf = io.BytesIO()
+        write_frame(rf, 0, np.zeros(cfg.samples_per_slot))
+        rf.seek(0)
+        slots = run_scenario(EmulatorState(cfg), cfg, rf, Sink())
+        tracemalloc.start()
+        try:
+            assert next(slots)[0] == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

@@ -46,6 +46,11 @@ class TestTddOccupancy:
         with pytest.raises(InvalidInputError):
             TddPattern.parse("DDDSU", "6,4,5")
 
+    @pytest.mark.parametrize("special", ["a,b,c", "6,4.5,4", ""])
+    def test_special_counts_must_be_integers(self, special):
+        with pytest.raises(InvalidInputError, match=f"got {special!r}"):
+            TddPattern.parse("DDDSU", special)
+
 
 class TestBitrate:
     def test_dl_coefficient(self):
@@ -175,6 +180,18 @@ class TestOfdmFeasibility:
         # T_GI * 10 <= T_OFDM holds, * 20 does not (2.3 us vs 33.3 us)
         assert ofdm_feasibility(cfg, 0.0, 1.0, margin=10.0).guard_ok
         assert not ofdm_feasibility(cfg, 0.0, 1.0, margin=20.0).guard_ok
+
+    @pytest.mark.parametrize("sigma_tau, speed, margin, name", [
+        (0.0, math.nan, 10.0, "speed"), (0.0, math.inf, 10.0, "speed"),
+        (-1.0, 1.0, 10.0, "sigma_tau"), (math.nan, 1.0, 10.0, "sigma_tau"),
+        (math.inf, 1.0, 10.0, "sigma_tau"), (0.0, 1.0, math.nan, "margin"),
+        (0.0, 1.0, math.inf, "margin"), (0.0, 1.0, -1.0, "margin"),
+    ])
+    def test_non_finite_or_out_of_range_inputs_rejected(self, sigma_tau, speed,
+                                                        margin, name):
+        # a nan speed read as a static channel, an infinite one as t_f = 0
+        with pytest.raises(InvalidInputError, match=name):
+            ofdm_feasibility(table_cfg(), sigma_tau, speed, margin=margin)
 
 
 class TestCirIsiCheck:

@@ -34,6 +34,13 @@ def test_nonpositive_frequency_rejected():
         evaluate_material(get_material("concrete"), -1e9)
 
 
+@pytest.mark.parametrize("freq", [float("nan"), float("inf")])
+def test_non_finite_frequency_rejected(freq):
+    # nan passed the sign check and printed nan permittivities
+    with pytest.raises(InvalidInputError, match="finite"):
+        evaluate_material(get_material("concrete"), freq)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_MATERIALS))
 def test_b_zero_materials_have_frequency_independent_permittivity(name):
     spec = get_material(name)

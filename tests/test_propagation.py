@@ -14,9 +14,10 @@ from chanem.errors import InvalidInputError, SceneGeometryError
 from chanem.materials import (complex_permittivity, evaluate_material,
                               get_material)
 from chanem import propagation
-from chanem.propagation import (GEOM_TOL, TE, TM, DelayProfile, Facet,
-                                MobilityTrace, Scene, reflection_coefficient,
-                                trace_snapshot, trace_timeline)
+from chanem.propagation import (GEOM_TOL, MAX_IMAGE_NODES, TE, TM, DelayProfile,
+                                Facet, MobilityTrace, Scene, image_tree_sizes,
+                                reflection_coefficient, trace_snapshot,
+                                trace_timeline)
 from chanem.scenefile import parse_scene
 from chanem.timeline import timeline_from_profiles
 
@@ -117,6 +118,11 @@ def assert_same_profile(got, want):
 
 def empty_scene(tx=(0.0, 0.0, 10.0), depth=3):
     return Scene(facets=[], tx_position=tx, carrier_freq=F_REF, max_depth=depth)
+
+
+def parallel_walls(count):
+    """``count`` glass walls along x, at y = 6, 7, ..."""
+    return [Facet.wall(-50, 6 + i, 50, 6 + i, 0, 12, "glass") for i in range(count)]
 
 
 def canyon_scene(depth=2):
@@ -348,6 +354,37 @@ class TestSceneValidation:
     def test_skewed_wall_rejected(self):
         with pytest.raises(SceneGeometryError):
             Facet.wall(0, 0, 10, 10, 0, 5, "concrete")
+
+    def test_image_tree_is_capped_at_its_node_count(self):
+        # counted only: nothing is traced or sized
+        assert image_tree_sizes(13, 5) == [1, 13, 156, 1872, 22464, 269568]  # block13
+        assert sum(image_tree_sizes(1023, 2)) == 1_046_530
+        with pytest.raises(InvalidInputError, match=(
+                f"1024 facets at max_depth 2 give {MAX_IMAGE_NODES + 1} "
+                f"image-tree nodes, above the {MAX_IMAGE_NODES}-node limit")):
+            image_tree_sizes(1024, 2)
+        with pytest.raises(InvalidInputError, match="60 facets at max_depth 5 give 739576861"):
+            image_tree_sizes(60, 5)
+
+    def test_scene_over_the_node_cap_rejected(self):
+        walls = parallel_walls(17)
+        assert Scene(facets=walls[:16], tx_position=(0, 0, 10), carrier_freq=F_REF,
+                     max_depth=5).max_depth == 5  # 867,857 nodes
+        with pytest.raises(InvalidInputError, match="17 facets at max_depth 5"):
+            Scene(facets=walls, tx_position=(0, 0, 10), carrier_freq=F_REF, max_depth=5)
+
+    def test_scene_edited_over_the_node_cap_rejected_before_tracing(self):
+        scene = Scene(facets=parallel_walls(16), tx_position=(0, 0, 10),
+                      carrier_freq=F_REF, max_depth=5)
+        scene.facets = parallel_walls(17)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="17 facets at max_depth 5"):
+                trace_snapshot(scene, (0.0, -3.0, 1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestTimeline:
