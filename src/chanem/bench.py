@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import EmulatorConfig, EmulatorState, convolve_slot
+from .emulator import EmulatorState, convolve_slot
 from .errors import InvalidInputError
 from .timeline import CirTimeline
 
@@ -52,18 +52,17 @@ def bench(slot_count, l_sel, fft_size, f_samp, seed=0, l_max=DEFAULT_TAP_VECTOR_
     taps[0, indices] = rng.standard_normal(l_sel) + 1j * rng.standard_normal(l_sel)
     timeline = CirTimeline(taps, f_samp, t_int=slot_count * (fft_size * 15 / f_samp))
 
-    cfg = EmulatorConfig(timeline, l_sel, fft_size, noise_power_db=noise_power_db,
-                         rng_seed=seed)
-    n_s = cfg.samples_per_slot
+    state = EmulatorState(timeline, l_sel, fft_size, noise_power_db=noise_power_db,
+                          rng_seed=seed)
+    n_s = state.samples_per_slot
     pool = [
         rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
         for _ in range(min(8, slot_count))
     ]
-    state = EmulatorState(cfg)
     latencies = []
     for i in range(slot_count):
         t0 = time.perf_counter()
-        convolve_slot(state, cfg, i, pool[i % len(pool)])
+        convolve_slot(state, i, pool[i % len(pool)])
         latencies.append(time.perf_counter() - t0)
     latencies.sort()
     return BenchStats(
@@ -74,5 +73,5 @@ def bench(slot_count, l_sel, fft_size, f_samp, seed=0, l_max=DEFAULT_TAP_VECTOR_
         median_s=latencies[slot_count // 2],
         p99_s=latencies[min(slot_count - 1, math.ceil(0.99 * slot_count) - 1)],
         max_s=latencies[-1],
-        budget_s=cfg.slot_duration,
+        budget_s=state.slot_duration,
     )

@@ -2,8 +2,9 @@
 
 Subcommands: materials, trace, cir, emulate, kpi, check-ofdm, report, bench.
 stdout carries only data; human-readable context goes to stderr.  Exit
-codes: 0 success, 2 parse/format errors and malformed flag or environment
-values, 3 precondition violations, 4 end of scenario.
+codes: 0 success, 2 parse/format errors, malformed flag or environment
+values and a path or connection that cannot be opened, 3 precondition
+violations, 4 end of scenario.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import sys
 from . import __version__
 from .bench import bench
 from .cir import CirConfig, DEFAULT_TAP_BUDGET
-from .emulator import (CARRY, ZERO, EmulatorConfig, EmulatorState,
-                       calibrate_signal_gain, run_scenario)
+from .emulator import (CARRY, ZERO, EmulatorState, calibrate_signal_gain,
+                       run_scenario)
 from .errors import (ChanemError, EndOfScenario, FormatError,
                      ScenarioParseError)
 from .iqstream import STREAM_VERSION, frame_streams
@@ -73,6 +74,17 @@ def _positive_finite(text):
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number, got {text!r}")
     return value
+
+
+def _fft_size(text):
+    """An integer FFT size of at least 1."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return size
 
 
 def _reflection_depth(text):
@@ -194,21 +206,21 @@ def _cmd_emulate(args):
     else:
         gain_db = args.signal_gain_db
 
-    cfg = EmulatorConfig(
+    # before --listen opens, so no slot pays for the set-up
+    state = EmulatorState(
         timeline, args.taps, args.fft,
         signal_gain_db=gain_db,
         noise_power_db=args.noise_db,
         rng_seed=args.seed,
         history_mode=args.history_mode,
     )
-    state = EmulatorState(cfg)  # before --listen opens, so no slot pays for it
 
     stats_fh = open(args.stats, "w", encoding="utf-8") if args.stats else None
     if stats_fh:
         stats_fh.write("slot_index,latency_s,clipped_samples\n")
     try:
         with frame_streams(args.input, args.out, args.listen) as (rf, wf):
-            for slot_index, seconds, clipped in run_scenario(state, cfg, rf, wf):
+            for slot_index, seconds, clipped in run_scenario(state, rf, wf):
                 if stats_fh:
                     stats_fh.write(f"{slot_index},{seconds:.9f},{clipped}\n")
     except EndOfScenario:
@@ -263,7 +275,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--history", dest="history_mode", choices=[CARRY, ZERO],
                    default=CARRY)
-    p.add_argument("--fft", type=int, default=1536)
+    p.add_argument("--fft", type=_fft_size, default=1536)
     p.add_argument("--in", dest="input", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--listen", type=_listen_address, default=None,
@@ -287,7 +299,7 @@ def build_parser():
     p.add_argument("--speed", type=float, required=True)
     p.add_argument("--freq-hz", type=_positive_finite, default=4.01916e9)
     p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--fft", type=int, default=1536)
+    p.add_argument("--fft", type=_fft_size, default=1536)
     p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
     p.add_argument("--sigma-tau", type=float, default=0.0)
     p.add_argument("--margin", type=float, default=10.0)
@@ -304,7 +316,7 @@ def build_parser():
     p = sub.add_parser("bench", help="measure per-slot convolution latency")
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--taps", type=int, required=True)
-    p.add_argument("--fft", type=int, default=1536)
+    p.add_argument("--fft", type=_fft_size, default=1536)
     p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--noise-db", type=_noise_power, default=-math.inf,
@@ -331,7 +343,7 @@ def main(argv=None):
     except EndOfScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_END_OF_SCENARIO
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path or socket that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ChanemError as exc:

@@ -18,7 +18,6 @@ import cmath
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .cir import path_gain_total
 from .errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                      SequencingError)
 from .iqstream import FrameBuffers, read_frame, write_frame
-from .timeline import CirTimeline
 
 CARRY = "carry"
 ZERO = "zero"
@@ -57,8 +55,8 @@ def _aligned_empty(n, dtype):
     return raw[skip:skip + size].view(dtype)
 
 
-def noise_block(state, cfg, slot_index):
-    """Write slot ``slot_index``'s noise, at ``cfg.noise_scale``, into ``state.out``.
+def noise_block(state, slot_index):
+    """Write slot ``slot_index``'s noise, at ``state.noise_scale``, into ``state.out``.
 
     Circular complex Gaussian noise read from the stream's bank (see
     :class:`EmulatorState`), keyed per (seed, slot): an ``SFC64`` generator
@@ -79,7 +77,7 @@ def noise_block(state, cfg, slot_index):
     n = len(acc)
     half = len(bank) // 2
     gen = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(cfg.rng_seed & _U64_MASK, spawn_key=(slot_index,))))
+        np.random.SeedSequence(state.rng_seed & _U64_MASK, spawn_key=(slot_index,))))
     lo, hi = gen.integers(0, half - n, size=2, endpoint=True)
     phi_lo, phi_hi = gen.uniform(0.0, 2.0 * math.pi, size=2)
     np.multiply(bank[lo:lo + n], np.complex64(cmath.rect(_SQRT_HALF, phi_lo)), out=acc)
@@ -87,87 +85,19 @@ def noise_block(state, cfg, slot_index):
     acc = state.caxpy(bank[hi:hi + n], acc, a=cmath.rect(_SQRT_HALF, phi_hi))
     out = state.out
     np.copyto(out, acc)
-    out *= cfg.noise_scale  # float64, so no noise level under- or overflows
+    out *= state.noise_scale  # float64, so no noise level under- or overflows
     return out
 
 
-@dataclass
-class EmulatorConfig:
-    """Everything needed to run a scenario over an IQ stream.
-
-    Slots carry N_s = 15 * ``fft_size`` samples, at most
-    :data:`MAX_SLOT_SAMPLES`, at the timeline's tap rate.
-    ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps, selected
-    once from the timeline when the config is built.
-    """
-
-    timeline: CirTimeline
-    l_sel: int
-    fft_size: int
-    signal_gain_db: float = 0.0
-    noise_power_db: float = float("-inf")  # -inf disables noise
-    rng_seed: int = 0
-    history_mode: str = CARRY
-    sorted_snapshots: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if (isinstance(self.fft_size, bool) or not isinstance(self.fft_size, numbers.Integral)
-                or self.fft_size < 1):
-            raise InvalidInputError(f"fft_size must be an integer >= 1, got {self.fft_size!r}")
-        if self.samples_per_slot > MAX_SLOT_SAMPLES:
-            raise InvalidInputError(
-                f"fft_size {self.fft_size} gives {self.samples_per_slot} samples "
-                f"per slot, above the {MAX_SLOT_SAMPLES}-sample limit")
-        if not len(self.timeline):
-            raise InvalidInputError("timeline must not be empty")
-        if math.isnan(self.signal_gain_db):
-            raise InvalidInputError("signal_gain_db must not be NaN")
-        if math.isnan(self.noise_power_db) or self.noise_power_db == math.inf:
-            raise InvalidInputError(
-                f"noise_power_db must be finite or -inf (no noise), got "
-                f"{self.noise_power_db}")
-        if self.history_mode not in (CARRY, ZERO):
-            raise InvalidInputError(
-                f"history_mode must be '{CARRY}' or '{ZERO}', got {self.history_mode!r}"
-            )
-        t_int = self.timeline.t_int
-        slot_dur = self.slot_duration
-        ratio = t_int / slot_dur
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
-            raise InvalidInputError(
-                f"t_int {t_int} must be a positive integer multiple of the "
-                f"slot duration {slot_dur}"
-            )
-        self.sorted_snapshots = self.timeline.sorted_snapshots(self.l_sel)
-
-    @property
-    def samples_per_slot(self):
-        return self.fft_size * 15
-
-    @property
-    def slot_duration(self):
-        return self.samples_per_slot / self.timeline.f_samp
-
-    @property
-    def slots_per_snapshot(self):
-        return round(self.timeline.t_int / self.slot_duration)
-
-    @property
-    def capacity_slots(self):
-        return len(self.timeline) * self.slots_per_snapshot
-
-    @property
-    def signal_scale(self):
-        return 10.0 ** (self.signal_gain_db / 20.0)
-
-    @property
-    def noise_scale(self):
-        return 10.0 ** (self.noise_power_db / 20.0)
-
-
 class EmulatorState:
-    """Every per-stream resource and the slot sequencing: the stream's
-    set-up, which every driver builds before any I/O so no slot pays for it.
+    """One stream: its scenario, every per-stream resource and the slot
+    sequencing, built before any I/O so no slot pays for the set-up.
+
+    Slots carry N_s = ``samples_per_slot`` = 15 * ``fft_size`` samples, at
+    most :data:`MAX_SLOT_SAMPLES`, at the timeline's tap rate, and last
+    ``slot_duration`` seconds; each snapshot lasts ``slots_per_snapshot``
+    slots.  ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps,
+    selected once from the timeline here.
 
     ``ext`` holds the ``l_max - 1`` carried input samples followed by the
     current slot; ``slot`` is a view of that tail, where frames are decoded.
@@ -180,35 +110,77 @@ class EmulatorState:
     It has ``NOISE_BANK_SIZE`` entries, or more when a slot is longer than a
     quarter of that.  ``noise`` is the complex64 scratch of
     :func:`noise_block`.  Both are None with noise off.  ``bufs`` holds the
-    frame codec's scratch.  ``zaxpy`` and ``caxpy`` are scipy's BLAS, loaded
-    here so that commands which never stream IQ never import scipy.
+    frame codec's scratch.  Every buffer is written once here, so the first
+    slot takes none of their page faults.  ``zaxpy`` and ``caxpy`` are
+    scipy's BLAS, loaded here so that commands which never stream IQ never
+    import scipy.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
+                 noise_power_db=float("-inf"), rng_seed=0, history_mode=CARRY):
+        if (isinstance(fft_size, bool) or not isinstance(fft_size, numbers.Integral)
+                or fft_size < 1):
+            raise InvalidInputError(f"fft_size must be an integer >= 1, got {fft_size!r}")
+        n_s = self.samples_per_slot = fft_size * 15
+        if n_s > MAX_SLOT_SAMPLES:
+            raise InvalidInputError(
+                f"fft_size {fft_size} gives {n_s} samples "
+                f"per slot, above the {MAX_SLOT_SAMPLES}-sample limit")
+        if not len(timeline):
+            raise InvalidInputError("timeline must not be empty")
+        if math.isnan(signal_gain_db):
+            raise InvalidInputError("signal_gain_db must not be NaN")
+        if math.isnan(noise_power_db) or noise_power_db == math.inf:
+            raise InvalidInputError(
+                f"noise_power_db must be finite or -inf (no noise), got "
+                f"{noise_power_db}")
+        if history_mode not in (CARRY, ZERO):
+            raise InvalidInputError(
+                f"history_mode must be '{CARRY}' or '{ZERO}', got {history_mode!r}"
+            )
+        t_int = timeline.t_int
+        slot_dur = self.slot_duration = n_s / timeline.f_samp
+        ratio = t_int / slot_dur
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
+            raise InvalidInputError(
+                f"t_int {t_int} must be a positive integer multiple of the "
+                f"slot duration {slot_dur}"
+            )
+        self.rng_seed = rng_seed
+        self.history_mode = history_mode
+        self.slots_per_snapshot = round(ratio)
+        self.capacity_slots = len(timeline) * self.slots_per_snapshot
+        self.signal_scale = 10.0 ** (signal_gain_db / 20.0)
+        self.noise_scale = 10.0 ** (noise_power_db / 20.0)
+        self.sorted_snapshots = timeline.sorted_snapshots(l_sel)
+
         from scipy.linalg.blas import caxpy, zaxpy
         self.zaxpy, self.caxpy = zaxpy, caxpy
-        n_s = cfg.samples_per_slot
-        self.hist = cfg.timeline.l_max - 1
+        self.hist = timeline.l_max - 1
         self.next_slot_index = 0
         self.ext = np.zeros(self.hist + n_s, dtype=np.complex128)
         self.slot = self.ext[self.hist:]
         self.out = _aligned_empty(n_s, np.complex128)
         self.bank = self.noise = None
-        if cfg.noise_scale > 0.0:
+        if self.noise_scale > 0.0:
             size = NOISE_BANK_SIZE
             while size < 4 * n_s:
                 size *= 2
             self.bank = np.empty(size, dtype=np.complex64)
             iq = self.bank.view(np.float32)
             gen = np.random.Generator(np.random.SFC64(
-                np.random.SeedSequence(cfg.rng_seed & _U64_MASK)))
+                np.random.SeedSequence(rng_seed & _U64_MASK)))
             gen.standard_normal(dtype=np.float32, out=iq)
             iq *= np.float32(_SQRT_HALF)
             self.noise = _aligned_empty(n_s, np.complex64)
         self.bufs = FrameBuffers(n_s)
+        for buf in (self.ext, self.out, self.noise, self.bufs.payload,
+                    self.bufs.values, self.bufs.mask):
+            if buf is not None:
+                buf.fill(0)
 
 
-def convolve_slot(state, cfg, slot_index, samples):
+def convolve_slot(state, slot_index, samples):
     """Convolve one slot with the active snapshot's taps and add noise.
 
     Returns ``state.out``, which the next call overwrites.  ``samples`` may
@@ -220,12 +192,12 @@ def convolve_slot(state, cfg, slot_index, samples):
         raise SequencingError(
             f"slot {slot_index} arrived, expected {state.next_slot_index}"
         )
-    snap = slot_index // cfg.slots_per_snapshot
-    if snap >= len(cfg.sorted_snapshots):
+    snap = slot_index // state.slots_per_snapshot
+    if snap >= len(state.sorted_snapshots):
         raise EndOfScenario(
-            f"slot {slot_index} lies beyond the {len(cfg.sorted_snapshots)}-snapshot timeline"
+            f"slot {slot_index} lies beyond the {len(state.sorted_snapshots)}-snapshot timeline"
         )
-    n_s = cfg.samples_per_slot
+    n_s = state.samples_per_slot
     if len(samples) != n_s:
         raise InvalidInputError(
             f"slot has {len(samples)} samples, expected {n_s}"
@@ -233,19 +205,19 @@ def convolve_slot(state, cfg, slot_index, samples):
 
     hist, ext, out = state.hist, state.ext, state.out
     state.slot[...] = samples
-    if cfg.noise_scale > 0.0:
-        noise_block(state, cfg, slot_index)
+    if state.noise_scale > 0.0:
+        noise_block(state, slot_index)
     else:
         out.fill(0.0)
 
-    cir = cfg.sorted_snapshots[snap]
-    scale = cfg.signal_scale
+    cir = state.sorted_snapshots[snap]
+    scale = state.signal_scale
     zaxpy = state.zaxpy
     for amp, k in zip(cir.amps, cir.indices):
         start = hist - int(k)
         out = zaxpy(ext[start:start + n_s], out, a=scale * amp)
 
-    if cfg.history_mode == CARRY:  # in zero mode ext[:hist] stays zero
+    if state.history_mode == CARRY:  # in zero mode ext[:hist] stays zero
         ext[:hist] = ext[n_s:]
     state.next_slot_index += 1
     return out
@@ -267,7 +239,7 @@ def calibrate_signal_gain(taps, headroom_db=5.0):
     return headroom_db - best
 
 
-def run_scenario(state, cfg, rf, wf):
+def run_scenario(state, rf, wf):
     """Drive one frame stream; yield (slot_index, seconds, clipped) per slot.
 
     This is the one frame loop.  It reads each OWIQ frame from ``rf``
@@ -282,6 +254,6 @@ def run_scenario(state, cfg, rf, wf):
     while (frame := read_frame(rf, state.slot, state.bufs)) is not None:
         slot_index, fmt = frame
         t0 = time.perf_counter()
-        out = convolve_slot(state, cfg, slot_index, state.slot)
+        out = convolve_slot(state, slot_index, state.slot)
         seconds = time.perf_counter() - t0
         yield slot_index, seconds, write_frame(wf, slot_index, out, fmt, state.bufs)

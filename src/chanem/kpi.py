@@ -17,6 +17,9 @@ from .errors import InvalidInputError
 
 SYMBOLS_PER_SLOT = 14
 
+# Largest NR numerology, 960 kHz subcarrier spacing (TS 38.211 Table 4.2-1).
+MAX_NUMEROLOGY = 6
+
 DL = "dl"
 UL = "ul"
 
@@ -135,8 +138,12 @@ class LinkConfig:
     cp_short_samples: int = 106
 
     def __post_init__(self):
-        if self.numerology_mu < 0 or self.n_prb < 1:
-            raise InvalidInputError("numerology_mu must be >= 0 and n_prb >= 1")
+        if not 0 <= self.numerology_mu <= MAX_NUMEROLOGY:
+            raise InvalidInputError(
+                f"numerology_mu must be in 0..{MAX_NUMEROLOGY}, got {self.numerology_mu}")
+        if self.n_prb < 1 or self.fft_size < 1:
+            raise InvalidInputError(
+                f"n_prb and fft_size must be >= 1, got {self.n_prb} and {self.fft_size}")
         for oh in (self.overhead_dl, self.overhead_ul):
             if not 0.0 <= oh < 1.0:
                 raise InvalidInputError(f"overhead must be in [0, 1), got {oh}")

@@ -104,8 +104,12 @@ class Facet:
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise SceneGeometryError(f"facet axis must be 0, 1 or 2, got {self.axis}")
-        if any(high - low <= GEOM_TOL for low, high in zip(self.lo, self.hi)):
-            raise SceneGeometryError("facet must have positive extent")
+        if not math.isfinite(self.value):
+            raise SceneGeometryError(f"facet plane must be finite, got {self.value}")
+        # also false for a NaN bound, and for inf - inf
+        if not all(high - low > GEOM_TOL for low, high in zip(self.lo, self.hi)):
+            raise SceneGeometryError(
+                f"facet must have positive extent and no NaN bound, got {self.lo}-{self.hi}")
 
     @classmethod
     def ground(cls, height, material="concrete"):
@@ -159,8 +163,12 @@ class Scene:
 
     def __post_init__(self):
         self.tx_position = np.asarray(self.tx_position, dtype=float)
-        if self.carrier_freq <= 0.0:
-            raise InvalidInputError("carrier frequency must be positive")
+        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
+            raise InvalidInputError(
+                f"carrier frequency must be finite and positive, got {self.carrier_freq}")
+        if not np.all(np.isfinite(self.tx_position)):
+            raise InvalidInputError(
+                f"tx position must be finite, got {self.tx_position.tolist()}")
         check_depth(self.max_depth)
         image_tree_sizes(len(self.facets), self.max_depth)
         if sum(f.axis == 2 for f in self.facets) > 1:
@@ -194,10 +202,15 @@ class MobilityTrace:
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        if self.interval <= 0.0:
-            raise InvalidInputError("trace interval must be positive")
+        if not (math.isfinite(self.interval) and self.interval > 0.0):
+            raise InvalidInputError(
+                f"trace interval must be finite and positive, got {self.interval}")
         if len(self.positions) == 0:
             raise InvalidInputError("trace must contain at least one position")
+        bad = np.flatnonzero(~np.isfinite(self.positions).all(axis=1))
+        if len(bad):
+            raise InvalidInputError(
+                f"trace position {bad[0]} must be finite, got {self.positions[bad[0]].tolist()}")
         if np.any(self.positions[:, 2] <= 0.0):
             raise InvalidInputError("all trace heights must be positive")
 
@@ -378,6 +391,8 @@ def trace_snapshot(scene, rx_position):
     when clear.  The profile may be empty under total blockage.
     """
     rx = np.asarray(rx_position, dtype=float)
+    if not np.all(np.isfinite(rx)):
+        raise InvalidInputError(f"rx position must be finite, got {rx.tolist()}")
     if rx[2] <= 0.0:
         raise InvalidInputError(f"rx height must be positive, got {rx[2]}")
     tx = scene.tx_position

@@ -12,8 +12,7 @@ import pytest
 
 from chanem.bench import bench
 from chanem.cir import CirConfig, discretize, sort_truncate
-from chanem.emulator import (EmulatorConfig, EmulatorState,
-                             convolve_slot)
+from chanem.emulator import EmulatorState, convolve_slot
 from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
                         mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from chanem.materials import evaluate_material, get_material
@@ -108,13 +107,12 @@ def test_criterion_5_convolution_oracles():
             taps = np.zeros(l_max, complex)
             taps[idx] = (rng.standard_normal(n_taps)
                          + 1j * rng.standard_normal(n_taps))
-            cfg = EmulatorConfig(CirTimeline([taps], f_samp, t_int=0.1),
-                                 l_max, 8)
-            state = EmulatorState(cfg)
+            state = EmulatorState(CirTimeline([taps], f_samp, t_int=0.1),
+                                  l_max, 8)
             slots = [rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
                      for _ in range(4)]
             got = np.concatenate(
-                [convolve_slot(state, cfg, i, s).copy()
+                [convolve_slot(state, i, s).copy()
                  for i, s in enumerate(slots)])
             stream = np.concatenate(slots)
             want = np.convolve(stream, taps)[:len(stream)]
@@ -216,16 +214,15 @@ def test_criterion_7_scenario_structure():
 def test_criterion_8_noise_calibration():
     def body():
         unit = [1.0, 0.0]
-        cfg = EmulatorConfig(CirTimeline([unit], 46.08e6, t_int=0.1), 1, 1536,
-                             signal_gain_db=float("-inf"),
-                             noise_power_db=-100.0, rng_seed=31)
-        n_s = cfg.samples_per_slot
-        state = EmulatorState(cfg)
+        state = EmulatorState(CirTimeline([unit], 46.08e6, t_int=0.1), 1, 1536,
+                              signal_gain_db=float("-inf"),
+                              noise_power_db=-100.0, rng_seed=31)
+        n_s = state.samples_per_slot
         zero = np.zeros(n_s)
         total = 0.0
         count = 0
         for i in range(50):  # 1.152e6 samples
-            y = convolve_slot(state, cfg, i, zero)
+            y = convolve_slot(state, i, zero)
             total += float(np.sum(np.abs(y) ** 2))
             count += n_s
         assert count >= 1_000_000
@@ -239,16 +236,15 @@ def test_criterion_9_snapshot_scheduling():
     def body():
         first = [1.0, 0, 0, 0, 0, 0]
         second = [0, 0, 0, 0, 0, 1.0]
-        cfg = EmulatorConfig(CirTimeline([first, second], 46.08e6, t_int=0.1),
-                             1, 1536)  # 0.5 ms slots
-        n_s = cfg.samples_per_slot
-        assert cfg.slots_per_snapshot == 200
-        state = EmulatorState(cfg)
+        state = EmulatorState(CirTimeline([first, second], 46.08e6, t_int=0.1),
+                              1, 1536)  # 0.5 ms slots
+        n_s = state.samples_per_slot
+        assert state.slots_per_snapshot == 200
         impulse = np.zeros(n_s, complex)
         impulse[0] = 1.0
         boundary = None
-        for i in range(cfg.capacity_slots):
-            y = convolve_slot(state, cfg, i, impulse)
+        for i in range(state.capacity_slots):
+            y = convolve_slot(state, i, impulse)
             tap = int(np.argmax(np.abs(y)))
             if tap != 0:
                 boundary = i

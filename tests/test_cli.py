@@ -19,8 +19,7 @@ from chanem.cir import CirConfig
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
 from chanem import cli
-from chanem.emulator import (EmulatorConfig, EmulatorState, convolve_slot,
-                             run_scenario)
+from chanem.emulator import EmulatorState, convolve_slot, run_scenario
 from chanem.errors import InvalidInputError, ScenarioParseError
 from chanem.iqstream import FMT_F32, frame_streams, read_frame, write_frame
 from chanem.scenefile import build_scenario
@@ -60,10 +59,9 @@ def write_test_timeline(path, taps_list, t_int=0.002):
     write_timeline(make_timeline(taps_list, t_int), path)
 
 
-def emulate_reference(taps_list, slots, t_int=0.002, **cfg_kw):
-    cfg = EmulatorConfig(make_timeline(taps_list, t_int), 10, 8, **cfg_kw)
-    state = EmulatorState(cfg)
-    return [convolve_slot(state, cfg, i, s).copy()
+def emulate_reference(taps_list, slots, t_int=0.002, **state_kw):
+    state = EmulatorState(make_timeline(taps_list, t_int), 10, 8, **state_kw)
+    return [convolve_slot(state, i, s).copy()
             for i, s in enumerate(slots)]
 
 
@@ -125,7 +123,7 @@ class TestSimpleCommands:
 
     @pytest.mark.parametrize("flag, value", [
         ("--speed", "nan"), ("--speed", "inf"), ("--sigma-tau", "-1"),
-        ("--margin", "nan"),
+        ("--margin", "nan"), ("--mu", "-1"), ("--mu", "7"), ("--mu", "1100"),
     ])
     def test_check_ofdm_bad_number_is_precondition_error(self, capsys, flag, value):
         assert main(["check-ofdm", "--speed", "11.78",
@@ -507,9 +505,9 @@ class TestEmulateCommand:
         inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
         events = []
 
-        def state(cfg):
+        def state(*args, **kwargs):
             events.append("state")
-            return EmulatorState(cfg)
+            return EmulatorState(*args, **kwargs)
 
         def streams(*args):
             events.append("frame_streams")
@@ -521,6 +519,31 @@ class TestEmulateCommand:
                      "--noise-db", "-30", "--in", str(inp), "--out", str(outp)]) == EXIT_OK
         assert events == ["state", "frame_streams"]
         assert len(self.read_all(outp)) == 1
+
+    @pytest.mark.parametrize("flag", ["--in", "--out", "--stats", "--listen", "report"])
+    def test_unopenable_path_or_port_is_parse_error(self, tmp_path, capsys, flag):
+        # a directory where a file belongs, or a port already listening
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        args = {"--in": str(inp), "--out": str(outp), "--stats": str(tmp_path / "s.csv")}
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            if flag == "report":
+                argv = ["report", "--timeline", str(tmp_path)]
+            elif flag == "--listen":
+                argv = ["emulate", "--timeline", str(timeline), "--fft", "8",
+                        "--listen", "127.0.0.1:%d" % busy.getsockname()[1]]
+            else:
+                args[flag] = str(tmp_path)
+                argv = ["emulate", "--timeline", str(timeline), "--fft", "8",
+                        *(x for kv in args.items() for x in kv)]
+            assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_non_finite_sample_is_parse_error(self, tmp_path, capsys):
         timeline = tmp_path / "t.cirt"
@@ -591,10 +614,10 @@ class TestEmulateCommand:
             from_cli = np.concatenate(self.read_all(outp))
             cirt = read_timeline(timeline)
 
-            cfg = EmulatorConfig(cirt, 10, 8, history_mode=history)
+            state = EmulatorState(cirt, 10, 8, history_mode=history)
             wf = io.BytesIO()
             with open(inp, "rb") as rf:
-                list(run_scenario(EmulatorState(cfg), cfg, rf, wf))
+                list(run_scenario(state, rf, wf))
             wf.seek(0)
             from_driver = np.concatenate(read_frames(wf))
 
@@ -673,12 +696,14 @@ class TestTimelineInput:
         ("cir", "--fsamp"), ("cir", "--max-delay"), ("cir", "--t-int"),
         ("bench", "--fsamp"), ("check-ofdm", "--fsamp"),
         ("check-ofdm", "--freq-hz"), ("materials", "--freq-hz"),
+        ("emulate", "--fft"), ("bench", "--fft"), ("check-ofdm", "--fft"),
     ])
     def test_bad_rate_or_interval_flag_is_parse_error(
             self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out.cirt"
         base = {"trace": ["--scene", "s.txt", "--trace", "t.csv", "--out", str(out)],
                 "cir": ["--profile", "p.csv", "--fsamp", "46.08e6", "--out", str(out)],
+                "emulate": ["--timeline", "t.cirt", "--out", str(out)],
                 "bench": ["--slots", "2", "--taps", "1"],
                 "check-ofdm": ["--speed", "1"],
                 "materials": ["--material", "concrete"]}[command]

@@ -1,12 +1,17 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chanem.emulator import (CARRY, MAX_SLOT_SAMPLES, ZERO, EmulatorConfig,
-                             EmulatorState, calibrate_signal_gain,
-                             convolve_slot, noise_block, run_scenario)
+from chanem.emulator import (CARRY, MAX_SLOT_SAMPLES, ZERO, EmulatorState,
+                             calibrate_signal_gain, convolve_slot, noise_block,
+                             run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
 from chanem.iqstream import FMT_F32, read_frame, write_frame
@@ -24,8 +29,8 @@ def dense_cir(indices, amps, l_max=16):
     return taps
 
 
-def make_cfg(snapshots, l_sel=16, t_int=0.1, **kw):
-    return EmulatorConfig(CirTimeline(snapshots, F_SAMP, t_int), l_sel, FFT, **kw)
+def make_state(snapshots, l_sel=16, t_int=0.1, **kw):
+    return EmulatorState(CirTimeline(snapshots, F_SAMP, t_int), l_sel, FFT, **kw)
 
 
 def random_slots(rng, count):
@@ -34,25 +39,23 @@ def random_slots(rng, count):
 
 
 def noise_stream(seed, fft_size=1536):
-    """Config and state of a unit-power, noise-only stream of 15 * fft_size
-    samples per slot."""
-    cfg = EmulatorConfig(CirTimeline([[1.0]], fft_size * 15 / 0.5e-3, 0.5e-3), 1,
+    """A unit-power, noise-only stream of 15 * fft_size samples per slot."""
+    return EmulatorState(CirTimeline([[1.0]], fft_size * 15 / 0.5e-3, 0.5e-3), 1,
                          fft_size, noise_power_db=0.0, rng_seed=seed)
-    return cfg, EmulatorState(cfg)
 
 
 def slot_noise(seed, slots, fft_size=1536):
     """Copies of the noise of the given slots of one stream."""
-    cfg, state = noise_stream(seed, fft_size)
-    return [noise_block(state, cfg, k).copy() for k in slots]
+    state = noise_stream(seed, fft_size)
+    return [noise_block(state, k).copy() for k in slots]
 
 
 def noise_samples(seed, first, count):
     """``count`` noise samples from consecutive 23040-sample slots of one
     stream, starting at slot ``first``."""
-    cfg, state = noise_stream(seed)
-    slots = range(first, first + -(-count // cfg.samples_per_slot))
-    return np.concatenate([noise_block(state, cfg, k).copy() for k in slots])[:count]
+    state = noise_stream(seed)
+    slots = range(first, first + -(-count // state.samples_per_slot))
+    return np.concatenate([noise_block(state, k).copy() for k in slots])[:count]
 
 
 def correlation(a, b):
@@ -90,21 +93,21 @@ def decode(wf):
     return frames
 
 
-def slot_cfg(fft_size, f_samp, **kw):
-    """A one-snapshot config of one-slot capacity at the given slot format."""
-    return EmulatorConfig(CirTimeline([[1.0]], f_samp, fft_size * 15 / f_samp), 1,
-                          fft_size, **kw)
+def slot_state(fft_size, f_samp, **kw):
+    """A one-snapshot stream of one-slot capacity at the given slot format."""
+    return EmulatorState(CirTimeline([[1.0]], f_samp, fft_size * 15 / f_samp), 1,
+                         fft_size, **kw)
 
 
 class TestSlotFormat:
-    """The slot format an :class:`EmulatorConfig` derives from ``fft_size``
+    """The slot format an :class:`EmulatorState` derives from ``fft_size``
     and the timeline's rate."""
 
     def test_samples_per_slot_is_fft_times_fifteen(self):
-        cfg = slot_cfg(1536, 46.08e6)
-        assert cfg.samples_per_slot == 23040
-        assert cfg.slot_duration == pytest.approx(0.5e-3)
-        assert cfg.samples_per_slot == round(cfg.timeline.f_samp * cfg.slot_duration)
+        state = slot_state(1536, 46.08e6)
+        assert state.samples_per_slot == 23040
+        assert state.slot_duration == pytest.approx(0.5e-3)
+        assert state.samples_per_slot == round(46.08e6 * state.slot_duration)
 
     @pytest.mark.parametrize("f_samp", [float("nan"), float("inf"), 0.0])
     def test_rate_must_be_finite_and_positive(self, f_samp):
@@ -117,22 +120,22 @@ class TestSlotFormat:
         # rejected before N_s sizes anything (2.5 would give 37.5 samples)
         timeline = CirTimeline([[1.0]], F_SAMP, 0.5e-3)
         with pytest.raises(InvalidInputError, match="fft_size must be an integer"):
-            EmulatorConfig(timeline, 1, fft_size)
+            EmulatorState(timeline, 1, fft_size)
 
     def test_numpy_integer_fft_size_is_accepted(self):
-        cfg = slot_cfg(np.int64(8), F_SAMP)
-        assert cfg.samples_per_slot == 120
-        assert len(EmulatorState(cfg).out) == 120
+        state = slot_state(np.int64(8), F_SAMP)
+        assert state.samples_per_slot == 120
+        assert len(state.out) == 120
 
     def test_slot_length_is_bounded(self):
         # OAI's 6144-point FFT fits; one FFT point past the limit, or a
         # billion, is rejected before any slot-sized array exists
-        assert slot_cfg(6144, 184.32e6).samples_per_slot == 92160
+        assert slot_state(6144, 184.32e6).samples_per_slot == 92160
         largest = MAX_SLOT_SAMPLES // 15
-        assert slot_cfg(largest, 1.0).samples_per_slot <= MAX_SLOT_SAMPLES
+        assert slot_state(largest, 1.0).samples_per_slot <= MAX_SLOT_SAMPLES
         for fft_size in (largest + 1, 10**9):
             with pytest.raises(InvalidInputError, match=f"{MAX_SLOT_SAMPLES}-sample limit"):
-                slot_cfg(fft_size, 46.08e6)
+                slot_state(fft_size, 46.08e6)
 
 
 class TestEmulatorState:
@@ -140,57 +143,52 @@ class TestEmulatorState:
     def test_axpy_accumulators_are_cache_line_aligned(self, fft_size):
         # numpy promises 16 bytes; zaxpy ran about 20% slower on an `out`
         # 16 bytes past a 32-byte boundary
-        cfg = slot_cfg(fft_size, fft_size * 15 / 0.5e-3, noise_power_db=0.0)
         for _ in range(4):
-            state = EmulatorState(cfg)
+            state = slot_state(fft_size, fft_size * 15 / 0.5e-3, noise_power_db=0.0)
             assert state.out.ctypes.data % 64 == 0
             assert state.noise.ctypes.data % 64 == 0
-            assert len(state.out) == len(state.noise) == cfg.samples_per_slot
+            assert len(state.out) == len(state.noise) == state.samples_per_slot
             assert state.out.dtype == np.complex128 and state.noise.dtype == np.complex64
 
 
 class TestConvolveSlot:
     def test_identity_channel(self):
-        cfg = make_cfg([dense_cir([0], [1.0])])
-        state = EmulatorState(cfg)
+        state = make_state([dense_cir([0], [1.0])])
         rng = np.random.default_rng(0)
         x = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        y = convolve_slot(state, cfg, 0, x)
+        y = convolve_slot(state, 0, x)
         np.testing.assert_array_equal(y, x)
 
     def test_delayed_tap_reads_previous_slot_tail(self):
         a = 0.7 - 0.2j
-        cfg = make_cfg([dense_cir([5], [a])])
-        state = EmulatorState(cfg)
+        state = make_state([dense_cir([5], [a])])
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
         x1 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        convolve_slot(state, cfg, 0, x0)
-        y1 = convolve_slot(state, cfg, 1, x1)
+        convolve_slot(state, 0, x0)
+        y1 = convolve_slot(state, 1, x1)
         for n in range(5):
             assert y1[n] == pytest.approx(a * x0[N_S - 5 + n])
         np.testing.assert_allclose(y1[5:], a * x1[:-5], rtol=1e-12)
 
     def test_zero_history_mode_isolates_slots(self):
         a = 0.7 - 0.2j
-        cfg = make_cfg([dense_cir([5], [a])], history_mode=ZERO)
-        state = EmulatorState(cfg)
+        state = make_state([dense_cir([5], [a])], history_mode=ZERO)
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
         x1 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        convolve_slot(state, cfg, 0, x0)
-        y1 = convolve_slot(state, cfg, 1, x1)
+        convolve_slot(state, 0, x0)
+        y1 = convolve_slot(state, 1, x1)
         np.testing.assert_array_equal(y1[:5], np.zeros(5))
 
     def test_full_budget_matches_dense_convolution(self):
         rng = np.random.default_rng(3)
         l_max = 16
         taps = rng.standard_normal(l_max) + 1j * rng.standard_normal(l_max)
-        cfg = make_cfg([taps], l_sel=l_max)
-        state = EmulatorState(cfg)
+        state = make_state([taps], l_sel=l_max)
         slots = random_slots(rng, 3)
         got = np.concatenate(
-            [convolve_slot(state, cfg, i, s).copy() for i, s in enumerate(slots)])
+            [convolve_slot(state, i, s).copy() for i, s in enumerate(slots)])
         stream = np.concatenate(slots)
         want = np.convolve(stream, taps)[:len(stream)]
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -206,10 +204,9 @@ class TestConvolveSlot:
               for _ in range(2)]
 
         def run(xs):
-            cfg = make_cfg([cir])
-            state = EmulatorState(cfg)
+            state = make_state([cir])
             return np.concatenate(
-                [convolve_slot(state, cfg, i, x).copy()
+                [convolve_slot(state, i, x).copy()
                  for i, x in enumerate(xs)])
 
         lhs = run([alpha * a + beta * b for a, b in zip(x1, x2)])
@@ -223,9 +220,8 @@ class TestConvolveSlot:
         zero = np.zeros(N_S, complex)
 
         def run(xs):
-            cfg = make_cfg([cir])
-            state = EmulatorState(cfg)
-            return [convolve_slot(state, cfg, i, s).copy()
+            state = make_state([cir])
+            return [convolve_slot(state, i, s).copy()
                     for i, s in enumerate(xs)]
 
         direct = run([x, zero, zero])
@@ -237,14 +233,14 @@ class TestConvolveSlot:
         a = 0.7 - 0.2j
         rng = np.random.default_rng(12)
         x0, x1 = random_slots(rng, 2)
-        cfg = make_cfg([dense_cir([0, 5], [1.0, a])])
-        state = EmulatorState(cfg)
-        want = [convolve_slot(state, cfg, i, x).copy() for i, x in enumerate((x0, x1))]
-        state = EmulatorState(cfg)
+        cir = dense_cir([0, 5], [1.0, a])
+        state = make_state([cir])
+        want = [convolve_slot(state, i, x).copy() for i, x in enumerate((x0, x1))]
+        state = make_state([cir])
         outs = []
         for i, x in enumerate((x0, x1)):
             state.slot[:] = x  # decoded in place, as run_scenario does
-            outs.append(convolve_slot(state, cfg, i, state.slot))
+            outs.append(convolve_slot(state, i, state.slot))
             np.testing.assert_array_equal(outs[-1], want[i])
         assert outs[0] is outs[1] is state.out
         np.testing.assert_array_equal(state.ext[:state.hist], x1[-state.hist:])  # carried
@@ -253,12 +249,11 @@ class TestConvolveSlot:
     def test_history_longer_than_a_slot(self, mode):
         rng = np.random.default_rng(13)
         taps = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        cfg = EmulatorConfig(CirTimeline([taps], 15 / 0.5e-3, 0.1), 40, 1,  # N_s = 15
-                             history_mode=mode)
-        state = EmulatorState(cfg)
+        state = EmulatorState(CirTimeline([taps], 15 / 0.5e-3, 0.1), 40, 1,  # N_s = 15
+                              history_mode=mode)
         slots = [rng.standard_normal(15) + 1j * rng.standard_normal(15)
                  for _ in range(6)]
-        got = np.concatenate([convolve_slot(state, cfg, i, x).copy()
+        got = np.concatenate([convolve_slot(state, i, x).copy()
                               for i, x in enumerate(slots)])
         if mode == ZERO:
             want = np.concatenate([np.convolve(x, taps)[:15] for x in slots])
@@ -267,46 +262,43 @@ class TestConvolveSlot:
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
     def test_out_of_order_slot_rejected(self):
-        cfg = make_cfg([dense_cir([0], [1.0])])
-        state = EmulatorState(cfg)
-        convolve_slot(state, cfg, 0, np.zeros(N_S))
+        state = make_state([dense_cir([0], [1.0])])
+        convolve_slot(state, 0, np.zeros(N_S))
         with pytest.raises(SequencingError):
-            convolve_slot(state, cfg, 2, np.zeros(N_S))
+            convolve_slot(state, 2, np.zeros(N_S))
 
     def test_snapshot_schedule_switches_every_200_slots(self):
         first = dense_cir([0], [1.0])
         second = dense_cir([5], [1.0])
-        cfg = make_cfg([first, second])
-        assert cfg.slots_per_snapshot == 200
-        state = EmulatorState(cfg)
+        state = make_state([first, second])
+        assert state.slots_per_snapshot == 200
         impulse = np.zeros(N_S, complex)
         impulse[0] = 1.0
         boundary = None
-        for i in range(cfg.capacity_slots):
-            y = convolve_slot(state, cfg, i, impulse)
+        for i in range(state.capacity_slots):
+            y = convolve_slot(state, i, impulse)
             tap = int(np.argmax(np.abs(y)))
             if tap != 0 and boundary is None:
                 boundary = i
         assert boundary == 200
 
     def test_capacity_and_end_of_scenario(self):
-        cfg = make_cfg([dense_cir([0], [1.0])] * 2)
-        assert cfg.capacity_slots == 400
-        state = EmulatorState(cfg)
+        state = make_state([dense_cir([0], [1.0])] * 2)
+        assert state.capacity_slots == 400
         state.next_slot_index = 400
         with pytest.raises(EndOfScenario):
-            convolve_slot(state, cfg, 400, np.zeros(N_S))
+            convolve_slot(state, 400, np.zeros(N_S))
 
     def test_t_int_must_be_slot_multiple(self):
         with pytest.raises(InvalidInputError):
-            make_cfg([dense_cir([0], [1.0])], t_int=0.00075)
+            make_state([dense_cir([0], [1.0])], t_int=0.00075)
 
     def test_full_scale_scenario_capacity(self):
         # 570 snapshots at 100 ms over 0.5 ms slots accept 114000 slots
         timeline = CirTimeline([dense_cir([0], [1.0], l_max=146)] * 570, 46.08e6, 0.1)
-        cfg = EmulatorConfig(timeline, 1, 1536)
-        assert cfg.slots_per_snapshot == 200
-        assert cfg.capacity_slots == 114000
+        state = EmulatorState(timeline, 1, 1536)
+        assert state.slots_per_snapshot == 200
+        assert state.capacity_slots == 114000
 
     def test_nan_input_rejected_by_cir(self):
         with pytest.raises(InvalidInputError):
@@ -318,20 +310,19 @@ class TestConvolveSlot:
     ])
     def test_non_finite_levels_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
-            make_cfg([dense_cir([0], [1.0])], **{field: value})
+            make_state([dense_cir([0], [1.0])], **{field: value})
 
 
 class TestNoise:
     def test_mean_power_calibrated_to_minus_100_db(self):
-        cfg = make_cfg([dense_cir([0], [1.0])],
-                       signal_gain_db=float("-inf"), noise_power_db=-100.0,
-                       rng_seed=11)
-        state = EmulatorState(cfg)
+        state = make_state([dense_cir([0], [1.0])],
+                           signal_gain_db=float("-inf"), noise_power_db=-100.0,
+                           rng_seed=11)
         zero = np.zeros(N_S)
         total = 0.0
         count = 0
         for i in range(200):
-            y = convolve_slot(state, cfg, i, zero)
+            y = convolve_slot(state, i, zero)
             total += np.sum(np.abs(y) ** 2)
             count += len(y)
         mean_power = total / count
@@ -436,26 +427,28 @@ class TestNoise:
         assert shared > 0
 
     def test_slot_alone_equals_slot_in_run(self):
-        cfg = make_cfg([dense_cir([0, 3], [1.0, 0.5])],
-                       signal_gain_db=float("-inf"), noise_power_db=-20.0,
-                       rng_seed=5)
-        state = EmulatorState(cfg)
+        def stream():
+            return make_state([dense_cir([0, 3], [1.0, 0.5])],
+                              signal_gain_db=float("-inf"), noise_power_db=-20.0,
+                              rng_seed=5)
+
+        state = stream()
         zero = np.zeros(N_S)
-        in_run = [convolve_slot(state, cfg, i, zero).copy() for i in range(7)]
-        alone = EmulatorState(cfg)
-        np.testing.assert_array_equal(noise_block(alone, cfg, 6), in_run[6])
+        in_run = [convolve_slot(state, i, zero).copy() for i in range(7)]
+        alone = stream()
+        np.testing.assert_array_equal(noise_block(alone, 6), in_run[6])
         assert alone.next_slot_index == 0
 
     @pytest.mark.parametrize("fft_size, bank", [(4369, 2**18), (4370, 2**19)])
     def test_slot_longer_than_quarter_bank_grows_it(self, fft_size, bank):
         # N_s = 65535 fits twice into each half of 2**18 entries; 65550 does not
-        cfg, state = noise_stream(3, fft_size)
+        state = noise_stream(3, fft_size)
         assert len(state.bank) == bank
-        w = noise_block(state, cfg, 2)
+        w = noise_block(state, 2)
         assert np.max(np.abs(correlation(w, w)[1:])) < 5 / np.sqrt(len(w))
 
     def test_noise_off_draws_no_bank(self):
-        state = EmulatorState(make_cfg([dense_cir([0], [1.0])]))
+        state = make_state([dense_cir([0], [1.0])])
         assert state.bank is None and state.noise is None
 
     def test_identical_config_gives_bit_identical_output(self):
@@ -463,10 +456,10 @@ class TestNoise:
         slots = random_slots(rng, 3)
 
         def run():
-            cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
-                           noise_power_db=-30.0, rng_seed=77)
+            state = make_state([dense_cir([0, 4], [1.0, 0.3])],
+                               noise_power_db=-30.0, rng_seed=77)
             wf = io.BytesIO()
-            list(run_scenario(EmulatorState(cfg), cfg, owiq(slots), wf))
+            list(run_scenario(state, owiq(slots), wf))
             return wf.getvalue()
 
         assert run() == run()
@@ -476,10 +469,10 @@ class TestNoise:
         slots = random_slots(rng, 2)
 
         def run(seed, noise_db):
-            cfg = make_cfg([dense_cir([0, 4], [1.0, 0.3])],
-                           noise_power_db=noise_db, rng_seed=seed)
+            state = make_state([dense_cir([0, 4], [1.0, 0.3])],
+                               noise_power_db=noise_db, rng_seed=seed)
             wf = io.BytesIO()
-            list(run_scenario(EmulatorState(cfg), cfg, owiq(slots), wf))
+            list(run_scenario(state, owiq(slots), wf))
             return np.concatenate(decode(wf))
 
         clean = run(1, float("-inf"))
@@ -518,24 +511,23 @@ class TestCalibration:
 
 class TestRunScenario:
     def test_accepts_exactly_capacity_then_ends(self):
-        cfg = make_cfg([dense_cir([0], [1.0])] * 2)
-        slots = random_slots(np.random.default_rng(8), cfg.capacity_slots + 5)
+        state = make_state([dense_cir([0], [1.0])] * 2)
+        slots = random_slots(np.random.default_rng(8), state.capacity_slots + 5)
         wf = io.BytesIO()
         outs = []
         with pytest.raises(EndOfScenario):
-            for slot_index, seconds, clipped in run_scenario(EmulatorState(cfg), cfg,
-                                                             owiq(slots), wf):
+            for slot_index, seconds, clipped in run_scenario(state, owiq(slots), wf):
                 assert seconds >= 0.0
                 outs.append(slot_index)
-        assert len(outs) == cfg.capacity_slots == 400
+        assert len(outs) == state.capacity_slots == 400
         assert outs == list(range(400))
         decoded_in = decode(owiq(slots))
         np.testing.assert_array_equal(decode(wf), decoded_in[:400])
 
     def test_empty_input_is_fine(self):
-        cfg = make_cfg([dense_cir([0], [1.0])])
+        state = make_state([dense_cir([0], [1.0])])
         wf = io.BytesIO()
-        assert list(run_scenario(EmulatorState(cfg), cfg, io.BytesIO(), wf)) == []
+        assert list(run_scenario(state, io.BytesIO(), wf)) == []
         assert wf.getvalue() == b""
 
     def test_oracle_equivalence_randomized(self):
@@ -546,11 +538,10 @@ class TestRunScenario:
             idx = rng.choice(l_max, size=n_taps, replace=False)
             taps = np.zeros(l_max, complex)
             taps[idx] = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
-            cfg = make_cfg([taps], l_sel=l_max)
+            state = make_state([taps], l_sel=l_max)
             slots = random_slots(rng, 4)
-            state = EmulatorState(cfg)
             got = np.concatenate(
-                [convolve_slot(state, cfg, i, s).copy() for i, s in enumerate(slots)])
+                [convolve_slot(state, i, s).copy() for i, s in enumerate(slots)])
             stream = np.concatenate(slots)
             want = np.convolve(stream, taps)[:len(stream)]
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
@@ -563,16 +554,16 @@ class TestRunScenario:
         # every slot; the loop must reuse the stream's buffers instead
         taps = np.zeros((1, 40), complex)
         taps[0, [0, 5, 39]] = [1.0, 0.3, 0.1j]
-        cfg = EmulatorConfig(CirTimeline(taps, 46.08e6, 0.05), 28, 1536,
-                             noise_power_db=noise_db, rng_seed=3)
-        n_s = cfg.samples_per_slot
+        state = EmulatorState(CirTimeline(taps, 46.08e6, 0.05), 28, 1536,
+                              noise_power_db=noise_db, rng_seed=3)
+        n_s = state.samples_per_slot
         rng = np.random.default_rng(1)
         rf = io.BytesIO()
         for i in range(8):
             x = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
             write_frame(rf, i, 3000.0 * x, fmt=fmt)
         rf.seek(0)
-        slots = run_scenario(EmulatorState(cfg), cfg, rf, Sink())
+        slots = run_scenario(state, rf, Sink())
         tracemalloc.start()
         try:
             next(slots)
@@ -588,17 +579,41 @@ class TestRunScenario:
 
     def test_first_slot_allocates_none_of_the_stream_set_up(self):
         # the noise bank (2 MB) and the codec buffers belong to the state,
-        # built before the loop: slot 0 costs what any slot costs
-        cfg = EmulatorConfig(CirTimeline([[1.0, 0.3]], 46.08e6, 0.05), 28, 1536,
-                             noise_power_db=40.0, rng_seed=3)
-        rf = io.BytesIO()
-        write_frame(rf, 0, np.zeros(cfg.samples_per_slot))
-        rf.seek(0)
-        slots = run_scenario(EmulatorState(cfg), cfg, rf, Sink())
-        tracemalloc.start()
-        try:
+        # built and written before the loop: slot 0 costs what any slot
+        # costs, neither allocating nor first touching a slot buffer's pages
+        # (a 23040-sample stream's buffers span about 300 pages).  Measured
+        # in a fresh interpreter: mid-suite, the buffers may reuse heap pages
+        # that an earlier test already touched, which hides the faults.
+        script = textwrap.dedent("""
+            import io, resource, tracemalloc
+            import numpy as np
+            from chanem.emulator import EmulatorState, run_scenario
+            from chanem.iqstream import write_frame
+            from chanem.timeline import CirTimeline
+
+            class Sink:
+                def write(self, data):
+                    return len(data)
+
+            state = EmulatorState(CirTimeline([[1.0, 0.3]], 46.08e6, 0.05), 28, 1536,
+                                  noise_power_db=40.0, rng_seed=3)
+            rf = io.BytesIO()
+            write_frame(rf, 0, np.zeros(state.samples_per_slot))
+            rf.seek(0)
+            slots = run_scenario(state, rf, Sink())
+            tracemalloc.start()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             assert next(slots)[0] == 0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            print(peak, faults)
+            """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        peak, faults = map(int, result.stdout.split())
         assert peak < 64 * 1024
+        assert faults < 64

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -68,6 +69,16 @@ class TestBitrate:
     def test_average_symbol_duration(self):
         # 1 ms subframe / (14 * 2^mu) symbols; 35.71 us at mu=1
         assert table_cfg().avg_symbol_duration == pytest.approx(35.714e-6, rel=1e-4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("numerology_mu", -1), ("numerology_mu", 7), ("numerology_mu", 1100),
+        ("fft_size", 0), ("fft_size", -1536), ("n_prb", 0),
+    ])
+    def test_meaningless_numerology_rejected(self, field, value):
+        # mu 1100 overflowed 2**mu; fft_size 0 gave a zero symbol duration
+        assert dataclasses.replace(table_cfg(), numerology_mu=6).numerology_mu == 6
+        with pytest.raises(InvalidInputError, match=field):
+            dataclasses.replace(table_cfg(), **{field: value})
 
 
 class TestEffectiveThroughput:

@@ -81,6 +81,6 @@ def test_cli_does_not_import_socket():
 
 
 def test_import_reader_sees_the_imports():
-    assert {"numpy", "timeline", "cir"} <= direct_imports("emulator")
+    assert {"numpy", "iqstream", "cir"} <= direct_imports("emulator")
     assert {"propagation", "timeline"} <= direct_imports("scenefile")
     assert "argparse" in direct_imports("cli")

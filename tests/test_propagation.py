@@ -329,6 +329,9 @@ class TestPathProperties:
             trace_snapshot(scene, (5.0, 0.0, -1.0))  # below ground
         with pytest.raises(InvalidInputError):
             trace_snapshot(empty_scene(), (0.0, 0.0, 10.0))  # rx == tx
+        for rx in ((math.nan, 0.0, 1.5), (5.0, math.inf, 1.5), (5.0, 0.0, math.nan)):
+            with pytest.raises(InvalidInputError, match="rx position must be finite"):
+                trace_snapshot(scene, rx)
 
 
 class TestSceneValidation:
@@ -354,6 +357,28 @@ class TestSceneValidation:
     def test_skewed_wall_rejected(self):
         with pytest.raises(SceneGeometryError):
             Facet.wall(0, 0, 10, 10, 0, 5, "concrete")
+
+    @pytest.mark.parametrize("value, lo, hi, message", [
+        (math.nan, (0, 0), (5, 5), "plane must be finite"),
+        (-math.inf, (0, 0), (5, 5), "plane must be finite"),
+        (1.0, (math.nan, 0), (5, 5), "no NaN bound"),
+        (1.0, (0, 0), (5, math.nan), "no NaN bound"),
+        (1.0, (math.inf, 0), (math.inf, 5), "positive extent"),
+    ])
+    def test_non_finite_facet_rejected(self, value, lo, hi, message):
+        # infinite bounds stay legal: the ground has them
+        with pytest.raises(SceneGeometryError, match=message):
+            Facet(0, value, lo, hi)
+
+    @pytest.mark.parametrize("tx, freq, message", [
+        ((0, 0, 10), math.inf, "carrier frequency"),
+        ((0, 0, 10), math.nan, "carrier frequency"),
+        ((0, math.nan, 10), F_REF, "tx position"),
+        ((0, 0, math.inf), F_REF, "tx position"),
+    ])
+    def test_non_finite_scene_rejected(self, tx, freq, message):
+        with pytest.raises(InvalidInputError, match=f"{message} must be finite"):
+            Scene(facets=[Facet.ground(0.0)], tx_position=tx, carrier_freq=freq)
 
     def test_image_tree_is_capped_at_its_node_count(self):
         # counted only: nothing is traced or sized
@@ -425,6 +450,12 @@ class TestTimeline:
             MobilityTrace(interval=0.1, positions=np.zeros((0, 3)))
         with pytest.raises(InvalidInputError):
             MobilityTrace(interval=0.1, positions=[[0, 0, 0.0]])
+        for interval in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="interval must be finite"):
+                MobilityTrace(interval=interval, positions=[[0, 0, 1.5]])
+        for bad in ([math.nan, 0, 1.5], [0, math.inf, 1.5], [0, 0, math.nan]):
+            with pytest.raises(InvalidInputError, match="position 1 must be finite"):
+                MobilityTrace(interval=0.1, positions=[[0, 0, 1.5], bad])
 
 
 MATERIALS = ("concrete", "glass", "metal", "vacuum")
