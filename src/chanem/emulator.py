@@ -11,12 +11,20 @@ processing (``zero``).
 each frame into the stream's own buffer.
 
 The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
-3x more per slot and misses the real-time budget on a desktop core.
+3x more per slot and misses the real-time budget on a desktop core.  The
+axpy routines come from scipy's f2py BLAS extension, loaded on its own by
+:func:`_load_fblas` when a stream is set up: importing them through
+``scipy.linalg.blas`` runs all of ``scipy.linalg``'s package init, about
+0.25 s, nearly half of a stream's set-up, for two routines.
 """
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 import time
 
 import numpy as np
@@ -53,6 +61,31 @@ def _aligned_empty(n, dtype):
     raw = np.empty(size + _ALIGN, dtype=np.uint8)
     skip = -raw.ctypes.data % _ALIGN
     return raw[skip:skip + size].view(dtype)
+
+
+def _load_fblas():
+    """scipy's f2py BLAS extension ``scipy.linalg._fblas``, alone.
+
+    Imports ``scipy`` (about 15 ms) to find it, then executes only the
+    extension (about 5 ms), not ``scipy.linalg``'s package init (about
+    250 ms).  The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it, and one imported earlier is returned
+    as is: either way ``scipy.linalg.blas`` exports the very same routines.
+    Raises ImportError, naming the directory searched, if it is missing.
+    """
+    name = "scipy.linalg._fblas"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"scipy's BLAS extension {name} not found in {where}",
+                              name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
 
 
 def noise_block(state, slot_index):
@@ -112,8 +145,10 @@ class EmulatorState:
     :func:`noise_block`.  Both are None with noise off.  ``bufs`` holds the
     frame codec's scratch.  Every buffer is written once here, so the first
     slot takes none of their page faults.  ``zaxpy`` and ``caxpy`` are
-    scipy's BLAS, loaded here so that commands which never stream IQ never
-    import scipy.
+    scipy's BLAS routines, the very objects ``scipy.linalg.blas`` exports,
+    loaded here by :func:`_load_fblas` without ``scipy.linalg``'s package
+    init; so commands which never stream IQ never import scipy, and a
+    stream's set-up skips the 0.25 s that init costs.
     """
 
     def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
@@ -154,8 +189,8 @@ class EmulatorState:
         self.noise_scale = 10.0 ** (noise_power_db / 20.0)
         self.sorted_snapshots = timeline.sorted_snapshots(l_sel)
 
-        from scipy.linalg.blas import caxpy, zaxpy
-        self.zaxpy, self.caxpy = zaxpy, caxpy
+        fblas = _load_fblas()
+        self.zaxpy, self.caxpy = fblas.zaxpy, fblas.caxpy
         self.hist = timeline.l_max - 1
         self.next_slot_index = 0
         self.ext = np.zeros(self.hist + n_s, dtype=np.complex128)

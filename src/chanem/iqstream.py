@@ -157,14 +157,15 @@ def frame_streams(input_path, out_path, listen=None):
     """Yield (reader, writer) binary streams for a frame stream.
 
     With ``listen`` = (host, port), both are the first TCP connection
-    accepted there; its set-up is reported on stderr.  Otherwise they are
-    the files ``input_path`` and ``out_path``, where "-" means stdin or
-    stdout.  The writer is flushed on the way out.
+    accepted there; its set-up is reported on stderr, naming the address
+    bound, so port 0 (any free port) reports the port it got.  Otherwise
+    they are the files ``input_path`` and ``out_path``, where "-" means
+    stdin or stdout.  The writer is flushed on the way out.
     """
     if listen:
-        host, port = listen
-        with socket.create_server((host, port)) as server:
-            print(f"listening on {host}:{port}", file=sys.stderr)
+        with socket.create_server(listen) as server:
+            host, port = server.getsockname()[:2]
+            print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
             conn, peer = server.accept()
             print(f"connection from {peer}", file=sys.stderr)
             with conn, conn.makefile("rb") as rf, conn.makefile("wb") as wf:

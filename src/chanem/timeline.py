@@ -66,12 +66,24 @@ class CirTimeline:
 
 
 def write_timeline(timeline, path):
-    """Write a timeline to ``path`` in the binary snapshot format."""
+    """Write a timeline to ``path`` in the binary snapshot format.
+
+    A tap too large for complex64 would be stored as infinite, which
+    :func:`read_timeline` rejects; it raises :class:`InvalidInputError`,
+    naming the snapshot and tap, before ``path`` is opened.
+    """
     header = _HEADER.pack(TIMELINE_MAGIC, TIMELINE_VERSION, timeline.f_samp,
                           timeline.t_int, len(timeline), timeline.l_max)
+    with np.errstate(over="ignore"):
+        payload = timeline.taps.astype("<c8")
+    bad = np.flatnonzero(~np.isfinite(payload))
+    if bad.size:
+        s, k = divmod(int(bad[0]), timeline.l_max)
+        raise InvalidInputError(
+            f"snapshot {s} tap {k} = {timeline.taps[s, k]} is not finite as complex64")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(timeline.taps.astype("<c8").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_timeline(path):

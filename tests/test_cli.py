@@ -318,7 +318,8 @@ class TestScenarioPipeline:
 
     def test_only_streaming_commands_load_scipy(self, tmp_path):
         # scipy's BLAS loads when the emulator is set up, so tracing,
-        # reporting and the KPI commands never import it
+        # reporting and the KPI commands never import it; and it loads
+        # without scipy.linalg's package init
         (tmp_path / "scene.txt").write_text(SCENE)
         (tmp_path / "trace.csv").write_text("t,x,y,z\n0,10,0,1.5\n0.1,12,0,1.5\n")
         (tmp_path / "profile.csv").write_text("re,im,delay_s\n1.0,0.0,0.0\n")
@@ -340,6 +341,7 @@ class TestScenarioPipeline:
             assert main(["emulate", "--timeline", d + "t.cirt",
                          "--in", d + "empty.owiq", "--out", d + "out.owiq"]) == 0
             print("scipy loaded:", "scipy" in sys.modules)
+            print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
             """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -348,7 +350,7 @@ class TestScenarioPipeline:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert [l for l in result.stdout.splitlines() if l.startswith("scipy")] == [
-            "scipy loaded: False", "scipy loaded: True"]
+            "scipy loaded: False", "scipy loaded: True", "scipy.linalg loaded: False"]
 
     @pytest.mark.parametrize("fsamp, max_delay", [("1e300", "1e300"), ("46.08e6", "1")])
     def test_oversized_tap_vector_is_precondition_error(
@@ -359,6 +361,21 @@ class TestScenarioPipeline:
         assert main(["cir", "--profile", str(profile), "--fsamp", fsamp,
                      "--max-delay", max_delay, "--out", str(out)]) == EXIT_PRECONDITION
         assert "tap vector limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tap_too_large_for_the_file_is_precondition_error(self, tmp_path, capsys):
+        # 1e308 is finite, but the .cirt file stores complex64, where it is not
+        profile = tmp_path / "profile.csv"
+        profile.write_text("re,im,delay_s\n1e308,1e308,1e-7\n")
+        out = tmp_path / "one.cirt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cir", "--profile", str(profile), "--fsamp", "46.08e6",
+                         "--out", str(out)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: snapshot 0 tap ")
+        assert captured.err.endswith(" is not finite as complex64\n")
         assert not out.exists()
 
     def test_cir_command(self, tmp_path):
@@ -668,6 +685,46 @@ class TestEmulateCommand:
         assert len(got) == 3
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
+
+    def test_listen_on_port_zero_reports_the_bound_port(self, tmp_path):
+        # port 0 binds any free port; the client learns it from stderr, and
+        # the stream's bytes are those of the same run between files
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0, 3: 0.25j}, {5: 0.5 + 0.5j}])
+        rng = np.random.default_rng(11)
+        inp, outp = self.make_streams(
+            tmp_path, [rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
+                       for _ in range(6)])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        argv = [sys.executable, "-m", "chanem.cli", "emulate", "--timeline",
+                str(timeline), "--fft", "8", "--noise-db=-20", "--seed", "5"]
+        filed = subprocess.run(argv + ["--in", str(inp), "--out", str(outp)],
+                               env=env, capture_output=True, timeout=120)
+        assert filed.returncode == EXIT_OK, filed.stderr
+
+        proc = subprocess.Popen(argv + ["--listen", "127.0.0.1:0"], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                text=True)
+        line = ""
+        try:
+            for line in proc.stderr:  # "auto signal gain: ..." comes first
+                if line.startswith("listening on "):
+                    break
+            host, _, port = line.removeprefix("listening on ").strip().rpartition(":")
+            assert host == "127.0.0.1", line
+            assert port.isdecimal() and int(port) > 0, line
+            with socket.create_connection((host, int(port)), timeout=30) as conn:
+                conn.sendall(inp.read_bytes())
+                conn.shutdown(socket.SHUT_WR)
+                got = conn.makefile("rb").read()
+            assert proc.wait(timeout=30) == EXIT_OK, proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert got == outp.read_bytes()
 
 
 

@@ -150,6 +150,41 @@ class TestEmulatorState:
             assert len(state.out) == len(state.noise) == state.samples_per_slot
             assert state.out.dtype == np.complex128 and state.noise.dtype == np.complex64
 
+    @pytest.mark.parametrize("linalg_first", [True, False])
+    def test_blas_routines_are_scipy_linalg_blas(self, linalg_first):
+        # the state loads scipy's BLAS extension alone; whichever of the two
+        # is imported first, scipy.linalg.blas exports the very same routines
+        # (in a fresh interpreter, where scipy.linalg is not yet imported)
+        script = textwrap.dedent(f"""
+            import sys
+            if {linalg_first}:
+                import scipy.linalg.blas
+            from chanem.emulator import EmulatorState
+            from chanem.timeline import CirTimeline
+            state = EmulatorState(CirTimeline([[1.0, 0.3]], 240000.0, 0.05), 2, 8)
+            print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+            import scipy.linalg.blas
+            assert state.zaxpy is scipy.linalg.blas.zaxpy
+            assert state.caxpy is scipy.linalg.blas.caxpy
+            """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"scipy.linalg loaded: {linalg_first}\n"
+
+    def test_missing_blas_extension_names_where_it_looked(self, monkeypatch):
+        import importlib.machinery
+        import scipy
+        monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            lambda *args, **kwargs: None)
+        with pytest.raises(ImportError) as exc:
+            make_state([dense_cir([0], [1.0])])
+        assert os.path.join(os.path.dirname(scipy.__file__), "linalg") in str(exc.value)
+
 
 class TestConvolveSlot:
     def test_identity_channel(self):

@@ -156,6 +156,32 @@ class TestTimelineFile:
             read_timeline(path)
         assert err.value.offset == offset + part
 
+    @pytest.mark.parametrize("value", [complex(1e308, 1e308), complex(0.0, -3.5e38)])
+    def test_tap_too_large_for_complex64_is_rejected_before_writing(
+            self, tmp_path, value):
+        # finite as complex128, infinite as stored: the reader would refuse
+        # the file, so the writer refuses the timeline and leaves the target
+        # as it was
+        timeline = random_timeline(np.random.default_rng(5))  # 3 x 12
+        timeline.taps[2, 9] = value
+        old = tmp_path / "old.cirt"
+        write_timeline(random_timeline(np.random.default_rng(6)), old)
+        before = old.read_bytes()
+        for path in (old, tmp_path / "new.cirt"):
+            with pytest.raises(InvalidInputError,
+                               match="snapshot 2 tap 9 = .* is not finite as complex64"):
+                write_timeline(timeline, path)
+        assert old.read_bytes() == before
+        assert not (tmp_path / "new.cirt").exists()
+
+    def test_largest_complex64_tap_round_trips(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        timeline = random_timeline(np.random.default_rng(5))
+        timeline.taps[1, 4] = complex(big, -big)
+        path = tmp_path / "t.cirt"
+        write_timeline(timeline, path)
+        assert np.array_equal(read_timeline(path).taps, timeline.taps)
+
 
 class TestTimelineValues:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
