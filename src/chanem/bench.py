@@ -45,7 +45,7 @@ def bench(slot_count, l_sel, fft_size, f_samp, seed=0, l_max=DEFAULT_TAP_VECTOR_
         raise InvalidInputError(f"slot_count must be >= 1, got {slot_count}")
     if l_sel < 1:
         raise InvalidInputError(f"l_sel must be >= 1, got {l_sel}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % (1 << 64))  # as EmulatorState keys its noise
     l_sel = min(l_sel, l_max)
     indices = rng.choice(l_max, size=l_sel, replace=False)
     taps = np.zeros((1, l_max), dtype=np.complex128)

@@ -8,6 +8,7 @@ violations, 4 end of scenario.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -41,74 +42,43 @@ NOISE_DB_HELP = ("noise power in dB, default -inf (no noise); give -inf "
                  "as --noise-db=-inf, since a spaced -inf reads as an option")
 
 
-def _listen_address(text):
+def _checked(parse, ok, expected):
+    """An argparse type: ``parse`` the text, then require ``ok(value)``.
+
+    A ``ValueError`` from ``parse`` fails the check too; either way the
+    flag's error reads "expected <expected>, got <text>".
+    """
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
+
+
+def _host_port(text):
     """``HOST:PORT`` -> (host, port); the host defaults to 127.0.0.1."""
     host, _, port = text.rpartition(":")
-    if not (port.isdecimal() and int(port) <= 65535):
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT with a port in 0..65535, got {text!r}")
+    if not port.isdecimal():
+        raise ValueError(f"port {port!r} is not all digits")
     return host or "127.0.0.1", int(port)
 
 
-def _signal_gain(text):
-    """'auto' or a finite gain in dB."""
-    if text == "auto":
-        return text
-    try:
-        gain = float(text)
-    except ValueError:
-        gain = math.nan
-    if not math.isfinite(gain):
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a finite number, got {text!r}")
-    return gain
-
-
-def _positive_finite(text):
-    """A finite number above zero (a rate or an interval)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, got {text!r}")
-    return value
-
-
-def _fft_size(text):
-    """An integer FFT size of at least 1."""
-    try:
-        size = int(text)
-    except ValueError:
-        size = 0
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return size
-
-
-def _reflection_depth(text):
-    """An integer reflection depth in 0..MAX_REFLECTION_DEPTH."""
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = -1
-    if not 0 <= depth <= MAX_REFLECTION_DEPTH:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in 0..{MAX_REFLECTION_DEPTH}, got {text!r}")
-    return depth
-
-
-def _noise_power(text):
-    """A finite noise power in dB, or '-inf' for no noise."""
-    try:
-        power = float(text)
-    except ValueError:
-        power = math.nan
-    if math.isnan(power) or power == math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number or -inf, got {text!r}")
-    return power
+_listen_address = _checked(_host_port, lambda addr: addr[1] <= 65535,
+                           "HOST:PORT with a port in 0..65535")
+_signal_gain = _checked(lambda text: text if text == "auto" else float(text),
+                        lambda gain: gain == "auto" or math.isfinite(gain),
+                        "'auto' or a finite number")
+_positive_finite = _checked(float, lambda value: 0.0 < value < math.inf,
+                            "a finite positive number")
+_fft_size = _checked(int, lambda size: size >= 1, "an integer >= 1")
+_reflection_depth = _checked(int, lambda depth: 0 <= depth <= MAX_REFLECTION_DEPTH,
+                             f"an integer in 0..{MAX_REFLECTION_DEPTH}")
+_noise_power = _checked(float, lambda power: power < math.inf,  # NaN fails too
+                        "a finite number or -inf")
 
 
 def _cmd_materials(args):
@@ -215,20 +185,16 @@ def _cmd_emulate(args):
         history_mode=args.history_mode,
     )
 
-    stats_fh = open(args.stats, "w", encoding="utf-8") if args.stats else None
-    if stats_fh:
-        stats_fh.write("slot_index,latency_s,clipped_samples\n")
-    try:
-        with frame_streams(args.input, args.out, args.listen) as (rf, wf):
-            for slot_index, seconds, clipped in run_scenario(state, rf, wf):
-                if stats_fh:
-                    stats_fh.write(f"{slot_index},{seconds:.9f},{clipped}\n")
-    except EndOfScenario:
-        print("end of scenario reached with input remaining", file=sys.stderr)
-        return EXIT_END_OF_SCENARIO
-    finally:
-        if stats_fh:
-            stats_fh.close()
+    with contextlib.ExitStack() as stack:
+        # --stats opens first: a bad path exits before --listen takes a port
+        stats = (stack.enter_context(open(args.stats, "w", encoding="utf-8"))
+                 if args.stats else None)
+        if stats:
+            stats.write("slot_index,latency_s,clipped_samples\n")
+        rf, wf = stack.enter_context(frame_streams(args.input, args.out, args.listen))
+        for slot_index, seconds, clipped in run_scenario(state, rf, wf):
+            if stats:
+                stats.write(f"{slot_index},{seconds:.9f},{clipped}\n")
     return EXIT_OK
 
 
@@ -329,7 +295,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+    if hasattr(args, "seed") and args.seed is None:
         text = os.environ.get(SEED_ENV_VAR, "0")
         try:
             args.seed = int(text)
@@ -337,17 +303,12 @@ def main(argv=None):
             parser.error(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
     try:
         return args.func(args)
-    except (ScenarioParseError, FormatError) as exc:
+    except (ChanemError, OSError) as exc:  # OSError: a path or socket that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EndOfScenario as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_END_OF_SCENARIO
-    except OSError as exc:  # a path or socket that cannot be opened
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ChanemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, EndOfScenario):
+            return EXIT_END_OF_SCENARIO
+        if isinstance(exc, (ScenarioParseError, FormatError, OSError)):
+            return EXIT_PARSE
         return EXIT_PRECONDITION
 
 

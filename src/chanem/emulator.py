@@ -88,6 +88,18 @@ def _load_fblas():
     return module
 
 
+def _db_to_scale(name, db):
+    """The linear amplitude scale of ``db`` dB; raises InvalidInputError,
+    naming the parameter ``name``, where that scale is not finite."""
+    try:
+        scale = 10.0 ** (db / 20.0)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise InvalidInputError(f"{name} of {db} dB overflows its linear scale")
+    return scale
+
+
 def noise_block(state, slot_index):
     """Write slot ``slot_index``'s noise, at ``state.noise_scale``, into ``state.out``.
 
@@ -176,7 +188,8 @@ class EmulatorState:
         t_int = timeline.t_int
         slot_dur = self.slot_duration = n_s / timeline.f_samp
         ratio = t_int / slot_dur
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
+        if (not math.isfinite(ratio) or round(ratio) < 1
+                or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0)):
             raise InvalidInputError(
                 f"t_int {t_int} must be a positive integer multiple of the "
                 f"slot duration {slot_dur}"
@@ -185,8 +198,8 @@ class EmulatorState:
         self.history_mode = history_mode
         self.slots_per_snapshot = round(ratio)
         self.capacity_slots = len(timeline) * self.slots_per_snapshot
-        self.signal_scale = 10.0 ** (signal_gain_db / 20.0)
-        self.noise_scale = 10.0 ** (noise_power_db / 20.0)
+        self.signal_scale = _db_to_scale("signal_gain_db", signal_gain_db)
+        self.noise_scale = _db_to_scale("noise_power_db", noise_power_db)
         self.sorted_snapshots = timeline.sorted_snapshots(l_sel)
 
         fblas = _load_fblas()
@@ -282,7 +295,8 @@ def run_scenario(state, rf, wf):
     to ``wf`` in the input frame's format, through ``state.bufs``; no slot
     allocates an array.
     The seconds cover :func:`convolve_slot` alone; ``clipped`` counts the
-    int16 values the output frame saturated.  A slot past the end of the
+    values the output frame saturated or wrote as 0 for NaN (see
+    :func:`~chanem.iqstream.write_frame`).  A slot past the end of the
     timeline raises :class:`EndOfScenario`; frame, sequencing and input
     errors propagate too.
     """

@@ -10,9 +10,12 @@ Frame layout (little-endian):
     payload      sample_count * 2 values (I, Q interleaved)
 
 int16 payloads are written by rounding (half to even) and symmetrically
-clamping to [-32767, 32767]; the number of clipped values is returned so run
-statistics can track saturation.  An f32 payload holding a NaN or an
-infinity is rejected on read, before it reaches the emulator.
+clamping to [-32767, 32767]; f32 payloads saturate at the largest finite
+float32, so an infinity is written at full scale too.  A NaN is written as
+0 in either format.  Every value so altered is counted, and the count is
+returned so run statistics (``--stats``) can track saturation.  An f32
+payload holding a NaN or an infinity is rejected on read, before it
+reaches the emulator.
 """
 
 import contextlib
@@ -30,6 +33,7 @@ STREAM_VERSION = 1
 FLAG_F32 = 0x0001
 
 INT16_FULL_SCALE = 32767
+F32_FULL_SCALE = float(np.finfo(np.float32).max)
 
 _HEADER = struct.Struct("<4sHHQI")
 
@@ -54,29 +58,40 @@ class FrameBuffers:
 
 
 def write_frame(fh, slot_index, samples, fmt=FMT_I16, bufs=None):
-    """Write one slot frame; returns the number of clipped samples (i16 only).
+    """Write one slot frame; returns the number of values it saturated.
 
     The payload is encoded from the float64 view of the samples, which is
-    already interleaved I/Q; int16 values round half to even.  ``bufs`` is
-    the stream's :class:`FrameBuffers` for ``len(samples)`` samples, or None
-    for a fresh set.
+    already interleaved I/Q; int16 values round half to even.  A value
+    beyond the format's full scale, infinities included, is written at
+    that full scale with its sign, and a NaN as 0; the count returned
+    covers both.  ``bufs`` is the stream's :class:`FrameBuffers` for
+    ``len(samples)`` samples, or None for a fresh set.
     """
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     iq = samples.view(np.float64)
     if bufs is None:
         bufs = FrameBuffers(len(samples))
-    clipped = 0
+    mask = bufs.mask
     if fmt == FMT_F32:
         flags = FLAG_F32
         inter = bufs.payload[:4 * len(iq)].view("<f4")
-        np.copyto(inter, iq, casting="same_kind")
+        with np.errstate(over="ignore"):  # overflow casts to inf, saturated below
+            np.copyto(inter, iq, casting="same_kind")
+        clipped = len(iq) - int(np.count_nonzero(np.isfinite(inter, out=mask)))
+        if clipped:
+            np.nan_to_num(inter, copy=False, nan=0.0,
+                          posinf=F32_FULL_SCALE, neginf=-F32_FULL_SCALE)
     elif fmt == FMT_I16:
         flags = 0
-        raw, mask = bufs.values, bufs.mask
+        raw = bufs.values
         np.rint(iq, out=raw)
-        clipped = int(np.count_nonzero(np.greater(raw, INT16_FULL_SCALE, out=mask))
-                      + np.count_nonzero(np.less(raw, -INT16_FULL_SCALE, out=mask)))
-        np.clip(raw, -INT16_FULL_SCALE, INT16_FULL_SCALE, out=raw)
+        # a NaN is not <= full scale, so it counts once, with the values above
+        in_range = np.count_nonzero(np.less_equal(raw, INT16_FULL_SCALE, out=mask))
+        below = np.count_nonzero(np.less(raw, -INT16_FULL_SCALE, out=mask))
+        clipped = len(iq) - int(in_range) + int(below)
+        if clipped:
+            np.nan_to_num(raw, copy=False, nan=0.0)
+            np.clip(raw, -INT16_FULL_SCALE, INT16_FULL_SCALE, out=raw)
         inter = bufs.payload[:2 * len(iq)].view("<i2")
         np.copyto(inter, raw, casting="unsafe")
     else:

@@ -21,7 +21,8 @@ from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
 from chanem import cli
 from chanem.emulator import EmulatorState, convolve_slot, run_scenario
 from chanem.errors import InvalidInputError, ScenarioParseError
-from chanem.iqstream import FMT_F32, frame_streams, read_frame, write_frame
+from chanem.iqstream import (F32_FULL_SCALE, FMT_F32, FMT_I16, INT16_FULL_SCALE,
+                             frame_streams, read_frame, write_frame)
 from chanem.scenefile import build_scenario
 from chanem.timeline import CirTimeline, read_timeline, write_timeline
 
@@ -459,7 +460,7 @@ class TestEmulateCommand:
             np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
             assert np.all(g[:5] == 0.0)  # no carry-over into the slot head
 
-    def test_end_of_scenario_exit_code(self, tmp_path):
+    def test_end_of_scenario_exit_code(self, tmp_path, capsys):
         timeline = tmp_path / "t.cirt"
         write_test_timeline(timeline, [{0: 1.0}])  # capacity 4 slots
         rng = np.random.default_rng(2)
@@ -471,6 +472,33 @@ class TestEmulateCommand:
                      "--in", str(inp), "--out", str(outp)]
                     ) == EXIT_END_OF_SCENARIO
         assert len(self.read_all(outp)) == 4
+        assert capsys.readouterr().err == (
+            "error: slot 4 lies beyond the 1-snapshot timeline\n")
+
+    @pytest.mark.parametrize("fmt", [FMT_I16, FMT_F32])
+    @pytest.mark.parametrize("gain_db", ["800", "6100"])
+    def test_output_past_full_scale_saturates_and_is_counted(
+            self, tmp_path, fmt, gain_db):
+        # 800 dB overflows both formats; at 6100 dB the scaled tap itself
+        # overflows float64, and the convolution makes inf and NaN
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 6e3 + 8e3j}])
+        inp, outp, stats = tmp_path / "in.owiq", tmp_path / "out.owiq", tmp_path / "s.csv"
+        with open(inp, "wb") as fh:
+            for i in range(2):
+                write_frame(fh, i, np.full(N_S, 1e4 + 1e4j), fmt=fmt)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".* in cast")  # the encoder's
+            assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                         "--signal-gain-db", gain_db, "--stats", str(stats),
+                         "--in", str(inp), "--out", str(outp)]) == EXIT_OK
+        frames = self.read_all(outp)  # read_frame rejects a non-finite f32 value
+        assert len(frames) == 2
+        full = INT16_FULL_SCALE if fmt == FMT_I16 else F32_FULL_SCALE
+        for frame in frames:
+            assert set(np.abs(frame.view(np.float64))) <= {0.0, full}
+        rows = stats.read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [str(2 * N_S)] * 2
 
     def test_bad_seed_env_is_parse_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OWDT_SEED", "abc")
@@ -565,9 +593,10 @@ class TestEmulateCommand:
     def test_non_finite_sample_is_parse_error(self, tmp_path, capsys):
         timeline = tmp_path / "t.cirt"
         write_test_timeline(timeline, [{0: 1.0}])
-        bad = np.ones(N_S, dtype=complex)
-        bad[7] = complex(1.0, np.nan)
-        inp, outp = self.make_streams(tmp_path, [np.ones(N_S), bad, np.ones(N_S)])
+        inp, outp = self.make_streams(tmp_path, [np.ones(N_S)] * 3)
+        with open(inp, "r+b") as fh:  # write_frame never writes a NaN
+            fh.seek((20 + 8 * N_S) + 20 + 4 * 15)  # slot 1, sample 7's Q
+            fh.write(struct.pack("<f", np.nan))
         assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
                      "--in", str(inp), "--out", str(outp)]) == EXIT_PARSE
         err = capsys.readouterr().err
@@ -771,6 +800,93 @@ class TestTimelineInput:
         assert flag in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+BOUNDARY_VALUES = ["1e4", "-1e4", "1e308", "-1e308", "nan", "inf", "0", "x", "-1"]
+NUMERIC_FLAGS = {
+    "emulate": ["--taps", "--signal-gain-db", "--noise-db", "--seed", "--fft"],
+    "bench": ["--slots", "--taps", "--fft", "--fsamp", "--seed", "--noise-db"],
+    "trace": ["--max-depth", "--fsamp", "--max-delay"],
+    "cir": ["--fsamp", "--max-delay", "--t-int"],
+    "kpi": ["--mcs", "--bler", "--nprb", "--mu", "--oh-dl", "--oh-ul"],
+    "check-ofdm": ["--speed", "--freq-hz", "--mu", "--fft", "--fsamp",
+                   "--sigma-tau", "--margin"],
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A one-snapshot timeline, an empty OWIQ stream, a scene, a two-point
+    trace and a delay profile: every run over them is a few slots at most."""
+    d = tmp_path_factory.mktemp("tiny")
+    write_test_timeline(d / "t.cirt", [{0: 1.0}])
+    (d / "empty.owiq").write_bytes(b"")
+    (d / "scene.txt").write_text(SCENE)
+    (d / "trace.csv").write_text("t,x,y,z\n0.0,-20,0.0,1.5\n0.1,-16,0.0,1.5\n")
+    (d / "profile.csv").write_text("re,im,delay_s\n1.0,0.0,0.0\n0.5,0.5,1e-7\n")
+    return d
+
+
+class TestFlagBoundaries:
+    """Extreme and malformed numeric flag values end in a documented exit
+    code (0, 2, 3 or 4) and never in a traceback."""
+
+    @pytest.mark.parametrize("value", BOUNDARY_VALUES)
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags])
+    def test_numeric_flag_ends_in_a_documented_exit_code(
+            self, tiny_inputs, tmp_path, capsys, command, flag, value):
+        d = tiny_inputs
+        base = {
+            "emulate": ["--timeline", d / "t.cirt", "--fft", "8",
+                        "--in", d / "empty.owiq", "--out", tmp_path / "o.owiq"],
+            "bench": ["--slots", "2", "--taps", "1", "--fft", "8",
+                      "--fsamp", str(F_SAMP)],
+            "trace": ["--scene", d / "scene.txt", "--trace", d / "trace.csv",
+                      "--out", tmp_path / "o.cirt"],
+            "cir": ["--profile", d / "profile.csv", "--fsamp", "46.08e6",
+                    "--out", tmp_path / "o.cirt"],
+            "kpi": ["--mcs", "27", "--bler", "0.01", "--dir", "dl"],
+            "check-ofdm": ["--speed", "11.78"],
+        }[command]
+        # the swept flag comes last, so it overrides a base value
+        argv = [command, *map(str, base), f"{flag}={value}"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_END_OF_SCENARIO)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("emulate", "--signal-gain-db", "1e4"),
+        ("emulate", "--noise-db", "1e4"),
+        ("bench", "--noise-db", "1e4"),
+    ])
+    def test_overflowing_db_scale_is_precondition_error(
+            self, tiny_inputs, tmp_path, capsys, command, flag, value):
+        d = tiny_inputs
+        base = {"emulate": ["--timeline", str(d / "t.cirt"), "--in", str(d / "empty.owiq"),
+                            "--out", str(tmp_path / "o.owiq")],
+                "bench": ["--slots", "2", "--taps", "1"]}[command]
+        assert main([command, *base, "--fft", "8", f"{flag}={value}"]) == EXIT_PRECONDITION
+        name = "signal_gain_db" if flag == "--signal-gain-db" else "noise_power_db"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {name} of 10000.0 dB overflows its linear scale")
+
+    def test_overflowing_snapshot_to_slot_ratio_is_precondition_error(
+            self, tiny_inputs, tmp_path, capsys):
+        # f_samp and t_int are each finite, but t_int / slot duration is not
+        timeline = tmp_path / "huge.cirt"
+        timeline.write_bytes(struct.pack("<4sHddII", b"CIRT", 1, 1e300, 1e300, 1, 1)
+                             + struct.pack("<ff", 1.0, 0.0))
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--in", str(tiny_inputs / "empty.owiq"),
+                     "--out", str(tmp_path / "o.owiq")]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: t_int 1e+300 must be a positive integer multiple of the "
+            "slot duration 1.2e-298")
+        assert main(["report", "--timeline", str(timeline)]) == EXIT_OK
 
 
 # A fixed 3-snapshot, 6-tap timeline: a multipath row, a row whose taps sum

@@ -1,4 +1,5 @@
 import io
+import math
 import struct
 
 import numpy as np
@@ -158,16 +159,37 @@ def test_one_buffer_set_per_stream_gives_the_same_bytes():
         np.testing.assert_array_equal(a, b)
 
 
+def _reference_word(v, fmt):
+    """(value written, whether it was saturated or zeroed) for one value."""
+    if math.isnan(v):
+        return 0, True
+    if fmt == FMT_I16:
+        r = round(v) if math.isfinite(v) else v  # Python rounds half to even
+        return (r, False) if abs(r) <= 32767 else (int(math.copysign(32767, v)), True)
+    try:
+        struct.pack("<f", v)
+        fits = math.isfinite(v)
+    except OverflowError:  # v rounds past the float32 maximum
+        fits = False
+    return (v, False) if fits else (math.copysign(F32_MAX, v), True)
+
+
 def _reference_payload(samples, fmt):
     """OWIQ payload and clipped count, one value at a time with struct."""
     values = [v for s in np.asarray(samples, dtype=complex)
               for v in (s.real, s.imag)]
-    if fmt == FMT_F32:
-        return b"".join(struct.pack("<f", v) for v in values), 0
-    rounded = [round(v) for v in values]  # Python rounds half to even
-    clipped = sum(abs(r) > 32767 for r in rounded)
-    return b"".join(struct.pack("<h", max(-32767, min(32767, r)))
-                    for r in rounded), clipped
+    code = "<f" if fmt == FMT_F32 else "<h"
+    words = [_reference_word(v, fmt) for v in values]
+    return (b"".join(struct.pack(code, w) for w, _ in words),
+            sum(clipped for _, clipped in words))
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+NON_FINITE_EDGES = np.array([
+    complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.nan, np.nan),
+    1e300 - 1e300j, complex(F32_MAX, -F32_MAX), 2.5 + 0.0j,
+    complex(F32_MAX * (1 + 2**-26), 0.0),  # rounds down to the float32 maximum
+])
 
 
 I16_EDGES = np.array([
@@ -187,6 +209,8 @@ I16_EDGES = np.array([
     (FMT_F32, np.linspace(-2.0, 2.0, 16)),                 # real input
     (FMT_I16, (I16_EDGES[::-1] * (1 + 1j))[::2]),          # non-contiguous
     (FMT_F32, np.exp(1j * np.arange(32.0))[1::3]),         # non-contiguous
+    (FMT_I16, NON_FINITE_EDGES),
+    (FMT_F32, NON_FINITE_EDGES),
 ])
 def test_codec_is_bit_identical_to_reference(fmt, samples):
     before = np.array(samples, copy=True)
