@@ -17,10 +17,10 @@ from .emulator import (CARRY, ZERO, EmulatorState, calibrate_signal_gain,
 from .errors import (ChanemError, DelayRangeError, EndOfScenario, FormatError,
                      InvalidInputError, NoReferenceError, ScenarioParseError,
                      SceneGeometryError, SequencingError)
-from .kpi import (LinkConfig, McsEntry, OfdmFeasibility, TddPattern,
-                  cir_isi_check, cir_rms_delay_spread, effective_throughput,
-                  max_bitrate, mcs_lookup, ofdm_feasibility, rms_delay_spread,
-                  tdd_occupancy, tdd_occupancy_exact)
+from .kpi import (REFERENCE_CARRIER, LinkConfig, McsEntry, OfdmFeasibility,
+                  TddPattern, cir_isi_check, cir_rms_delay_spread,
+                  effective_throughput, max_bitrate, mcs_lookup, ofdm_feasibility,
+                  rms_delay_spread, tdd_occupancy, tdd_occupancy_exact)
 from .materials import (BUILTIN_MATERIALS, EmProperties, MaterialSpec,
                         complex_permittivity, evaluate_material, get_material)
 from .propagation import (DelayProfile, Facet, MobilityTrace, Scene,

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emulator import EmulatorState, convolve_slot
+from .cir import CirConfig
+from .emulator import NOISE_OFF_DB, EmulatorState, convolve_slot
 from .errors import InvalidInputError
 from .timeline import CirTimeline
-
-DEFAULT_TAP_VECTOR_LEN = 146
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,9 @@ class BenchStats:
         return self.median_s < self.budget_s
 
 
-def bench(slot_count, l_sel, fft_size, f_samp, seed=0, l_max=DEFAULT_TAP_VECTOR_LEN,
-          noise_power_db=float("-inf")):
+def bench(slot_count, l_sel, fft_size, f_samp, seed=0, noise_power_db=NOISE_OFF_DB):
     """Time ``convolve_slot`` over synthetic random slots of 15 * ``fft_size``
-    samples at ``f_samp`` on one stream state.
+    samples at ``f_samp``, with up to ``l_sel`` taps of ``CirConfig(f_samp=f_samp)``.
 
     Only the convolution call is timed (the stage that
     :func:`~chanem.emulator.run_scenario` times); input generation happens
@@ -45,6 +43,7 @@ def bench(slot_count, l_sel, fft_size, f_samp, seed=0, l_max=DEFAULT_TAP_VECTOR_
         raise InvalidInputError(f"slot_count must be >= 1, got {slot_count}")
     if l_sel < 1:
         raise InvalidInputError(f"l_sel must be >= 1, got {l_sel}")
+    l_max = CirConfig(f_samp=f_samp).l_max
     rng = np.random.default_rng(seed % (1 << 64))  # as EmulatorState keys its noise
     l_sel = min(l_sel, l_max)
     indices = rng.choice(l_max, size=l_sel, replace=False)

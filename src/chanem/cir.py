@@ -17,9 +17,10 @@ from .errors import DelayRangeError, InvalidInputError
 DEFAULT_TAP_BUDGET = 28
 
 SINC_GUARD_TAPS = 6
+DEFAULT_MAX_DELAY_SPREAD = 3e-6  # s: 146 taps at the reference 46.08 Msps
 
 # Upper bound on a tap vector's length (``CirConfig.l_max``): 1.4 ms of delay
-# spread at 46.08 Msps, far above the 146 taps of the 3 us default.  It caps
+# spread at 46.08 Msps, far above the default's 146 taps.  It caps
 # the sinc kernel and the tap matrix that a rate and a delay spread can size.
 MAX_TAP_VECTOR_LEN = 1 << 16
 
@@ -33,7 +34,7 @@ class CirConfig:
     """
 
     f_samp: float
-    max_delay_spread: float = 3e-6
+    max_delay_spread: float = DEFAULT_MAX_DELAY_SPREAD
 
     def __post_init__(self):
         for name in ("f_samp", "max_delay_spread"):

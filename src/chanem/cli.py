@@ -16,18 +16,19 @@ import sys
 
 from . import __version__
 from .bench import bench
-from .cir import CirConfig, DEFAULT_TAP_BUDGET
-from .emulator import (CARRY, ZERO, EmulatorState, calibrate_signal_gain,
-                       run_scenario)
+from .cir import DEFAULT_MAX_DELAY_SPREAD, DEFAULT_TAP_BUDGET, CirConfig
+from .emulator import (CARRY, NOISE_OFF_DB, ZERO, EmulatorState,
+                       calibrate_signal_gain, run_scenario)
 from .errors import (ChanemError, EndOfScenario, FormatError,
                      ScenarioParseError)
 from .iqstream import STREAM_VERSION, frame_streams
-from .kpi import (LinkConfig, TddPattern, effective_throughput, max_bitrate,
-                  mcs_lookup, ofdm_feasibility, tdd_occupancy)
+from .kpi import (FEASIBILITY_MARGIN, NO_DELAY_SPREAD, REFERENCE_CARRIER as REF,
+                  REFERENCE_PATTERN, REFERENCE_SPECIAL, TddPattern, effective_throughput,
+                  max_bitrate, mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from .materials import evaluate_material, get_material
 from .propagation import MAX_REFLECTION_DEPTH
 from .scenefile import build_scenario, load_profile
-from .timeline import (TIMELINE_VERSION, read_timeline, report,
+from .timeline import (DEFAULT_T_INT, TIMELINE_VERSION, read_timeline, report,
                        timeline_from_profiles, write_path_gain_csv,
                        write_pdp_csv, write_report_rows_csv, write_timeline)
 
@@ -106,9 +107,8 @@ def _cmd_cir(args):
 
 def _cmd_kpi(args):
     tdd = TddPattern.parse(args.pattern, args.special)
-    cfg = dataclasses.replace(
-        LinkConfig.band_n77_40mhz(), numerology_mu=args.mu, n_prb=args.nprb,
-        overhead_dl=args.oh_dl, overhead_ul=args.oh_ul, tdd=tdd)
+    cfg = dataclasses.replace(REF, numerology_mu=args.mu, n_prb=args.nprb,
+                              overhead_dl=args.oh_dl, overhead_ul=args.oh_ul, tdd=tdd)
     mcs = mcs_lookup(args.mcs)
     alpha_dl, alpha_ul = tdd_occupancy(tdd)
     alpha = alpha_dl if args.dir == "dl" else alpha_ul
@@ -121,9 +121,8 @@ def _cmd_kpi(args):
 
 
 def _cmd_check_ofdm(args):
-    cfg = dataclasses.replace(
-        LinkConfig.band_n77_40mhz(), numerology_mu=args.mu, fft_size=args.fft,
-        f_samp=args.fsamp, carrier_freq=args.freq_hz)
+    cfg = dataclasses.replace(REF, numerology_mu=args.mu, fft_size=args.fft,
+                              f_samp=args.fsamp, carrier_freq=args.freq_hz)
     verdict = ofdm_feasibility(cfg, args.sigma_tau, args.speed, margin=args.margin)
     print(f"sigma_tau_s={verdict.rms_delay_spread:.9g}")
     print(f"t_gi_s={verdict.guard_interval:.9g}")
@@ -144,12 +143,10 @@ def _cmd_report(args):
             write_report_rows_csv(rows, fh)
     else:
         write_report_rows_csv(rows, sys.stdout)
-    if args.pdp:
-        with open(args.pdp, "w", encoding="utf-8") as fh:
-            write_pdp_csv(timeline, fh)
-    if args.gain:
-        with open(args.gain, "w", encoding="utf-8") as fh:
-            write_path_gain_csv(timeline, fh)
+    for path, write in ((args.pdp, write_pdp_csv), (args.gain, write_path_gain_csv)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                write(timeline, fh)
     return EXIT_OK
 
 
@@ -220,15 +217,15 @@ def build_parser():
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-depth", type=_reflection_depth, default=None)
-    p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
-    p.add_argument("--max-delay", type=_positive_finite, default=3e-6)
+    p.add_argument("--fsamp", type=_positive_finite, default=REF.f_samp)
+    p.add_argument("--max-delay", type=_positive_finite, default=DEFAULT_MAX_DELAY_SPREAD)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("cir", help="discretize a delay-profile CSV into a timeline")
     p.add_argument("--profile", required=True)
     p.add_argument("--fsamp", type=_positive_finite, required=True)
-    p.add_argument("--max-delay", type=_positive_finite, default=3e-6)
-    p.add_argument("--t-int", type=_positive_finite, default=0.1)
+    p.add_argument("--max-delay", type=_positive_finite, default=DEFAULT_MAX_DELAY_SPREAD)
+    p.add_argument("--t-int", type=_positive_finite, default=DEFAULT_T_INT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cir)
 
@@ -236,12 +233,12 @@ def build_parser():
     p.add_argument("--timeline", required=True)
     p.add_argument("--taps", type=int, default=DEFAULT_TAP_BUDGET)
     p.add_argument("--signal-gain-db", type=_signal_gain, default="auto")
-    p.add_argument("--noise-db", type=_noise_power, default=-math.inf,
+    p.add_argument("--noise-db", type=_noise_power, default=NOISE_OFF_DB,
                    help=NOISE_DB_HELP)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--history", dest="history_mode", choices=[CARRY, ZERO],
                    default=CARRY)
-    p.add_argument("--fft", type=_fft_size, default=1536)
+    p.add_argument("--fft", type=_fft_size, default=REF.fft_size)
     p.add_argument("--in", dest="input", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--listen", type=_listen_address, default=None,
@@ -253,22 +250,22 @@ def build_parser():
     p.add_argument("--mcs", type=int, required=True)
     p.add_argument("--bler", type=float, required=True)
     p.add_argument("--dir", choices=["dl", "ul"], required=True)
-    p.add_argument("--pattern", default="DDDSU")
-    p.add_argument("--special", default="6,4,4")
-    p.add_argument("--nprb", type=int, default=106)
-    p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--oh-dl", type=float, default=0.14)
-    p.add_argument("--oh-ul", type=float, default=0.08)
+    p.add_argument("--pattern", default=REFERENCE_PATTERN)
+    p.add_argument("--special", default=REFERENCE_SPECIAL)
+    p.add_argument("--nprb", type=int, default=REF.n_prb)
+    p.add_argument("--mu", type=int, default=REF.numerology_mu)
+    p.add_argument("--oh-dl", type=float, default=REF.overhead_dl)
+    p.add_argument("--oh-ul", type=float, default=REF.overhead_ul)
     p.set_defaults(func=_cmd_kpi)
 
     p = sub.add_parser("check-ofdm", help="evaluate the OFDM timing feasibility chain")
     p.add_argument("--speed", type=float, required=True)
-    p.add_argument("--freq-hz", type=_positive_finite, default=4.01916e9)
-    p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--fft", type=_fft_size, default=1536)
-    p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
-    p.add_argument("--sigma-tau", type=float, default=0.0)
-    p.add_argument("--margin", type=float, default=10.0)
+    p.add_argument("--freq-hz", type=_positive_finite, default=REF.carrier_freq)
+    p.add_argument("--mu", type=int, default=REF.numerology_mu)
+    p.add_argument("--fft", type=_fft_size, default=REF.fft_size)
+    p.add_argument("--fsamp", type=_positive_finite, default=REF.f_samp)
+    p.add_argument("--sigma-tau", type=float, default=NO_DELAY_SPREAD)
+    p.add_argument("--margin", type=float, default=FEASIBILITY_MARGIN)
     p.set_defaults(func=_cmd_check_ofdm)
 
     p = sub.add_parser("report", help="per-snapshot report rows, PDP matrix, path gain")
@@ -282,10 +279,10 @@ def build_parser():
     p = sub.add_parser("bench", help="measure per-slot convolution latency")
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--taps", type=int, required=True)
-    p.add_argument("--fft", type=_fft_size, default=1536)
-    p.add_argument("--fsamp", type=_positive_finite, default=46.08e6)
+    p.add_argument("--fft", type=_fft_size, default=REF.fft_size)
+    p.add_argument("--fsamp", type=_positive_finite, default=REF.f_samp)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise-db", type=_noise_power, default=-math.inf,
+    p.add_argument("--noise-db", type=_noise_power, default=NOISE_OFF_DB,
                    help=NOISE_DB_HELP)
     p.set_defaults(func=_cmd_bench)
 

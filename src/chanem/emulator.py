@@ -37,6 +37,9 @@ from .iqstream import FrameBuffers, read_frame, write_frame
 CARRY = "carry"
 ZERO = "zero"
 
+NOISE_OFF_DB = -math.inf  # the noise_power_db of a stream without noise
+HEADROOM_DB = 5.0  # calibrate_signal_gain's strongest snapshot, above 0 dB
+
 _U64_MASK = (1 << 64) - 1
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -142,7 +145,8 @@ class EmulatorState:
     most :data:`MAX_SLOT_SAMPLES`, at the timeline's tap rate, and last
     ``slot_duration`` seconds; each snapshot lasts ``slots_per_snapshot``
     slots.  ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps,
-    selected once from the timeline here.
+    selected once from the timeline here; a ``signal_gain_db`` that scales
+    one of them past float64 raises :class:`InvalidInputError`.
 
     ``ext`` holds the ``l_max - 1`` carried input samples followed by the
     current slot; ``slot`` is a view of that tail, where frames are decoded.
@@ -164,7 +168,7 @@ class EmulatorState:
     """
 
     def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
-                 noise_power_db=float("-inf"), rng_seed=0, history_mode=CARRY):
+                 noise_power_db=NOISE_OFF_DB, rng_seed=0, history_mode=CARRY):
         if (isinstance(fft_size, bool) or not isinstance(fft_size, numbers.Integral)
                 or fft_size < 1):
             raise InvalidInputError(f"fft_size must be an integer >= 1, got {fft_size!r}")
@@ -201,6 +205,14 @@ class EmulatorState:
         self.signal_scale = _db_to_scale("signal_gain_db", signal_gain_db)
         self.noise_scale = _db_to_scale("noise_power_db", noise_power_db)
         self.sorted_snapshots = timeline.sorted_snapshots(l_sel)
+        # the weights convolve_slot forms, signal_scale * amp, must be finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, cir in enumerate(self.sorted_snapshots):
+                bad = np.flatnonzero(~np.isfinite(self.signal_scale * cir.amps))
+                if bad.size:
+                    raise InvalidInputError(
+                        f"signal_gain_db of {signal_gain_db} dB overflows snapshot {s} "
+                        f"tap {cir.indices[bad[0]]}")
 
         fblas = _load_fblas()
         self.zaxpy, self.caxpy = fblas.zaxpy, fblas.caxpy
@@ -271,8 +283,8 @@ def convolve_slot(state, slot_index, samples):
     return out
 
 
-def calibrate_signal_gain(taps, headroom_db=5.0):
-    """Signal gain that puts the strongest snapshot ``headroom_db`` above 0 dB.
+def calibrate_signal_gain(taps):
+    """Signal gain that puts the strongest snapshot HEADROOM_DB above 0 dB.
 
     ``taps`` holds one tap vector per snapshot (``CirTimeline.taps``).
     Raises :class:`NoReferenceError` when every snapshot sums to zero.
@@ -284,7 +296,7 @@ def calibrate_signal_gain(taps, headroom_db=5.0):
         raise NoReferenceError(
             "all snapshots have zero coherent gain; no calibration reference"
         )
-    return headroom_db - best
+    return HEADROOM_DB - best
 
 
 def run_scenario(state, rf, wf):

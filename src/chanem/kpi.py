@@ -23,6 +23,12 @@ MAX_NUMEROLOGY = 6
 DL = "dl"
 UL = "ul"
 
+# Defaults of the timing checks: ofdm_feasibility's "much less than" factor,
+# the delay spread of one path, and cir_isi_check's significance floor.
+FEASIBILITY_MARGIN = 10.0
+NO_DELAY_SPREAD = 0.0  # s
+ISI_POWER_FLOOR_DB = -40.0
+
 
 @dataclass(frozen=True)
 class TddPattern:
@@ -46,7 +52,7 @@ class TddPattern:
             )
 
     @classmethod
-    def parse(cls, pattern, special="6,4,4"):
+    def parse(cls, pattern, special):
         """Build from strings like 'DDDSU' and '6,4,4'."""
         try:
             counts = tuple(int(s) for s in special.split(","))
@@ -72,11 +78,10 @@ def tdd_occupancy(tdd):
     return float(dl), float(ul)
 
 
-def _half_up(value, places=4):
+def _half_up(value):
     if isinstance(value, Fraction):
         value = Decimal(value.numerator) / Decimal(value.denominator)
-    return float(Decimal(value).quantize(Decimal(10) ** -places,
-                                         rounding=ROUND_HALF_UP))
+    return float(Decimal(value).quantize(Decimal("1e-4"), rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)
@@ -153,20 +158,14 @@ class LinkConfig:
         """Average OFDM symbol duration over a 1 ms subframe, seconds."""
         return 1e-3 / (SYMBOLS_PER_SLOT * 2**self.numerology_mu)
 
-    @classmethod
-    def band_n77_40mhz(cls):
-        """40 MHz / 30 kHz SCS / 1536-FFT configuration at 46.08 Msps."""
-        return cls(
-            numerology_mu=1,
-            bandwidth=40e6,
-            n_prb=106,
-            overhead_dl=0.14,
-            overhead_ul=0.08,
-            tdd=TddPattern.parse("DDDSU", "6,4,4"),
-            fft_size=1536,
-            f_samp=46.08e6,
-            carrier_freq=4.01916e9,
-        )
+
+# The paper's carrier, band n77 at 40 MHz: the CLI's defaults read it, and its
+# TDD pattern in the text form that TddPattern.parse reads.
+REFERENCE_PATTERN, REFERENCE_SPECIAL = "DDDSU", "6,4,4"
+REFERENCE_CARRIER = LinkConfig(
+    numerology_mu=1, bandwidth=40e6, n_prb=106, overhead_dl=0.14, overhead_ul=0.08,
+    tdd=TddPattern.parse(REFERENCE_PATTERN, REFERENCE_SPECIAL),
+    fft_size=1536, f_samp=46.08e6, carrier_freq=4.01916e9)
 
 
 def _overhead(cfg, direction):
@@ -240,7 +239,7 @@ class OfdmFeasibility:
         return self.isi_ok and self.guard_ok and self.coherence_ok
 
 
-def ofdm_feasibility(cfg, sigma_tau, speed, margin=10.0):
+def ofdm_feasibility(cfg, sigma_tau, speed, margin=FEASIBILITY_MARGIN):
     """Evaluate the OFDM timing chain for a given delay spread and UE speed.
 
     Each 'much less than' is operationalized as left * margin <= right.
@@ -280,17 +279,17 @@ class IsiCheckResult:
         return self.ok
 
 
-def cir_isi_check(taps, cfg, power_floor_db=-40.0):
+def cir_isi_check(taps, cfg):
     """True iff no significant tap lies beyond the short-CP sample count.
 
-    A tap is significant when its power is within ``power_floor_db`` of the
+    A tap is significant when its power is within ISI_POWER_FLOOR_DB of the
     strongest tap.
     """
     powers = np.abs(np.asarray(taps)) ** 2
     peak = powers.max() if len(powers) else 0.0
     if peak <= 0.0:
         return IsiCheckResult(True, ())
-    floor = peak * 10.0 ** (power_floor_db / 10.0)
+    floor = peak * 10.0 ** (ISI_POWER_FLOOR_DB / 10.0)
     ks = np.nonzero(powers >= floor)[0]
     offending = tuple(int(k) for k in ks if k > cfg.cp_short_samples)
     return IsiCheckResult(not offending, offending)

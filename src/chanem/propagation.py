@@ -137,13 +137,13 @@ class Facet:
         q[self.axis] = 2.0 * self.value - q[self.axis]
         return q
 
-    def contains(self, p, tol=GEOM_TOL):
-        return abs(p[self.axis] - self.value) <= tol and self.in_bounds(p, tol)
+    def contains(self, p):
+        return abs(p[self.axis] - self.value) <= GEOM_TOL and self.in_bounds(p)
 
-    def in_bounds(self, p, tol=GEOM_TOL):
+    def in_bounds(self, p):
         a, b = _IN_PLANE[self.axis]
-        return (self.lo[0] - tol <= p[a] <= self.hi[0] + tol
-                and self.lo[1] - tol <= p[b] <= self.hi[1] + tol)
+        return (self.lo[0] - GEOM_TOL <= p[a] <= self.hi[0] + GEOM_TOL
+                and self.lo[1] - GEOM_TOL <= p[b] <= self.hi[1] + GEOM_TOL)
 
 
 @dataclass
@@ -151,7 +151,9 @@ class Scene:
     """Static propagation scene: facets plus a fixed transmitter.
 
     The first trace builds the scene's image tree and evaluates its
-    materials; both are kept until a field they depend on changes.
+    materials; both are kept until a field they depend on changes.  An
+    edited scene is checked again, as at construction, before its tree is
+    rebuilt.
     """
 
     facets: list
@@ -162,6 +164,10 @@ class Scene:
     _tree: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
+        """Raise unless the scene is one that ``Scene(...)`` accepts."""
         self.tx_position = np.asarray(self.tx_position, dtype=float)
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise InvalidInputError(
@@ -175,7 +181,7 @@ class Scene:
             raise SceneGeometryError("at most one ground plane per scene")
         for f in self.facets:
             get_material(f.material, self.materials)  # name must resolve
-            if f.contains(self.tx_position, GEOM_TOL):
+            if f.contains(self.tx_position):
                 raise SceneGeometryError(
                     f"tx position {tuple(self.tx_position)} lies on a facet"
                 )
@@ -270,9 +276,10 @@ class _ImageTree:
 def _image_tree(scene):
     """The scene's image tree, built on first use and rebuilt only when a
     field it depends on has changed."""
-    key = (tuple(scene.facets), scene.tx_position.tobytes(), scene.max_depth,
-           scene.carrier_freq, tuple(scene.materials.items()))
+    key = (tuple(scene.facets), np.asarray(scene.tx_position, dtype=float).tobytes(),
+           scene.max_depth, scene.carrier_freq, tuple(scene.materials.items()))
     if scene._tree is None or scene._tree.key != key:
+        scene.check()
         scene._tree = _build_image_tree(scene, key)
     return scene._tree
 
@@ -280,7 +287,7 @@ def _image_tree(scene):
 def _build_image_tree(scene, key):
     facets = scene.facets
     n = len(facets)
-    sizes = image_tree_sizes(n, scene.max_depth)  # rechecked: scenes may be edited
+    sizes = image_tree_sizes(n, scene.max_depth)
     axis = np.array([f.axis for f in facets], dtype=np.intp)
     value = np.array([f.value for f in facets], dtype=float)
     start = np.cumsum([0] + sizes)
@@ -399,7 +406,7 @@ def trace_snapshot(scene, rx_position):
     if np.linalg.norm(rx - tx) < GEOM_TOL:
         raise InvalidInputError("rx position coincides with tx")
     for facet in scene.facets:
-        if facet.contains(rx, GEOM_TOL):
+        if facet.contains(rx):
             raise SceneGeometryError(f"rx position {tuple(rx)} lies on a facet")
 
     tree = _image_tree(scene)

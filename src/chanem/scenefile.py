@@ -27,7 +27,7 @@ from .errors import ScenarioParseError, SceneGeometryError, InvalidInputError
 from .materials import BUILTIN_MATERIALS, MaterialSpec
 from .propagation import (DelayProfile, Facet, MobilityTrace, Scene,
                           check_depth, trace_timeline)
-from .timeline import timeline_from_profiles
+from .timeline import DEFAULT_T_INT, timeline_from_profiles
 
 
 def _floats(tokens, n, path, line_no, what):
@@ -120,11 +120,11 @@ def load_scene(path, max_depth=None):
         return parse_scene(fh.read(), path=str(path), max_depth=max_depth)
 
 
-def parse_trace(text, path="<trace>", default_interval=0.1):
+def parse_trace(text, path="<trace>"):
     """Parse a ``t,x,y,z`` CSV into a :class:`MobilityTrace`.
 
     The time column must be uniformly spaced, over a span that is a finite
-    float; a single-row trace takes ``default_interval``.
+    float; a single-row trace takes DEFAULT_T_INT.
     """
     rows = []
     lines = [l.strip() for l in text.splitlines() if l.strip()]
@@ -157,16 +157,16 @@ def parse_trace(text, path="<trace>", default_interval=0.1):
             raise ScenarioParseError("trace time steps must be uniform and positive",
                                      path=path)
     else:
-        interval = default_interval
+        interval = DEFAULT_T_INT
     try:
         return MobilityTrace(interval=interval, positions=data[:, 1:4])
     except InvalidInputError as exc:
         raise ScenarioParseError(str(exc), path=path) from exc
 
 
-def load_trace(path, default_interval=0.1):
+def load_trace(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read(), path=str(path), default_interval=default_interval)
+        return parse_trace(fh.read(), path=str(path))
 
 
 def parse_profile(text, path="<profile>"):

@@ -27,6 +27,7 @@ TIMELINE_VERSION = 1
 _HEADER = struct.Struct("<4sHddII")
 
 PDP_FLOOR_DB = -200.0
+DEFAULT_T_INT = 0.1  # s between snapshots, where no trace sets it
 
 
 @dataclass
@@ -152,28 +153,26 @@ def report(timeline, l_sel):
         raise InvalidInputError("cannot report on an empty timeline")
     rows = []
     for i, taps in enumerate(timeline.taps):
-        powers = np.abs(taps) ** 2
-        total = float(powers.sum())
-        strongest = int(np.argmax(powers)) if total > 0.0 else -1
-        sel = sort_truncate(taps, l_sel)
+        sel = sort_truncate(taps, l_sel)  # its first tap is the strongest
+        total = sel.total_power
         fraction = sel.retained_power / total if total > 0.0 else 1.0
         rows.append(ReportRow(
             time=i * timeline.t_int,
             path_gain_db=path_gain_total(taps),
-            strongest_tap_index=strongest,
+            strongest_tap_index=int(sel.indices[0]) if sel.l_sel else -1,
             rms_delay_spread=cir_rms_delay_spread(taps, timeline.f_samp),
             retained_power_fraction=fraction,
         ))
     return rows
 
 
-def pdp_matrix_db(timeline, floor_db=PDP_FLOOR_DB):
-    """Snapshot x tap matrix of tap powers in dB, floored at ``floor_db``."""
+def pdp_matrix_db(timeline):
+    """Snapshot x tap matrix of tap powers in dB, floored at PDP_FLOOR_DB."""
     powers = np.abs(timeline.taps) ** 2
-    out = np.full(powers.shape, floor_db)
+    out = np.full(powers.shape, PDP_FLOOR_DB)
     mask = powers > 0.0
     np.log10(powers, out=out, where=mask)
-    out[mask] = np.maximum(10.0 * out[mask], floor_db)
+    out[mask] = np.maximum(10.0 * out[mask], PDP_FLOOR_DB)
     return out
 
 
@@ -185,8 +184,8 @@ def write_report_rows_csv(rows, fh):
                  f"{r.rms_delay_spread:.9g},{r.retained_power_fraction:.9g}\n")
 
 
-def write_pdp_csv(timeline, fh, floor_db=PDP_FLOOR_DB):
-    matrix = pdp_matrix_db(timeline, floor_db)
+def write_pdp_csv(timeline, fh):
+    matrix = pdp_matrix_db(timeline)
     fh.write(",".join(f"tap_{k}" for k in range(matrix.shape[1])) + "\n")
     for row in matrix:
         fh.write(",".join(f"{v:.4f}" for v in row) + "\n")

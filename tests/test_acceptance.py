@@ -13,7 +13,7 @@ import pytest
 from chanem.bench import bench
 from chanem.cir import CirConfig, discretize, sort_truncate
 from chanem.emulator import EmulatorState, convolve_slot
-from chanem.kpi import (LinkConfig, effective_throughput, max_bitrate,
+from chanem.kpi import (REFERENCE_CARRIER, effective_throughput, max_bitrate,
                         mcs_lookup, ofdm_feasibility, tdd_occupancy)
 from chanem.materials import evaluate_material, get_material
 from chanem.propagation import Facet, MobilityTrace, Scene, trace_timeline
@@ -35,7 +35,7 @@ def check(n, desc, fn):
 
 def test_criterion_1_kpi_exactness():
     def body():
-        cfg = LinkConfig.band_n77_40mhz()
+        cfg = REFERENCE_CARRIER
         eta27 = mcs_lookup(27).spectral_eff
         eta10 = mcs_lookup(10).spectral_eff
         assert max_bitrate(cfg, mcs_lookup(27), "dl") / eta27 == pytest.approx(
@@ -69,7 +69,7 @@ def test_criterion_2_tap_bound():
 
 def test_criterion_3_ofdm_anchors():
     def body():
-        cfg = LinkConfig.band_n77_40mhz()
+        cfg = REFERENCE_CARRIER
         v = ofdm_feasibility(cfg, sigma_tau=0.0, speed=11.78)
         assert v.fading_period == pytest.approx(6.332e-3, abs=0.001e-3)
         assert v.doppler_freq == pytest.approx(158.0, abs=1.0)

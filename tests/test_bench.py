@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chanem.bench import bench
+from chanem.cir import CirConfig
 from chanem.errors import InvalidInputError
 
 FULL_FMT = (1536, 46.08e6)      # (fft_size, f_samp): N_s = 23040
@@ -24,8 +25,8 @@ def test_single_tap_is_faster_than_full_budget():
 
 
 def test_tap_budget_clamped_to_vector_length():
-    stats = bench(10, 500, *SMALL_FMT, seed=1, l_max=12)
-    assert stats.l_sel == 12
+    stats = bench(10, 500, *SMALL_FMT, seed=1)
+    assert stats.l_sel == CirConfig(f_samp=SMALL_FMT[1]).l_max == 8
 
 
 def test_slot_count_validated():

@@ -476,13 +476,17 @@ class TestEmulateCommand:
             "error: slot 4 lies beyond the 1-snapshot timeline\n")
 
     @pytest.mark.parametrize("fmt", [FMT_I16, FMT_F32])
-    @pytest.mark.parametrize("gain_db", ["800", "6100"])
+    @pytest.mark.parametrize("gain_db, taps", [
+        ("800", {0: 6e3 + 8e3j}),
+        ("6050", {0: 6e3 + 8e3j, 1: -6e3 - 8e3j}),
+    ], ids=["800", "6050"])
     def test_output_past_full_scale_saturates_and_is_counted(
-            self, tmp_path, fmt, gain_db):
-        # 800 dB overflows both formats; at 6100 dB the scaled tap itself
-        # overflows float64, and the convolution makes inf and NaN
+            self, tmp_path, fmt, gain_db, taps):
+        # 800 dB overflows both formats; at 6050 dB each scaled tap is finite,
+        # but their products with the input overflow float64 to +inf and
+        # -inf, and the convolution makes inf and NaN
         timeline = tmp_path / "t.cirt"
-        write_test_timeline(timeline, [{0: 6e3 + 8e3j}])
+        write_test_timeline(timeline, [taps])
         inp, outp, stats = tmp_path / "in.owiq", tmp_path / "out.owiq", tmp_path / "s.csv"
         with open(inp, "wb") as fh:
             for i in range(2):
@@ -499,6 +503,19 @@ class TestEmulateCommand:
             assert set(np.abs(frame.view(np.float64))) <= {0.0, full}
         rows = stats.read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == [str(2 * N_S)] * 2
+
+    def test_gain_that_overflows_a_tap_exits_before_any_output(self, tmp_path, capsys):
+        # at 6100 dB the scaled tap, 10**305 * (6e3 + 8e3j), overflows float64
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1e-3}, {3: 6e3 + 8e3j}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        stats = tmp_path / "s.csv"
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--signal-gain-db", "6100", "--stats", str(stats),
+                     "--in", str(inp), "--out", str(outp)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: signal_gain_db of 6100.0 dB overflows snapshot 1 tap 3"]
+        assert not outp.exists() and not stats.exists()
 
     def test_bad_seed_env_is_parse_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OWDT_SEED", "abc")

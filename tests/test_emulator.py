@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanem.emulator import (CARRY, MAX_SLOT_SAMPLES, ZERO, EmulatorState,
-                             calibrate_signal_gain, convolve_slot, noise_block,
-                             run_scenario)
+from chanem.emulator import (CARRY, HEADROOM_DB, MAX_SLOT_SAMPLES, ZERO,
+                             EmulatorState, calibrate_signal_gain, convolve_slot,
+                             noise_block, run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
 from chanem.iqstream import FMT_F32, read_frame, write_frame
@@ -532,9 +532,9 @@ class TestCalibration:
         unit = [1.0]
         assert calibrate_signal_gain([unit]) == pytest.approx(5.0)
 
-    def test_custom_headroom(self):
+    def test_headroom_is_the_module_constant(self):
         cir = [10 ** (-30.0 / 20)]
-        assert calibrate_signal_gain([cir], headroom_db=0.0) == pytest.approx(30.0)
+        assert calibrate_signal_gain([cir]) == pytest.approx(30.0 + HEADROOM_DB)
 
     def test_no_reference_errors(self):
         with pytest.raises(NoReferenceError):

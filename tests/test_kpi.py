@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chanem.errors import InvalidInputError
-from chanem.kpi import (MCS_TABLE_256QAM, LinkConfig, McsEntry, TddPattern,
+from chanem.kpi import (MCS_TABLE_256QAM, REFERENCE_CARRIER, McsEntry, TddPattern,
                         cir_isi_check, effective_throughput, max_bitrate,
                         mcs_lookup, ofdm_feasibility, rms_delay_spread,
                         tdd_occupancy, tdd_occupancy_exact)
@@ -14,7 +14,7 @@ from chanem.propagation import DelayProfile
 
 
 def table_cfg():
-    return LinkConfig.band_n77_40mhz()
+    return REFERENCE_CARRIER
 
 
 def unity_mcs():

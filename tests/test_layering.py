@@ -2,7 +2,7 @@
 
 File-format modules do not reach the tracer or the scene parser, the tracer
 reaches no later stage, and the CLI only parses and prints (no array code or
-sockets of its own).
+sockets of its own, and no default value of its own).
 """
 
 import ast
@@ -84,3 +84,32 @@ def test_import_reader_sees_the_imports():
     assert {"numpy", "iqstream", "cir"} <= direct_imports("emulator")
     assert {"propagation", "timeline"} <= direct_imports("scenefile")
     assert "argparse" in direct_imports("cli")
+
+
+def _package_names(tree):
+    """Names a module binds by importing them from inside ``chanem``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and _in_package(node.module or "", node.level) is not None
+            for alias in node.names}
+
+
+def _root_name(node):
+    """``x`` for the expressions ``x``, ``x.a`` and ``x.a.b``; else None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_cli_defaults_are_read_from_the_library():
+    # a flag's default is a fixed value of the library, stated there once
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    library = _package_names(tree)
+    defaults = [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+                for kw in node.keywords if kw.arg == "default"]
+    assert len(defaults) > 20
+    own = [ast.unparse(value) for value in defaults
+           if not (isinstance(value, ast.Constant) and value.value in (None, "-", "auto"))
+           and _root_name(value) not in library]
+    assert own == []

@@ -591,6 +591,21 @@ class TestImageTree:
         scene.materials["glass"] = get_material("metal")
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda scene: setattr(scene, "max_depth", 7), InvalidInputError),
+        (lambda scene: setattr(scene, "tx_position", (0.0, -8.0, 5.0)), SceneGeometryError),
+        (lambda scene: scene.facets.append(Facet.ground(-1.0)), SceneGeometryError),
+    ], ids=["depth", "tx-on-wall", "second-ground"])
+    @pytest.mark.parametrize("traced_before", [False, True])
+    def test_an_edited_scene_is_checked_again(self, edit, error, traced_before):
+        scene = canyon_scene(depth=1)
+        rx = (20.0, -3.0, 1.5)
+        if traced_before:
+            trace_snapshot(scene, rx)
+        edit(scene)
+        with pytest.raises(error):
+            trace_snapshot(scene, rx)
+
     def test_depth_five_snapshot_allocates_a_bounded_peak(self):
         with np.load(BLOCK13) as ref:
             scene = parse_scene(str(ref["scene"]), max_depth=5)

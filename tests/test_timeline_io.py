@@ -13,9 +13,9 @@ from chanem.errors import (DelayRangeError, FormatError, InvalidInputError,
                            ScenarioParseError)
 from chanem.scenefile import (build_scenario, parse_profile, parse_scene,
                               parse_trace)
-from chanem.timeline import (CirTimeline, pdp_matrix_db, read_timeline, report,
-                             write_path_gain_csv, write_pdp_csv,
-                             write_report_rows_csv, write_timeline)
+from chanem.timeline import (DEFAULT_T_INT, CirTimeline, pdp_matrix_db,
+                             read_timeline, report, write_path_gain_csv,
+                             write_pdp_csv, write_report_rows_csv, write_timeline)
 
 F_SAMP = 46.08e6
 
@@ -394,9 +394,10 @@ class TestParsers:
             lines = ["t,x,y,z"] + [
                 f"{i * interval:.9g},{x:.9g},{y:.9g},{z:.9g}"
                 for i, (x, y, z) in enumerate(pos)]
-            trace = parse_trace("\n".join(lines) + "\n",
-                                default_interval=interval)
-            assert trace.interval == pytest.approx(interval, rel=1e-6)
+            trace = parse_trace("\n".join(lines) + "\n")
+            # one row has no step of its own
+            want = interval if n > 1 else DEFAULT_T_INT
+            assert trace.interval == pytest.approx(want, rel=1e-6)
             np.testing.assert_allclose(trace.positions, pos, rtol=1e-7)
 
     def test_randomized_scene_round_trip(self):
