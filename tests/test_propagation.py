@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -443,6 +444,24 @@ class TestTimeline:
         with pytest.raises(SceneGeometryError, match="snapshot 1"):
             trace_timeline(scene, trace)
 
+    def test_traces_each_position_with_one_trace_snapshot_call(self, monkeypatch):
+        # the benchmark's traced run times the tracer by wrapping this module
+        # attribute, so each receiver must be one call, in trace order
+        seen, returned = [], []
+        real = propagation.trace_snapshot
+
+        def counted(scene, rx_position):
+            seen.append(np.array(rx_position))
+            returned.append(real(scene, rx_position))
+            return returned[-1]
+
+        monkeypatch.setattr(propagation, "trace_snapshot", counted)
+        positions = [[x, -3.0, 1.5] for x in (12.0, 30.0, 5.0, 20.0, 12.0)]
+        profiles = trace_timeline(canyon_scene(), MobilityTrace(interval=0.1, positions=positions))
+        np.testing.assert_array_equal(seen, positions)
+        assert len(profiles) == len(returned) == 5
+        assert all(got is want for got, want in zip(profiles, returned))
+
     def test_trace_validation(self):
         with pytest.raises(InvalidInputError):
             MobilityTrace(interval=0.0, positions=[[0, 0, 1.5]])
@@ -558,7 +577,7 @@ class TestImageTree:
                         for s in itertools.product(range(3), repeat=depth)
                         if all(a != b for a, b in zip(s, s[1:]))]
         assert tree.start.tolist() == [0, 1, 4, 10, 22]
-        for seq, image in zip(seqs, tree.image):
+        for seq, image in zip(seqs, tree.image.T):
             want = scene.tx_position
             for fi in seq:
                 want = scene.facets[fi].mirror(want)
@@ -616,7 +635,32 @@ class TestImageTree:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_seq = len(scene._tree.facet) - 1  # all but the root
+        tree = scene._tree
+        n_seq = len(tree.facet) - 1  # all but the root
         assert n_seq == sum(13 * 12 ** (d - 1) for d in range(1, 6)) == 294_073
+        # 32 B a node: its facet and parent as int32, its image as 3 floats
+        assert tree.facet.nbytes + tree.parent.nbytes + tree.image.nbytes == 32 * (n_seq + 1)
         assert profile.n_paths > 0
         assert peak < 32e6
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_scenes())
+    def test_walk_chunks_do_not_change_profiles_on_random_scenes(self, case):
+        # up to 302 nodes walked 7 at a time cross many chunk boundaries
+        scene, rx = case
+        want = trace_snapshot(scene, rx)
+        with mock.patch.object(propagation, "_WALK_CHUNK", 7):
+            got = trace_snapshot(scene, rx)
+        np.testing.assert_array_equal(got.delays, want.delays)
+        np.testing.assert_array_equal(got.amps, want.amps)
+
+    def test_walk_chunks_do_not_change_profiles_on_block13(self, monkeypatch):
+        with np.load(BLOCK13) as ref:
+            scene = parse_scene(str(ref["scene"]))
+            positions = ref["positions"][::30]
+        want = [trace_snapshot(scene, rx) for rx in positions]
+        monkeypatch.setattr(propagation, "_WALK_CHUNK", 7)  # 2,042 nodes: 292 chunks
+        for rx, expected in zip(positions, want):
+            got = trace_snapshot(scene, rx)
+            np.testing.assert_array_equal(got.delays, expected.delays)
+            np.testing.assert_array_equal(got.amps, expected.amps)
