@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirConfig
-from .emulator import NOISE_OFF_DB, EmulatorState, convolve_slot
+from .emulator import NOISE_OFF_DB, EmulatorState, convolve_slot, samples_per_slot
 from .errors import InvalidInputError
 from .timeline import CirTimeline
 
@@ -31,8 +31,9 @@ class BenchStats:
 
 
 def bench(slot_count, l_sel, fft_size, f_samp, seed=0, noise_power_db=NOISE_OFF_DB):
-    """Time ``convolve_slot`` over synthetic random slots of 15 * ``fft_size``
-    samples at ``f_samp``, with up to ``l_sel`` taps of ``CirConfig(f_samp=f_samp)``.
+    """Time ``convolve_slot`` over synthetic random slots of
+    ``samples_per_slot(fft_size)`` samples at ``f_samp``, with up to ``l_sel``
+    taps of ``CirConfig(f_samp=f_samp)``.
 
     Only the convolution call is timed (the stage that
     :func:`~chanem.emulator.run_scenario` times); input generation happens
@@ -43,17 +44,17 @@ def bench(slot_count, l_sel, fft_size, f_samp, seed=0, noise_power_db=NOISE_OFF_
         raise InvalidInputError(f"slot_count must be >= 1, got {slot_count}")
     if l_sel < 1:
         raise InvalidInputError(f"l_sel must be >= 1, got {l_sel}")
+    n_s = samples_per_slot(fft_size)
     l_max = CirConfig(f_samp=f_samp).l_max
     rng = np.random.default_rng(seed % (1 << 64))  # as EmulatorState keys its noise
     l_sel = min(l_sel, l_max)
     indices = rng.choice(l_max, size=l_sel, replace=False)
     taps = np.zeros((1, l_max), dtype=np.complex128)
     taps[0, indices] = rng.standard_normal(l_sel) + 1j * rng.standard_normal(l_sel)
-    timeline = CirTimeline(taps, f_samp, t_int=slot_count * (fft_size * 15 / f_samp))
+    timeline = CirTimeline(taps, f_samp, t_int=slot_count * (n_s / f_samp))
 
     state = EmulatorState(timeline, l_sel, fft_size, noise_power_db=noise_power_db,
                           rng_seed=seed)
-    n_s = state.samples_per_slot
     pool = [
         rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
         for _ in range(min(8, slot_count))

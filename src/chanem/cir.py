@@ -97,9 +97,11 @@ def discretize(profile, cfg):
     if not delays.size:
         return np.zeros(cfg.l_max, dtype=np.complex128)
     k = np.arange(cfg.l_max, dtype=np.float64)
-    # (P, l_max) sinc kernel; P is small so the dense product is cheap
+    # (P, l_max) sinc kernel, weighted and summed over paths in numpy: a BLAS
+    # matrix product would run on OpenBLAS's threads and stall when the other
+    # core is busy (0.9-1.0 s against 14-24 ms for 150 profiles, 2-vCPU host)
     kernel = np.sinc(k[np.newaxis, :] - cfg.f_samp * delays[:, np.newaxis])
-    return amps @ kernel
+    return (amps[:, np.newaxis] * kernel).sum(axis=0)
 
 
 def sort_truncate(taps, l_sel):

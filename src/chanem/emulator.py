@@ -1,8 +1,12 @@
 """Slot-based streaming convolution of baseband IQ with sorted CIR taps.
 
-Each radio slot of N_s samples is convolved with the active snapshot's
-selected taps (a sparse tapped delay line), scaled, and mixed with circular
-complex Gaussian noise read from a per-stream bank, keyed per (seed, slot).
+Each radio slot of N_s = 15 * ``fft_size`` samples (:func:`samples_per_slot`)
+is convolved with the active snapshot's selected taps (a sparse tapped delay
+line) and mixed with circular complex Gaussian noise read from a per-stream
+bank, keyed per (seed, slot).  A stream selects each snapshot's taps, scales
+them by the signal gain and turns their delays into offsets into its input
+buffer once, at set-up (:class:`EmulatorState`), so a slot only slices and
+accumulates.
 Snapshots advance every ``slots_per_snapshot`` slots; slot history carries
 across slot boundaries so the streaming output equals one long convolution
 (``carry`` mode), or is zeroed per slot to reproduce strict per-slot matrix
@@ -103,6 +107,21 @@ def _db_to_scale(name, db):
     return scale
 
 
+def samples_per_slot(fft_size):
+    """N_s, the samples in a slot of an ``fft_size``-point FFT: 15 * ``fft_size``.
+
+    Raises :class:`InvalidInputError` unless ``fft_size`` is an integer >= 1
+    whose N_s is at most :data:`MAX_SLOT_SAMPLES`.
+    """
+    if not isinstance(fft_size, numbers.Integral) or isinstance(fft_size, bool) or fft_size < 1:
+        raise InvalidInputError(f"fft_size must be an integer >= 1, got {fft_size!r}")
+    n_s = fft_size * 15
+    if n_s > MAX_SLOT_SAMPLES:
+        raise InvalidInputError(f"fft_size {fft_size} gives {n_s} samples per slot, "
+                                f"above the {MAX_SLOT_SAMPLES}-sample limit")
+    return n_s
+
+
 def noise_block(state, slot_index):
     """Write slot ``slot_index``'s noise, at ``state.noise_scale``, into ``state.out``.
 
@@ -141,12 +160,16 @@ class EmulatorState:
     """One stream: its scenario, every per-stream resource and the slot
     sequencing, built before any I/O so no slot pays for the set-up.
 
-    Slots carry N_s = ``samples_per_slot`` = 15 * ``fft_size`` samples, at
-    most :data:`MAX_SLOT_SAMPLES`, at the timeline's tap rate, and last
+    Slots carry N_s = ``samples_per_slot`` = 15 * ``fft_size`` samples
+    (:func:`samples_per_slot`) at the timeline's tap rate, and last
     ``slot_duration`` seconds; each snapshot lasts ``slots_per_snapshot``
-    slots.  ``sorted_snapshots`` holds each snapshot's top-``l_sel`` taps,
-    selected once from the timeline here; a ``signal_gain_db`` that scales
-    one of them past float64 raises :class:`InvalidInputError`.
+    slots.  ``tap_table`` is the stream's only per-snapshot tap data: for
+    each snapshot, from its top-``l_sel`` taps selected once here by
+    ``timeline.sorted_snapshots``, a pair of arrays, the offsets
+    ``hist - k`` into ``ext`` (``hist`` = ``l_max - 1``) and the weights
+    ``10 ** (signal_gain_db / 20) * amp``, 24 bytes a tap.  A ``signal_gain_db`` that
+    scales a selected tap past float64 raises :class:`InvalidInputError`
+    naming the snapshot and tap.
 
     ``ext`` holds the ``l_max - 1`` carried input samples followed by the
     current slot; ``slot`` is a view of that tail, where frames are decoded.
@@ -169,14 +192,7 @@ class EmulatorState:
 
     def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
                  noise_power_db=NOISE_OFF_DB, rng_seed=0, history_mode=CARRY):
-        if (isinstance(fft_size, bool) or not isinstance(fft_size, numbers.Integral)
-                or fft_size < 1):
-            raise InvalidInputError(f"fft_size must be an integer >= 1, got {fft_size!r}")
-        n_s = self.samples_per_slot = fft_size * 15
-        if n_s > MAX_SLOT_SAMPLES:
-            raise InvalidInputError(
-                f"fft_size {fft_size} gives {n_s} samples "
-                f"per slot, above the {MAX_SLOT_SAMPLES}-sample limit")
+        n_s = self.samples_per_slot = samples_per_slot(fft_size)
         if not len(timeline):
             raise InvalidInputError("timeline must not be empty")
         if math.isnan(signal_gain_db):
@@ -202,24 +218,27 @@ class EmulatorState:
         self.history_mode = history_mode
         self.slots_per_snapshot = round(ratio)
         self.capacity_slots = len(timeline) * self.slots_per_snapshot
-        self.signal_scale = _db_to_scale("signal_gain_db", signal_gain_db)
+        signal_scale = _db_to_scale("signal_gain_db", signal_gain_db)
         self.noise_scale = _db_to_scale("noise_power_db", noise_power_db)
-        self.sorted_snapshots = timeline.sorted_snapshots(l_sel)
-        # the weights convolve_slot forms, signal_scale * amp, must be finite
+        hist = self.hist = timeline.l_max - 1
+        # formed in the selection's own arrays: a copy of them raised the
+        # stream's peak RSS by 0.7 MB at 600 snapshots of 146 taps
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, cir in enumerate(self.sorted_snapshots):
-                bad = np.flatnonzero(~np.isfinite(self.signal_scale * cir.amps))
-                if bad.size:
-                    raise InvalidInputError(
-                        f"signal_gain_db of {signal_gain_db} dB overflows snapshot {s} "
-                        f"tap {cir.indices[bad[0]]}")
+            self.tap_table = [(np.subtract(hist, cir.indices, out=cir.indices),
+                               np.multiply(signal_scale, cir.amps, out=cir.amps))
+                              for cir in timeline.sorted_snapshots(l_sel)]
+        for s, (offsets, weights) in enumerate(self.tap_table):
+            bad = np.flatnonzero(~np.isfinite(weights))
+            if bad.size:
+                raise InvalidInputError(
+                    f"signal_gain_db of {signal_gain_db} dB overflows snapshot {s} "
+                    f"tap {hist - offsets[bad[0]]}")
 
         fblas = _load_fblas()
         self.zaxpy, self.caxpy = fblas.zaxpy, fblas.caxpy
-        self.hist = timeline.l_max - 1
         self.next_slot_index = 0
-        self.ext = np.zeros(self.hist + n_s, dtype=np.complex128)
-        self.slot = self.ext[self.hist:]
+        self.ext = np.zeros(hist + n_s, dtype=np.complex128)
+        self.slot = self.ext[hist:]
         self.out = _aligned_empty(n_s, np.complex128)
         self.bank = self.noise = None
         if self.noise_scale > 0.0:
@@ -243,6 +262,9 @@ class EmulatorState:
 def convolve_slot(state, slot_index, samples):
     """Convolve one slot with the active snapshot's taps and add noise.
 
+    Each tap of ``state.tap_table`` is one axpy of the slice of ``state.ext``
+    at its offset, scaled by its weight, into ``state.out``.
+
     Returns ``state.out``, which the next call overwrites.  ``samples`` may
     be ``state.slot`` itself, which then is not copied.  Slots must arrive
     in index order; an index at or beyond the timeline capacity raises
@@ -253,10 +275,9 @@ def convolve_slot(state, slot_index, samples):
             f"slot {slot_index} arrived, expected {state.next_slot_index}"
         )
     snap = slot_index // state.slots_per_snapshot
-    if snap >= len(state.sorted_snapshots):
-        raise EndOfScenario(
-            f"slot {slot_index} lies beyond the {len(state.sorted_snapshots)}-snapshot timeline"
-        )
+    if snap >= len(state.tap_table):
+        raise EndOfScenario(f"slot {slot_index} lies beyond the "
+                            f"{len(state.tap_table)}-snapshot timeline")
     n_s = state.samples_per_slot
     if len(samples) != n_s:
         raise InvalidInputError(
@@ -270,12 +291,10 @@ def convolve_slot(state, slot_index, samples):
     else:
         out.fill(0.0)
 
-    cir = state.sorted_snapshots[snap]
-    scale = state.signal_scale
+    offsets, weights = state.tap_table[snap]
     zaxpy = state.zaxpy
-    for amp, k in zip(cir.amps, cir.indices):
-        start = hist - int(k)
-        out = zaxpy(ext[start:start + n_s], out, a=scale * amp)
+    for start, weight in zip(offsets.tolist(), weights.tolist()):
+        out = zaxpy(ext[start:start + n_s], out, a=weight)
 
     if state.history_mode == CARRY:  # in zero mode ext[:hist] stays zero
         ext[:hist] = ext[n_s:]

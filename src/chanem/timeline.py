@@ -63,6 +63,8 @@ class CirTimeline:
         return len(self) * self.t_int
 
     def sorted_snapshots(self, l_sel):
+        """Each snapshot's top-``l_sel`` taps (:func:`sort_truncate`), in new
+        arrays that the caller may overwrite."""
         return [sort_truncate(row, l_sel) for row in self.taps]
 
 

@@ -44,3 +44,10 @@ def test_deterministic_tap_selection_per_seed():
 def test_tap_budget_validated(l_sel):
     with pytest.raises(InvalidInputError, match="l_sel"):
         bench(2, l_sel, *FULL_FMT)
+
+
+@pytest.mark.parametrize("fft_size", [0, -1])
+def test_fft_size_validated(fft_size):
+    # the emulator's slot rule rejects it, before a timeline is sized from it
+    with pytest.raises(InvalidInputError, match="fft_size must be an integer >= 1"):
+        bench(10, 4, fft_size, FULL_FMT[1])

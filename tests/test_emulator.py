@@ -185,6 +185,23 @@ class TestEmulatorState:
             make_state([dense_cir([0], [1.0])])
         assert os.path.join(os.path.dirname(scipy.__file__), "linalg") in str(exc.value)
 
+    def test_streams_on_one_timeline_leave_its_taps_alone(self):
+        # a stream scales and places its selected taps in the selection's own
+        # arrays; the timeline, and so the next stream built on it, sees none
+        # of that
+        taps = [dense_cir([0, 5], [1.0, 0.3j]), dense_cir([2], [0.5])]
+        timeline = CirTimeline(taps, F_SAMP, N_S / F_SAMP)
+        before = timeline.taps.copy()
+        x = random_slots(np.random.default_rng(3), 2)
+        runs = []
+        for _ in range(2):
+            state = EmulatorState(timeline, 16, FFT, signal_gain_db=20.0)
+            runs.append([convolve_slot(state, i, s).copy() for i, s in enumerate(x)])
+            np.testing.assert_array_equal(timeline.taps, before)
+        np.testing.assert_array_equal(runs[0], runs[1])
+        np.testing.assert_allclose(runs[0][0], np.convolve(x[0], 10 * taps[0])[:N_S],
+                                   rtol=1e-12)
+
 
 class TestConvolveSlot:
     def test_identity_channel(self):

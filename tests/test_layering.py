@@ -113,3 +113,18 @@ def test_cli_defaults_are_read_from_the_library():
            if not (isinstance(value, ast.Constant) and value.value in (None, "-", "auto"))
            and _root_name(value) not in library]
     assert own == []
+
+
+MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def test_cir_holds_no_matrix_product():
+    # a matrix product runs on OpenBLAS's threads, which stalled discretizing
+    # a timeline when the other core was busy (0.9-1.0 s against 14-24 ms)
+    tree = ast.parse((PACKAGE / "cir.py").read_text(encoding="utf-8"))
+    products = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
+                or isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS]
+    assert products == []
