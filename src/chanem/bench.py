@@ -11,6 +11,10 @@ from .emulator import NOISE_OFF_DB, EmulatorState, convolve_slot, samples_per_sl
 from .errors import InvalidInputError
 from .timeline import CirTimeline
 
+# A run keeps one latency per slot, so a million slots hold about 32 MB of
+# Python floats.
+MAX_SLOT_COUNT = 1_000_000
+
 
 @dataclass(frozen=True)
 class BenchStats:
@@ -40,8 +44,9 @@ def bench(slot_count, l_sel, fft_size, f_samp, seed=0, noise_power_db=NOISE_OFF_
     outside the timer.  Noise defaults to off so the measurement isolates the tap
     accumulation (enable it via ``noise_power_db`` to measure the full path).
     """
-    if slot_count < 1:
-        raise InvalidInputError(f"slot_count must be >= 1, got {slot_count}")
+    if not 1 <= slot_count <= MAX_SLOT_COUNT:
+        raise InvalidInputError(
+            f"slot_count must be in 1..{MAX_SLOT_COUNT}, got {slot_count}")
     if l_sel < 1:
         raise InvalidInputError(f"l_sel must be >= 1, got {l_sel}")
     n_s = samples_per_slot(fft_size)

@@ -4,7 +4,8 @@ Frame layout (little-endian):
 
     magic        4 bytes  b"OWIQ"
     version      u16
-    flags        u16      bit0: 0 = int16 interleaved IQ, 1 = f32 interleaved IQ
+    flags        u16      bit0: 0 = int16 interleaved IQ, 1 = f32 interleaved IQ;
+                          every other bit must be 0
     slot_index   u64
     sample_count u32
     payload      sample_count * 2 values (I, Q interleaved)
@@ -137,6 +138,8 @@ def read_frame(fh, samples, bufs=None):
         raise FormatError(f"bad frame magic {magic!r}", offset=0)
     if version != STREAM_VERSION:
         raise FormatError(f"unsupported frame version {version}", offset=4)
+    if flags & ~FLAG_F32:
+        raise FormatError(f"unknown frame flags {flags:#06x}", offset=6)
     if count != len(samples):
         raise FormatError(
             f"slot {slot_index} declares {count} samples, the stream carries "

@@ -6,6 +6,7 @@ throughput, RMS delay spread, and the OFDM timing feasibility chain
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -146,9 +147,12 @@ class LinkConfig:
         if not 0 <= self.numerology_mu <= MAX_NUMEROLOGY:
             raise InvalidInputError(
                 f"numerology_mu must be in 0..{MAX_NUMEROLOGY}, got {self.numerology_mu}")
-        if self.n_prb < 1 or self.fft_size < 1:
+        # an integer past the largest float overflows the first float product
+        if not (1 <= self.n_prb <= sys.float_info.max
+                and 1 <= self.fft_size <= sys.float_info.max):
             raise InvalidInputError(
-                f"n_prb and fft_size must be >= 1, got {self.n_prb} and {self.fft_size}")
+                f"n_prb and fft_size must be >= 1 and at most the largest float, "
+                f"got {self.n_prb} and {self.fft_size}")
         for oh in (self.overhead_dl, self.overhead_ul):
             if not 0.0 <= oh < 1.0:
                 raise InvalidInputError(f"overhead must be in [0, 1), got {oh}")

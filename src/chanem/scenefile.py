@@ -4,7 +4,8 @@
 into a CIR timeline.
 
 Scene files are line-oriented records; ``#`` starts a comment and blank
-lines are ignored:
+lines are ignored.  ``ground``, ``tx``, ``freq`` and ``max_depth`` appear
+at most once:
 
     material <name> <a> <b> <c> <d>
     ground z <height> material <name>
@@ -14,9 +15,11 @@ lines are ignored:
     max_depth <n>
 
 Traces are CSV with header ``t,x,y,z`` (seconds, meters) at a uniform time
-step.  Delay-profile CSVs carry ``re,im,delay_s`` rows (header optional).
+step.  Delay-profile CSVs carry ``re,im,delay_s`` rows, after an optional
+header of those names.  A header is the first line that is not blank.
 Every number in all three formats must be finite; ``nan``, ``inf`` and
 overflowing literals such as ``1e400`` are parse errors at their line.
+Line numbers count every line, blank ones included.
 """
 
 import math
@@ -28,6 +31,18 @@ from .materials import BUILTIN_MATERIALS, MaterialSpec
 from .propagation import (DelayProfile, Facet, MobilityTrace, Scene,
                           check_depth, trace_timeline)
 from .timeline import DEFAULT_T_INT, timeline_from_profiles
+
+
+def _lines(text, comment=None):
+    """Yield (line number, text) for each line of ``text`` that is not blank.
+
+    Line numbers count every line, blank ones included.  ``comment``, when
+    given, starts a comment that runs to the end of its line.
+    """
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = (raw.split(comment, 1)[0] if comment else raw).strip()
+        if line:
+            yield line_no, line
 
 
 def _floats(tokens, n, path, line_no, what):
@@ -45,26 +60,46 @@ def _floats(tokens, n, path, line_no, what):
     return values
 
 
+def _csv_rows(text, path, header, what, header_required):
+    """Read CSV ``text`` into rows of ``len(header.split(","))`` finite floats.
+
+    The first line that is not blank is the header when its cells, stripped
+    and lowercased, are those of ``header``.  Without that header, the line
+    is a row, unless ``header_required``, when it is an error.
+    """
+    lines = list(_lines(text))
+    names = header.split(",")
+    if lines and [c.strip().lower() for c in lines[0][1].split(",")] == names:
+        del lines[0]
+    elif header_required:
+        line_no, got = lines[0] if lines else (None, "")
+        raise ScenarioParseError(f"expected header {header!r}, got {got!r}",
+                                 path=path, line=line_no)
+    return [_floats(line.split(","), len(names), path, line_no, what)
+            for line_no, line in lines]
+
+
 def parse_scene(text, path="<scene>", max_depth=None):
     """Parse scene text into a :class:`Scene`.
 
-    ``max_depth`` overrides the file's value when given; an out-of-range
-    override is the caller's error, not the file's.
+    ``tx``, ``freq``, ``max_depth`` and ``ground`` records may each appear
+    once; a repeat is an error at its line.  Without a ``max_depth``
+    record the depth is :class:`Scene`'s default.  ``max_depth`` overrides
+    the file's value when given; an out-of-range override is the caller's
+    error, not the file's.
     """
     if max_depth is not None:
         check_depth(max_depth)
     materials = dict(BUILTIN_MATERIALS)
     facets = []
-    tx = None
-    freq = None
-    depth = 3
+    once = {}  # the value of each record that a scene holds once, by kind
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind, args = tokens[0].lower(), tokens[1:]
+    for line_no, line in _lines(text, comment="#"):
+        kind, *args = line.split()
+        kind = kind.lower()
+        if kind in once:
+            raise ScenarioParseError(f"a scene holds one {kind!r} record; this is the second",
+                                     path=path, line=line_no)
         try:
             if kind == "material":
                 if len(args) != 5:
@@ -76,8 +111,8 @@ def parse_scene(text, path="<scene>", max_depth=None):
                 if len(args) != 4 or args[0].lower() != "z" or args[2].lower() != "material":
                     raise ScenarioParseError("ground: expected 'z <height> material <name>'",
                                              path=path, line=line_no)
-                (height,) = _floats(args[1:2], 1, path, line_no, "ground")
-                facets.append(Facet.ground(height, args[3]))
+                (once[kind],) = _floats(args[1:2], 1, path, line_no, "ground")
+                facets.append(Facet.ground(once[kind], args[3]))
             elif kind == "wall":
                 if len(args) != 8 or args[6].lower() != "material":
                     raise ScenarioParseError(
@@ -86,31 +121,30 @@ def parse_scene(text, path="<scene>", max_depth=None):
                 x1, y1, x2, y2, zmin, zmax = _floats(args[:6], 6, path, line_no, "wall")
                 facets.append(Facet.wall(x1, y1, x2, y2, zmin, zmax, args[7]))
             elif kind == "tx":
-                tx = _floats(args, 3, path, line_no, "tx")
+                once[kind] = _floats(args, 3, path, line_no, "tx")
             elif kind == "freq":
-                (freq,) = _floats(args, 1, path, line_no, "freq")
+                (once[kind],) = _floats(args, 1, path, line_no, "freq")
             elif kind == "max_depth":
                 try:
-                    depth = int(args[0])
-                except (IndexError, ValueError):
-                    raise ScenarioParseError("max_depth: expected an integer",
+                    (once[kind],) = map(int, args)
+                except ValueError:
+                    raise ScenarioParseError("max_depth: expected one integer",
                                              path=path, line=line_no) from None
-                check_depth(depth)
+                check_depth(once[kind])
             else:
                 raise ScenarioParseError(f"unknown record {kind!r}",
                                          path=path, line=line_no)
         except (SceneGeometryError, InvalidInputError) as exc:
             raise ScenarioParseError(str(exc), path=path, line=line_no) from exc
 
-    if tx is None:
-        raise ScenarioParseError("scene is missing a 'tx' record", path=path)
-    if freq is None:
-        raise ScenarioParseError("scene is missing a 'freq' record", path=path)
-    if max_depth is not None:
-        depth = max_depth
+    for kind in ("tx", "freq"):
+        if kind not in once:
+            raise ScenarioParseError(f"scene is missing a {kind!r} record", path=path)
+    if max_depth is None:
+        max_depth = once.get("max_depth", Scene.max_depth)
     try:
-        return Scene(facets=facets, tx_position=tx, carrier_freq=freq,
-                     max_depth=depth, materials=materials)
+        return Scene(facets=facets, tx_position=once["tx"], carrier_freq=once["freq"],
+                     max_depth=max_depth, materials=materials)
     except (SceneGeometryError, InvalidInputError) as exc:
         raise ScenarioParseError(str(exc), path=path) from exc
 
@@ -126,17 +160,7 @@ def parse_trace(text, path="<trace>"):
     The time column must be uniformly spaced, over a span that is a finite
     float; a single-row trace takes DEFAULT_T_INT.
     """
-    rows = []
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines:
-        raise ScenarioParseError("trace is empty", path=path)
-    header = [c.strip().lower() for c in lines[0].split(",")]
-    if header != ["t", "x", "y", "z"]:
-        raise ScenarioParseError(f"expected header 't,x,y,z', got {lines[0]!r}",
-                                 path=path, line=1)
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        rows.append(_floats(cells, 4, path, line_no, "trace row"))
+    rows = _csv_rows(text, path, "t,x,y,z", "trace row", header_required=True)
     if not rows:
         raise ScenarioParseError("trace has a header but no rows", path=path)
     data = np.asarray(rows)
@@ -170,21 +194,12 @@ def load_trace(path):
 
 
 def parse_profile(text, path="<profile>"):
-    """Parse ``re,im,delay_s`` rows into a :class:`DelayProfile`."""
-    amps = []
-    delays = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if line_no == 1 and any(not _is_number(c) for c in cells):
-            continue  # header row
-        re, im, delay = _floats(cells, 3, path, line_no, "profile row")
-        amps.append(complex(re, im))
-        delays.append(delay)
+    """Parse ``re,im,delay_s`` rows, after an optional header of those
+    names, into a :class:`DelayProfile`."""
+    rows = _csv_rows(text, path, "re,im,delay_s", "profile row", header_required=False)
     try:
-        return DelayProfile(amps=np.asarray(amps), delays=np.asarray(delays))
+        return DelayProfile(amps=np.asarray([complex(re, im) for re, im, _ in rows]),
+                            delays=np.asarray([delay for _, _, delay in rows]))
     except InvalidInputError as exc:
         raise ScenarioParseError(str(exc), path=path) from exc
 
@@ -201,10 +216,3 @@ def build_scenario(scene_path, trace_path, cir_cfg, max_depth=None):
     profiles = trace_timeline(scene, trace)
     return timeline_from_profiles(profiles, cir_cfg, trace.interval)
 
-
-def _is_number(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chanem.bench import bench
+from chanem.bench import MAX_SLOT_COUNT, bench
 from chanem.cir import CirConfig
 from chanem.errors import InvalidInputError
 
@@ -30,8 +30,9 @@ def test_tap_budget_clamped_to_vector_length():
 
 
 def test_slot_count_validated():
-    with pytest.raises(InvalidInputError):
-        bench(0, 4, *FULL_FMT)
+    for slot_count in (0, MAX_SLOT_COUNT + 1):
+        with pytest.raises(InvalidInputError, match="slot_count"):
+            bench(slot_count, 4, *FULL_FMT)
 
 
 def test_deterministic_tap_selection_per_seed():

@@ -819,7 +819,8 @@ class TestTimelineInput:
         assert not out.exists()
 
 
-BOUNDARY_VALUES = ["1e4", "-1e4", "1e308", "-1e308", "nan", "inf", "0", "x", "-1"]
+BOUNDARY_VALUES = ["1e4", "-1e4", "1e308", "-1e308", "nan", "inf", "0", "x", "-1",
+                   "1" + "0" * 400]
 NUMERIC_FLAGS = {
     "emulate": ["--taps", "--signal-gain-db", "--noise-db", "--seed", "--fft"],
     "bench": ["--slots", "--taps", "--fft", "--fsamp", "--seed", "--noise-db"],

@@ -118,6 +118,19 @@ def test_sample_count_checked_before_payload_read():
     assert reader.requests == [20]  # the header only
 
 
+@pytest.mark.parametrize("flags", [0x0002, 0x8000, 0xFFFF])
+def test_unknown_flag_bits_rejected_before_payload_read(flags):
+    buf = io.BytesIO()
+    write_frame(buf, 0, np.zeros(4))
+    raw = bytearray(buf.getvalue())
+    raw[6:8] = struct.pack("<H", flags)
+    reader = _RecordingReader(bytes(raw))
+    with pytest.raises(FormatError, match="flags") as exc:
+        read_frame(reader, np.empty(4, complex))
+    assert exc.value.offset == 6
+    assert reader.requests == [20]  # the header only
+
+
 class _TrickleReader(io.BytesIO):
     """A byte stream that fills at most 7 bytes per readinto, like a socket."""
 

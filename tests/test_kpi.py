@@ -73,9 +73,11 @@ class TestBitrate:
     @pytest.mark.parametrize("field, value", [
         ("numerology_mu", -1), ("numerology_mu", 7), ("numerology_mu", 1100),
         ("fft_size", 0), ("fft_size", -1536), ("n_prb", 0),
+        ("fft_size", 10**400), ("n_prb", 10**400),
     ])
     def test_meaningless_numerology_rejected(self, field, value):
-        # mu 1100 overflowed 2**mu; fft_size 0 gave a zero symbol duration
+        # mu 1100 overflowed 2**mu; fft_size 0 gave a zero symbol duration;
+        # 10**400 overflowed the first float product
         assert dataclasses.replace(table_cfg(), numerology_mu=6).numerology_mu == 6
         with pytest.raises(InvalidInputError, match=field):
             dataclasses.replace(table_cfg(), **{field: value})

@@ -374,6 +374,25 @@ class TestParsers:
         assert profile.amps[0] == 1.0 + 0.5j
         assert profile.delays[1] == 1e-6
 
+    @pytest.mark.parametrize("parse, text, want", [
+        (parse_profile, "1.0,0.0,1e-7x\n0.5,0,2e-7\n", 1),
+        (parse_profile, "\nre,im,delay_s\n1,0,0\n", "1 path"),
+        (parse_trace, "t,x,y,z\n\n\n0,1,2,3\n0.1,1,2,abc\n", 5),
+        (parse_scene, "tx 0 0 10\nfreq 4e9\nmax_depth 2 junk\n", 3),
+        (parse_scene, "tx 0 0 10\nfreq 4e9\ntx 5 5 5\n", 3),
+        (parse_scene, "tx 0 0 10\nfreq 4e9\n\nfreq 3e9\n", 4),
+        (parse_scene, "max_depth 1\ntx 0 0 10\nfreq 4e9\nmax_depth 1\n", 4),
+        (parse_scene, "tx 0 0 10\nfreq 4e9\nground z 0 material concrete\n"
+                      "ground z -1 material concrete\n", 4),
+    ])
+    def test_text_parses_or_names_its_line(self, parse, text, want):
+        if want == "1 path":
+            assert parse(text).n_paths == 1
+            return
+        with pytest.raises(ScenarioParseError) as err:
+            parse(text)
+        assert err.value.line == want
+
     @settings(max_examples=300, deadline=None)
     @given(text=PARSER_TEXT)
     def test_parsers_raise_only_parse_errors(self, text):
@@ -382,6 +401,21 @@ class TestParsers:
                 parse(text)
             except ScenarioParseError:
                 pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=PARSER_TEXT, k=st.integers(1, 3))
+    def test_blank_lines_before_text_move_its_error_line(self, text, k):
+        def outcome(parse, text):
+            try:
+                parse(text)
+            except ScenarioParseError as exc:
+                return exc.line
+            return "parsed"
+
+        for parse in (parse_scene, parse_trace, parse_profile):
+            line = outcome(parse, text)
+            shifted = outcome(parse, "\n" * k + text)
+            assert shifted == (line + k if isinstance(line, int) else line)
 
     def test_randomized_trace_round_trip(self):
         rng = np.random.default_rng(8)
