@@ -162,6 +162,8 @@ def _cmd_bench(args):
     print(f"max_s={stats.max_s:.9f}")
     print(f"budget_s={stats.budget_s:.9f}")
     print(f"passed={stats.passed}")
+    print(f"slot_median_s={stats.slot_median_s:.9f}")
+    print(f"slot_p99_s={stats.slot_p99_s:.9f}")
     return EXIT_OK
 
 
@@ -276,7 +278,7 @@ def build_parser():
     p.add_argument("--gain", default=None)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("bench", help="measure per-slot convolution latency")
+    p = sub.add_parser("bench", help="time the frame driver per slot against the slot period")
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--taps", type=int, required=True)
     p.add_argument("--fft", type=_fft_size, default=REF.fft_size)

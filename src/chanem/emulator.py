@@ -52,7 +52,7 @@ _SQRT_HALF = math.sqrt(0.5)
 NOISE_BANK_SIZE = 1 << 18
 
 # Upper bound on N_s: it sizes the stream buffers, the noise bank and bench's
-# input pool.  It admits OAI's 6144-point FFT (92,160 samples per slot).
+# frame ring.  It admits OAI's 6144-point FFT (92,160 samples per slot).
 MAX_SLOT_SAMPLES = 1 << 17
 
 # Byte alignment of the axpy accumulators.  numpy only promises 16 bytes; at
@@ -321,7 +321,8 @@ def calibrate_signal_gain(taps):
 def run_scenario(state, rf, wf):
     """Drive one frame stream; yield (slot_index, seconds, clipped) per slot.
 
-    This is the one frame loop.  It reads each OWIQ frame from ``rf``
+    This is the one frame loop, which ``chanem emulate`` and
+    :func:`~chanem.bench.bench` both run.  It reads each OWIQ frame from ``rf``
     straight into ``state.slot``, convolves it and writes the output frame
     to ``wf`` in the input frame's format, through ``state.bufs``; no slot
     allocates an array.

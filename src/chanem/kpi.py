@@ -182,9 +182,16 @@ def _overhead(cfg, direction):
 
 
 def max_bitrate(cfg, mcs, direction):
-    """Single-layer maximum bitrate in Mbps for one link direction."""
+    """Single-layer maximum bitrate in Mbps for one link direction.
+
+    Raises :class:`InvalidInputError`, naming ``n_prb``, where the bitrate
+    overflows a float.
+    """
     subcarriers_per_sec = 12.0 * cfg.n_prb / cfg.avg_symbol_duration
-    return 1e-6 * mcs.spectral_eff * subcarriers_per_sec * (1.0 - _overhead(cfg, direction))
+    r_b = 1e-6 * mcs.spectral_eff * subcarriers_per_sec * (1.0 - _overhead(cfg, direction))
+    if not math.isfinite(r_b):
+        raise InvalidInputError(f"n_prb of {cfg.n_prb:.6g} overflows the bitrate")
+    return r_b
 
 
 def effective_throughput(cfg, mcs, bler, direction):

@@ -19,7 +19,8 @@ step.  Delay-profile CSVs carry ``re,im,delay_s`` rows, after an optional
 header of those names.  A header is the first line that is not blank.
 Every number in all three formats must be finite; ``nan``, ``inf`` and
 overflowing literals such as ``1e400`` are parse errors at their line.
-Line numbers count every line, blank ones included.
+Lines end at LF (a CR before it is ignored), and line numbers count every
+line, blank ones included.
 """
 
 import math
@@ -36,10 +37,13 @@ from .timeline import DEFAULT_T_INT, timeline_from_profiles
 def _lines(text, comment=None):
     """Yield (line number, text) for each line of ``text`` that is not blank.
 
+    Lines end at LF only, as an editor counts them, so a ``\r`` before the
+    LF is stripped with the other whitespace, and a form feed or another
+    character that ``str.splitlines`` breaks at stays inside its line.
     Line numbers count every line, blank ones included.  ``comment``, when
     given, starts a comment that runs to the end of its line.
     """
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = (raw.split(comment, 1)[0] if comment else raw).strip()
         if line:
             yield line_no, line

@@ -139,7 +139,8 @@ def test_criterion_6_real_time_budget():
         fmt = (1536, 46.08e6)  # (fft_size, f_samp): N_s = 23040
         stats = bench(10000, 28, *fmt, seed=1)
         print(f"  bench 28 taps: median {stats.median_s * 1e3:.3f} ms, "
-              f"p99 {stats.p99_s * 1e3:.3f} ms, budget {stats.budget_s * 1e3:.3f} ms")
+              f"p99 {stats.p99_s * 1e3:.3f} ms, budget {stats.budget_s * 1e3:.3f} ms; "
+              f"whole driver step median {stats.slot_median_s * 1e3:.3f} ms")
         assert stats.median_s < 0.5e-3
         full = bench(600, 146, *fmt, seed=1)
         verdict = "exceeds" if full.median_s >= full.budget_s else "fits"

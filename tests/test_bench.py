@@ -1,9 +1,15 @@
-import numpy as np
+import importlib
+
 import pytest
 
+from chanem import emulator
 from chanem.bench import MAX_SLOT_COUNT, bench
 from chanem.cir import CirConfig
 from chanem.errors import InvalidInputError
+from chanem.iqstream import FMT_F32
+
+# the package exports the function bench under the module's name
+bench_module = importlib.import_module("chanem.bench")
 
 FULL_FMT = (1536, 46.08e6)      # (fft_size, f_samp): N_s = 23040
 SMALL_FMT = (8, 8 * 15 / 0.5e-3)  # N_s = 120
@@ -16,6 +22,40 @@ def test_stats_fields_and_ordering():
     assert stats.samples_per_slot == 120
     assert 0.0 < stats.min_s <= stats.median_s <= stats.p99_s <= stats.max_s
     assert stats.budget_s == pytest.approx(0.5e-3)
+    # a driver step holds its convolve stage, so it is no shorter
+    assert stats.median_s <= stats.slot_median_s <= stats.slot_p99_s
+    assert stats.p99_s <= stats.slot_p99_s
+
+
+def test_every_slot_goes_through_the_one_frame_driver(monkeypatch):
+    # 20 slots wrap the 8-frame ring twice, so a frame served with a stale
+    # slot_index would end the run in SequencingError
+    decoded, encoded, driven = [], [], []
+    read_frame, write_frame = emulator.read_frame, emulator.write_frame
+    run_scenario = bench_module.run_scenario
+
+    def counting_read(fh, samples, bufs=None):
+        frame = read_frame(fh, samples, bufs)
+        if frame is not None:
+            decoded.append(frame)
+        return frame
+
+    def counting_write(fh, slot_index, samples, fmt, bufs=None):
+        encoded.append((slot_index, fmt))
+        return write_frame(fh, slot_index, samples, fmt, bufs)
+
+    def counting_run(state, rf, wf):
+        for step in run_scenario(state, rf, wf):
+            driven.append(step[0])
+            yield step
+
+    monkeypatch.setattr(emulator, "read_frame", counting_read)
+    monkeypatch.setattr(emulator, "write_frame", counting_write)
+    monkeypatch.setattr(bench_module, "run_scenario", counting_run)
+    stats = bench(20, 4, *SMALL_FMT, seed=3)
+    assert stats.slot_count == 20
+    assert decoded == encoded == [(i, FMT_F32) for i in range(20)]
+    assert driven == list(range(20))
 
 
 def test_single_tap_is_faster_than_full_budget():

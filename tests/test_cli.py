@@ -153,6 +153,9 @@ class TestSimpleCommands:
                      "--fft", "8", "--fsamp", str(F_SAMP)]) == EXIT_OK
         out = dict(line.split("=") for line in
                    capsys.readouterr().out.strip().splitlines())
+        assert list(out) == ["slots", "taps", "samples_per_slot", "min_s", "median_s",
+                             "p99_s", "max_s", "budget_s", "passed",
+                             "slot_median_s", "slot_p99_s"]
         assert int(out["slots"]) == 20
         assert float(out["median_s"]) > 0.0
         assert out["passed"] in ("True", "False")
@@ -820,7 +823,7 @@ class TestTimelineInput:
 
 
 BOUNDARY_VALUES = ["1e4", "-1e4", "1e308", "-1e308", "nan", "inf", "0", "x", "-1",
-                   "1" + "0" * 400]
+                   "1" + "0" * 308, "1" + "0" * 400]
 NUMERIC_FLAGS = {
     "emulate": ["--taps", "--signal-gain-db", "--noise-db", "--seed", "--fft"],
     "bench": ["--slots", "--taps", "--fft", "--fsamp", "--seed", "--noise-db"],
@@ -891,6 +894,14 @@ class TestFlagBoundaries:
         name = "signal_gain_db" if flag == "--signal-gain-db" else "noise_power_db"
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {name} of 10000.0 dB overflows its linear scale")
+
+    def test_overflowing_bitrate_is_precondition_error(self, capsys):
+        # an integer that fits a float, but whose bitrate does not
+        assert main(["kpi", "--mcs", "27", "--bler", "0.1", "--dir", "dl",
+                     "--nprb", "1" + "0" * 308]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: n_prb of 1e+308 overflows the bitrate"
 
     def test_overflowing_snapshot_to_slot_ratio_is_precondition_error(
             self, tiny_inputs, tmp_path, capsys):

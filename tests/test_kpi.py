@@ -82,6 +82,16 @@ class TestBitrate:
         with pytest.raises(InvalidInputError, match=field):
             dataclasses.replace(table_cfg(), **{field: value})
 
+    @pytest.mark.parametrize("kpi", [
+        lambda cfg, mcs: max_bitrate(cfg, mcs, "dl"),
+        lambda cfg, mcs: effective_throughput(cfg, mcs, 0.1, "dl"),
+    ], ids=["max_bitrate", "effective_throughput"])
+    def test_overflowing_bitrate_rejected(self, kpi):
+        # 10**308 PRB fits a float, but 12 subcarriers a PRB do not
+        cfg = dataclasses.replace(table_cfg(), n_prb=10**308)
+        with pytest.raises(InvalidInputError, match="n_prb of 1e\\+308 overflows"):
+            kpi(cfg, mcs_lookup(27))
+
 
 class TestEffectiveThroughput:
     def test_dl_worked_example(self):

@@ -1,8 +1,9 @@
 """Layering rules of the package, read from the source with ``ast``.
 
 File-format modules do not reach the tracer or the scene parser, the tracer
-reaches no later stage, and the CLI only parses and prints (no array code or
-sockets of its own, and no default value of its own).
+reaches no later stage, the CLI only parses and prints (no array code or
+sockets of its own, and no default value of its own), and bench drives no
+slot of its own.
 """
 
 import ast
@@ -113,6 +114,17 @@ def test_cli_defaults_are_read_from_the_library():
            if not (isinstance(value, ast.Constant) and value.value in (None, "-", "auto"))
            and _root_name(value) not in library]
     assert own == []
+
+
+def test_bench_has_no_slot_loop_of_its_own():
+    # bench times run_scenario, the frame driver that production runs; the
+    # slot stages are reached only through it
+    tree = ast.parse((PACKAGE / "bench.py").read_text(encoding="utf-8"))
+    library = _package_names(tree)
+    assert "run_scenario" in library
+    assert not library & {"convolve_slot", "noise_block"}
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & {"convolve_slot", "noise_block"}
 
 
 MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}

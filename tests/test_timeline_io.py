@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from chanem.cir import CirConfig, path_gain_total
 from chanem.errors import (DelayRangeError, FormatError, InvalidInputError,
                            ScenarioParseError)
-from chanem.scenefile import (build_scenario, parse_profile, parse_scene,
-                              parse_trace)
+from chanem.scenefile import (build_scenario, load_scene, load_trace,
+                              parse_profile, parse_scene, parse_trace)
 from chanem.timeline import (DEFAULT_T_INT, CirTimeline, pdp_matrix_db,
                              read_timeline, report, write_path_gain_csv,
                              write_pdp_csv, write_report_rows_csv, write_timeline)
@@ -392,6 +392,29 @@ class TestParsers:
         with pytest.raises(ScenarioParseError) as err:
             parse(text)
         assert err.value.line == want
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_lf_only(self, char):
+        # str.splitlines also breaks at these; an editor counting LF does not
+        for parse, text in [(parse_scene, f"tx 0 0 10\nfreq 4e9 {char}\nwibble"),
+                            (parse_trace, f"t,x,y,z\n0,1,2,3{char}\n0.1,1,2,abc"),
+                            (parse_profile, f"re,im,delay_s\n1,0,0{char}\n0.5,0,x")]:
+            with pytest.raises(ScenarioParseError) as err:
+                parse(text)
+            assert err.value.line == 3
+
+    def test_crlf_text_parses_and_counts_lf(self, tmp_path):
+        scene, trace = tmp_path / "scene.txt", tmp_path / "trace.csv"
+        scene.write_bytes(b"tx 0 0 10\r\nfreq 4e9\r\n\r\nwibble 1\r\n")
+        trace.write_bytes(b"t,x,y,z\r\n0.0,1,2,1.5\r\n0.1,3,4,2.5\r\n")
+        for parse in (lambda: load_scene(scene),
+                      lambda: parse_scene(scene.read_bytes().decode())):
+            with pytest.raises(ScenarioParseError) as err:
+                parse()
+            assert err.value.line == 4
+        for parsed in (load_trace(trace), parse_trace(trace.read_bytes().decode())):
+            np.testing.assert_array_equal(parsed.positions, [[1, 2, 1.5], [3, 4, 2.5]])
 
     @settings(max_examples=300, deadline=None)
     @given(text=PARSER_TEXT)
