@@ -189,11 +189,12 @@ def _cmd_emulate(args):
         stats = (stack.enter_context(open(args.stats, "w", encoding="utf-8"))
                  if args.stats else None)
         if stats:
-            stats.write("slot_index,latency_s,clipped_samples\n")
+            stats.write("slot_index,latency_s,clipped_samples,read_s,write_s\n")
         rf, wf = stack.enter_context(frame_streams(args.input, args.out, args.listen))
-        for slot_index, seconds, clipped in run_scenario(state, rf, wf):
+        for slot_index, read_s, convolve_s, write_s, clipped in run_scenario(state, rf, wf):
             if stats:
-                stats.write(f"{slot_index},{seconds:.9f},{clipped}\n")
+                stats.write(f"{slot_index},{convolve_s:.9f},{clipped},"
+                            f"{read_s:.9f},{write_s:.9f}\n")
     return EXIT_OK
 
 

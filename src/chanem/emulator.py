@@ -12,7 +12,8 @@ across slot boundaries so the streaming output equals one long convolution
 (``carry`` mode), or is zeroed per slot to reproduce strict per-slot matrix
 processing (``zero``).
 :func:`run_scenario` drives a stream of OWIQ frames through it, decoding
-each frame into the stream's own buffer.
+each frame into the stream's own buffer and timing each slot's read,
+convolve and write stages.
 
 The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
 3x more per slot and misses the real-time budget on a desktop core.  The
@@ -319,22 +320,31 @@ def calibrate_signal_gain(taps):
 
 
 def run_scenario(state, rf, wf):
-    """Drive one frame stream; yield (slot_index, seconds, clipped) per slot.
+    """Drive one frame stream; yield (slot_index, read_s, convolve_s,
+    write_s, clipped) per slot.
 
     This is the one frame loop, which ``chanem emulate`` and
-    :func:`~chanem.bench.bench` both run.  It reads each OWIQ frame from ``rf``
-    straight into ``state.slot``, convolves it and writes the output frame
-    to ``wf`` in the input frame's format, through ``state.bufs``; no slot
-    allocates an array.
-    The seconds cover :func:`convolve_slot` alone; ``clipped`` counts the
-    values the output frame saturated or wrote as 0 for NaN (see
-    :func:`~chanem.iqstream.write_frame`).  A slot past the end of the
-    timeline raises :class:`EndOfScenario`; frame, sequencing and input
-    errors propagate too.
+    :func:`~chanem.bench.bench` both run, and the one clock of a slot.  It
+    reads each OWIQ frame from ``rf`` straight into ``state.slot``,
+    convolves it and writes the output frame to ``wf`` in the input frame's
+    format, through ``state.bufs``; no slot allocates an array.
+    Each stage is timed by ``time.perf_counter``: ``read_s`` covers
+    :func:`~chanem.iqstream.read_frame` (header, payload and decode; over a
+    pipe or socket it includes waiting for the frame), ``convolve_s``
+    :func:`convolve_slot` with its noise, and ``write_s``
+    :func:`~chanem.iqstream.write_frame` (encode and write).  Time the
+    caller spends between two slots counts in no stage.  ``clipped``
+    counts the values the output frame saturated or wrote as 0 for NaN.
+    A slot past the end of the timeline raises :class:`EndOfScenario`;
+    frame, sequencing and input errors propagate too.
     """
+    t0 = time.perf_counter()
     while (frame := read_frame(rf, state.slot, state.bufs)) is not None:
         slot_index, fmt = frame
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         out = convolve_slot(state, slot_index, state.slot)
-        seconds = time.perf_counter() - t0
-        yield slot_index, seconds, write_frame(wf, slot_index, out, fmt, state.bufs)
+        t2 = time.perf_counter()
+        clipped = write_frame(wf, slot_index, out, fmt, state.bufs)
+        t3 = time.perf_counter()
+        yield slot_index, t1 - t0, t2 - t1, t3 - t2, clipped
+        t0 = time.perf_counter()

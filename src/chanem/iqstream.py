@@ -103,6 +103,12 @@ def write_frame(fh, slot_index, samples, fmt=FMT_I16, bufs=None):
     return clipped
 
 
+def restamp_frame(buf, offset, slot_index):
+    """Set the ``slot_index`` in the header of the encoded frame that starts
+    at byte ``offset`` of the writable buffer ``buf``."""
+    struct.pack_into("<Q", buf, offset + 8, slot_index)
+
+
 def _read_into(fh, buf):
     """Fill ``buf`` from ``fh``; returns the number of bytes read before EOF."""
     view = memoryview(buf)

@@ -254,19 +254,21 @@ def ofdm_feasibility(cfg, sigma_tau, speed, margin=FEASIBILITY_MARGIN):
     """Evaluate the OFDM timing chain for a given delay spread and UE speed.
 
     Each 'much less than' is operationalized as left * margin <= right.
-    Zero speed gives an infinite fading period (static channel).
+    Zero speed gives an infinite fading period (static channel), and so
+    does a Doppler shift below the smallest float.  Raises
+    :class:`InvalidInputError`, naming the speed and the carrier, where the
+    Doppler shift overflows a float.
     """
     for name, value in (("speed", speed), ("sigma_tau", sigma_tau), ("margin", margin)):
         if not (math.isfinite(value) and value >= 0.0):
             raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
     t_gi = cfg.cp_short_samples / cfg.f_samp
     t_ofdm = cfg.fft_size / cfg.f_samp
-    if speed > 0.0:
-        f_d = cfg.carrier_freq * speed / SPEED_OF_LIGHT
-        t_f = 1.0 / f_d
-    else:
-        f_d = 0.0
-        t_f = float("inf")
+    f_d = cfg.carrier_freq * speed / SPEED_OF_LIGHT
+    if not math.isfinite(f_d):
+        raise InvalidInputError(f"speed of {speed:.6g} m/s at carrier {cfg.carrier_freq:.6g} "
+                                f"Hz overflows the Doppler frequency")
+    t_f = 1.0 / f_d if f_d > 0.0 else math.inf
     return OfdmFeasibility(
         rms_delay_spread=sigma_tau,
         guard_interval=t_gi,

@@ -43,21 +43,37 @@ class EmProperties:
     freq: float        # Hz
 
     def __post_init__(self):
-        if self.eps_r < 1.0 or self.sigma_c < 0.0 or self.freq <= 0.0:
+        # written as ranges so that NaN fails them too
+        if not (1.0 <= self.eps_r < math.inf and 0.0 <= self.sigma_c < math.inf
+                and 0.0 < self.freq < math.inf):
             raise InvalidInputError(
                 f"invalid EM properties: eps_r={self.eps_r}, "
                 f"sigma_c={self.sigma_c}, freq={self.freq}"
             )
 
 
+def _power_law(coeff, f_ghz, exponent):
+    """``coeff * f_ghz**exponent``, or inf where the power overflows a float."""
+    try:
+        return coeff * f_ghz**exponent
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** -x raises the latter
+        return math.inf
+
+
 def evaluate_material(spec, freq_hz):
-    """Evaluate a material's permittivity and conductivity at ``freq_hz``."""
+    """Evaluate a material's permittivity and conductivity at ``freq_hz``.
+
+    Raises :class:`InvalidInputError`, naming the material and the
+    frequency, where either power law gives no finite value in range.
+    """
     if not (math.isfinite(freq_hz) and freq_hz > 0.0):
         raise InvalidInputError(f"frequency must be finite and positive, got {freq_hz}")
     f_ghz = freq_hz * 1e-9
-    eps_r = spec.a * f_ghz**spec.b
-    sigma_c = spec.c * f_ghz**spec.d
-    return EmProperties(eps_r=eps_r, sigma_c=sigma_c, freq=freq_hz)
+    try:
+        return EmProperties(eps_r=_power_law(spec.a, f_ghz, spec.b),
+                            sigma_c=_power_law(spec.c, f_ghz, spec.d), freq=freq_hz)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"material {spec.name!r}: {exc}") from None
 
 
 def complex_permittivity(props):

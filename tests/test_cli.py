@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import socket
 import struct
@@ -10,6 +11,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from chanem.cir import CirConfig
 from chanem.cli import (EXIT_END_OF_SCENARIO, EXIT_OK, EXIT_PARSE,
                         EXIT_PRECONDITION, main)
-from chanem import cli
+from chanem import cli, emulator
 from chanem.emulator import EmulatorState, convolve_slot, run_scenario
 from chanem.errors import InvalidInputError, ScenarioParseError
 from chanem.iqstream import (F32_FULL_SCALE, FMT_F32, FMT_I16, INT16_FULL_SCALE,
@@ -78,6 +80,15 @@ class TestSimpleCommands:
     def test_materials_unknown_is_precondition_error(self, capsys):
         assert main(["materials", "--material", "nope",
                      "--freq-hz", "1e9"]) == EXIT_PRECONDITION
+
+    def test_materials_overflow_is_precondition_error(self, capsys):
+        # glass's conductivity power law overflows a float at 1e300 Hz
+        assert main(["materials", "--material", "glass",
+                     "--freq-hz", "1e300"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: material 'glass': invalid EM properties: "
+                                "eps_r=6.31, sigma_c=inf, freq=1e+300\n")
 
     def test_kpi_worked_example(self, capsys):
         assert main(["kpi", "--mcs", "27", "--bler", "0.001656",
@@ -194,6 +205,23 @@ class TestScenarioPipeline:
         assert len(rows_csv.read_text().splitlines()) == 11
         assert len(pdp_csv.read_text().splitlines()) == 11
         assert gain_csv.read_text().startswith("time_s,path_gain_db")
+
+    @pytest.mark.parametrize("coefficients", ["1 0 1 1e10", "1e308 1 0 0"])
+    def test_overflowing_material_is_precondition_error(self, tmp_path, capsys,
+                                                        coefficients):
+        # at the scene's 4 GHz, sigma_c = 4 ** 1e10 and eps_r = 1e308 * 4
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"material m {coefficients}\n"
+                         + SCENE.replace("material glass", "material m"))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0.0,-20,0.0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert main(["trace", "--scene", str(scene), "--trace", str(trace),
+                     "--out", str(out)]) == EXIT_PRECONDITION
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: snapshot 0: material 'm': invalid EM properties")
+        assert line.endswith("freq=4019160000.0")
+        assert not out.exists()
 
     def test_missing_scene_file_is_parse_error(self, tmp_path):
         assert main(["trace", "--scene", str(tmp_path / "nope.txt"),
@@ -425,8 +453,24 @@ class TestEmulateCommand:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
         lines = stats.read_text().strip().splitlines()
-        assert lines[0] == "slot_index,latency_s,clipped_samples"
+        assert lines[0] == "slot_index,latency_s,clipped_samples,read_s,write_s"
         assert len(lines) == 9
+
+    def test_stats_rows_read_the_driver_clock(self, tmp_path, monkeypatch):
+        # a clock that advances 1 per read: each stage spans one tick
+        ticks = itertools.count()
+        monkeypatch.setattr(emulator, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)] * 3)
+        stats = tmp_path / "stats.csv"
+        assert main(["emulate", "--timeline", str(timeline), "--signal-gain-db", "0",
+                     "--fft", "8", "--in", str(inp), "--out", str(outp),
+                     "--stats", str(stats)]) == EXIT_OK
+        one = "1.000000000"
+        assert stats.read_text().splitlines()[1:] == [
+            f"{i},{one},0,{one},{one}" for i in range(3)]
 
     def test_auto_gain_and_seed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OWDT_SEED", "123")
@@ -832,6 +876,7 @@ NUMERIC_FLAGS = {
     "kpi": ["--mcs", "--bler", "--nprb", "--mu", "--oh-dl", "--oh-ul"],
     "check-ofdm": ["--speed", "--freq-hz", "--mu", "--fft", "--fsamp",
                    "--sigma-tau", "--margin"],
+    "materials": ["--freq-hz"],
 }
 
 
@@ -869,6 +914,7 @@ class TestFlagBoundaries:
                     "--out", tmp_path / "o.cirt"],
             "kpi": ["--mcs", "27", "--bler", "0.01", "--dir", "dl"],
             "check-ofdm": ["--speed", "11.78"],
+            "materials": ["--material", "glass"],
         }[command]
         # the swept flag comes last, so it overrides a base value
         argv = [command, *map(str, base), f"{flag}={value}"]
@@ -902,6 +948,15 @@ class TestFlagBoundaries:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: n_prb of 1e+308 overflows the bitrate"
+
+    def test_overflowing_doppler_is_precondition_error(self, capsys):
+        # a speed that fits a float, but whose Doppler shift does not
+        assert main(["check-ofdm", "--speed", "1e308"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: speed of 1e+308 m/s at carrier 4.01916e+09 Hz overflows the "
+            "Doppler frequency")
 
     def test_overflowing_snapshot_to_slot_ratio_is_precondition_error(
             self, tiny_inputs, tmp_path, capsys):

@@ -568,8 +568,8 @@ class TestRunScenario:
         wf = io.BytesIO()
         outs = []
         with pytest.raises(EndOfScenario):
-            for slot_index, seconds, clipped in run_scenario(state, owiq(slots), wf):
-                assert seconds >= 0.0
+            for slot_index, *seconds, clipped in run_scenario(state, owiq(slots), wf):
+                assert len(seconds) == 3 and min(seconds) >= 0.0
                 outs.append(slot_index)
         assert len(outs) == state.capacity_slots == 400
         assert outs == list(range(400))

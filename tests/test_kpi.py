@@ -198,6 +198,19 @@ class TestOfdmFeasibility:
         assert math.isinf(v.fading_period)
         assert v.coherence_ok
 
+    def test_overflowing_doppler_is_named_error(self):
+        # 4.02 GHz * 1e308 m/s overflows a float
+        with pytest.raises(InvalidInputError,
+                           match=r"^speed of 1e\+308 m/s at carrier 4\.01916e\+09 Hz"):
+            ofdm_feasibility(table_cfg(), 0.0, 1e308)
+
+    def test_doppler_below_the_smallest_float_is_static(self):
+        # 1 Hz * 5e-324 m/s / c underflows to 0: a static channel, not 1 / 0
+        cfg = dataclasses.replace(table_cfg(), carrier_freq=1.0)
+        v = ofdm_feasibility(cfg, 0.0, 5e-324)
+        assert v.doppler_freq == 0.0
+        assert math.isinf(v.fading_period)
+
     def test_margin_is_configurable(self):
         cfg = table_cfg()
         # T_GI * 10 <= T_OFDM holds, * 20 does not (2.3 us vs 33.3 us)

@@ -3,7 +3,7 @@
 File-format modules do not reach the tracer or the scene parser, the tracer
 reaches no later stage, the CLI only parses and prints (no array code or
 sockets of its own, and no default value of its own), and bench drives no
-slot of its own.
+slot, reads no clock and writes no frame header of its own.
 """
 
 import ast
@@ -125,6 +125,9 @@ def test_bench_has_no_slot_loop_of_its_own():
     assert not library & {"convolve_slot", "noise_block"}
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"convolve_slot", "noise_block"}
+    # nor a clock or a frame layout: every second it reports is the driver's,
+    # and iqstream alone writes a frame's header
+    assert not direct_imports("bench") & {"time", "struct"}
 
 
 MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}

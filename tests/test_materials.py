@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from chanem.errors import InvalidInputError
@@ -84,6 +87,28 @@ def test_material_invariants_enforced():
         MaterialSpec("negative", 1.0, 0.0, -0.1, 0.0)
     with pytest.raises(InvalidInputError):
         EmProperties(eps_r=0.9, sigma_c=0.0, freq=1e9)
+
+
+@pytest.mark.parametrize("spec, freq_hz", [
+    (BUILTIN_MATERIALS["glass"], 1e300),             # f_ghz ** d overflows
+    (MaterialSpec("m", 1.0, 0.0, 1.0, 1e10), 4e9),   # so does 4 ** 1e10
+    (MaterialSpec("m", 1e308, 1.0, 0.0, 0.0), 4e9),  # a * f_ghz is inf
+    (MaterialSpec("m", 1.0, -400.0, 0.0, 0.0), 1.0),  # 1e-9 ** -400 overflows
+    (MaterialSpec("m", 1.0, -1.0, 0.0, 0.0), 5e-324),  # 0.0 ** -1
+])
+def test_non_finite_property_is_named_error(spec, freq_hz):
+    with pytest.raises(InvalidInputError,
+                       match=rf"^material '{spec.name}': .*freq={re.escape(repr(freq_hz))}$"):
+        evaluate_material(spec, freq_hz)
+
+
+@pytest.mark.parametrize("eps_r, sigma_c, freq", [
+    (math.inf, 0.0, 1e9), (math.nan, 0.0, 1e9), (1.0, math.inf, 1e9),
+    (1.0, math.nan, 1e9), (1.0, 0.0, math.inf), (1.0, 0.0, math.nan),
+])
+def test_em_properties_must_be_finite(eps_r, sigma_c, freq):
+    with pytest.raises(InvalidInputError, match="invalid EM properties"):
+        EmProperties(eps_r=eps_r, sigma_c=sigma_c, freq=freq)
 
 
 def test_unknown_material_rejected():
