@@ -15,12 +15,14 @@ processing (``zero``).
 each frame into the stream's own buffer and timing each slot's read,
 convolve and write stages.
 
-The tap accumulation runs through BLAS axpy: a pure-numpy loop costs about
-3x more per slot and misses the real-time budget on a desktop core.  The
-axpy routines come from scipy's f2py BLAS extension, loaded on its own by
-:func:`_load_fblas` when a stream is set up: importing them through
-``scipy.linalg.blas`` runs all of ``scipy.linalg``'s package init, about
-0.25 s, nearly half of a stream's set-up, for two routines.
+The tap accumulation and the noise run through BLAS ``zaxpy``: a
+pure-numpy loop costs about 3x more per slot and misses the real-time
+budget on a desktop core.  Every slot buffer and the noise bank are
+complex128, so a stream needs that one routine.  It comes from scipy's f2py
+BLAS extension, loaded on its own by :func:`_load_fblas` when a stream is
+set up: importing it through ``scipy.linalg.blas`` runs all of
+``scipy.linalg``'s package init, about 0.25 s, nearly half of a stream's
+set-up, for one routine.
 """
 
 import cmath
@@ -48,12 +50,14 @@ HEADROOM_DB = 5.0  # calibrate_signal_gain's strongest snapshot, above 0 dB
 _U64_MASK = (1 << 64) - 1
 _SQRT_HALF = math.sqrt(0.5)
 
-# Entries in a stream's noise bank (2 MB of complex64); a bank grows to the
-# smallest larger power of two whose halves each hold two slots.
+# Entries in a stream's noise bank (4 MB of complex128, drawn as 2 MB of
+# float32); a bank grows to the smallest larger power of two whose halves
+# each hold two slots.
 NOISE_BANK_SIZE = 1 << 18
 
-# Upper bound on N_s: it sizes the stream buffers, the noise bank and bench's
-# frame ring.  It admits OAI's 6144-point FFT (92,160 samples per slot).
+# Upper bound on N_s: it sizes the stream buffers, the noise bank (at most
+# 2**19 entries, 8 MB) and bench's frame ring.  It admits OAI's 6144-point
+# FFT (92,160 samples per slot).
 MAX_SLOT_SAMPLES = 1 << 17
 
 # Byte alignment of the axpy accumulators.  numpy only promises 16 bytes; at
@@ -136,25 +140,23 @@ def noise_block(state, slot_index):
     and a slot's two windows never share a sample.  (An entropy tuple
     ``(seed, slot_index)`` would not do: numpy concatenates its 32-bit
     words, so seed 2**32 + 5 at slot 0 would repeat seed 5 at slot 1.)
-    The sum is formed in the complex64 scratch ``state.noise``, copied into
-    ``state.out`` and scaled there; ``state.out`` is returned.  Nothing
-    slot-sized is allocated (a casting multiply would allocate numpy's
-    128 KB cast buffer on every call).
+    The noise is formed in ``state.out`` in two slot-length passes, a
+    multiply of the first window and one ``zaxpy`` of the second, with
+    ``sigma`` folded into their float64 phasors, so the noise level keeps
+    float64's range.  ``state.out`` is returned; nothing slot-sized is
+    allocated.
     """
-    bank, acc = state.bank, state.noise
-    n = len(acc)
+    bank, out = state.bank, state.out
+    n = len(out)
     half = len(bank) // 2
     gen = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(state.rng_seed & _U64_MASK, spawn_key=(slot_index,))))
     lo, hi = gen.integers(0, half - n, size=2, endpoint=True)
     phi_lo, phi_hi = gen.uniform(0.0, 2.0 * math.pi, size=2)
-    np.multiply(bank[lo:lo + n], np.complex64(cmath.rect(_SQRT_HALF, phi_lo)), out=acc)
+    amp = _SQRT_HALF * state.noise_scale
+    np.multiply(bank[lo:lo + n], cmath.rect(amp, phi_lo), out=out)
     hi += half
-    acc = state.caxpy(bank[hi:hi + n], acc, a=cmath.rect(_SQRT_HALF, phi_hi))
-    out = state.out
-    np.copyto(out, acc)
-    out *= state.noise_scale  # float64, so no noise level under- or overflows
-    return out
+    return state.zaxpy(bank[hi:hi + n], out, a=cmath.rect(amp, phi_hi))
 
 
 class EmulatorState:
@@ -175,20 +177,20 @@ class EmulatorState:
     ``ext`` holds the ``l_max - 1`` carried input samples followed by the
     current slot; ``slot`` is a view of that tail, where frames are decoded.
     ``out`` receives each slot's output and is overwritten by the next; it
-    and ``noise``, the axpy accumulators, start on 64-byte boundaries.
+    is the axpy accumulator, and starts on a 64-byte boundary.
 
-    With noise on, ``bank`` holds the stream's Gaussian samples: complex64
-    with variance 0.5 per component, drawn once from the root
-    ``SeedSequence(seed mod 2**64)`` (never equal to a slot's child key).
-    It has ``NOISE_BANK_SIZE`` entries, or more when a slot is longer than a
-    quarter of that.  ``noise`` is the complex64 scratch of
-    :func:`noise_block`.  Both are None with noise off.  ``bufs`` holds the
-    frame codec's scratch.  Every buffer is written once here, so the first
-    slot takes none of their page faults.  ``zaxpy`` and ``caxpy`` are
-    scipy's BLAS routines, the very objects ``scipy.linalg.blas`` exports,
-    loaded here by :func:`_load_fblas` without ``scipy.linalg``'s package
-    init; so commands which never stream IQ never import scipy, and a
-    stream's set-up skips the 0.25 s that init costs.
+    With noise on, ``bank`` holds the stream's Gaussian samples, variance
+    0.5 per component, drawn once as float32 from the root
+    ``SeedSequence(seed mod 2**64)`` (never equal to a slot's child key)
+    and widened to complex128, the dtype of ``ext`` and ``out``.  It has
+    ``NOISE_BANK_SIZE`` entries, or more when a slot is longer than a
+    quarter of that; it is None with noise off.  ``bufs`` holds the frame
+    codec's scratch.  Every buffer is written once here, so the first slot
+    takes none of their page faults.  ``zaxpy`` is scipy's BLAS routine,
+    the very object ``scipy.linalg.blas`` exports, loaded here by
+    :func:`_load_fblas` without ``scipy.linalg``'s package init; so
+    commands which never stream IQ never import scipy, and a stream's
+    set-up skips the 0.25 s that init costs.
     """
 
     def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
@@ -235,29 +237,26 @@ class EmulatorState:
                     f"signal_gain_db of {signal_gain_db} dB overflows snapshot {s} "
                     f"tap {hist - offsets[bad[0]]}")
 
-        fblas = _load_fblas()
-        self.zaxpy, self.caxpy = fblas.zaxpy, fblas.caxpy
+        self.zaxpy = _load_fblas().zaxpy
         self.next_slot_index = 0
         self.ext = np.zeros(hist + n_s, dtype=np.complex128)
         self.slot = self.ext[hist:]
         self.out = _aligned_empty(n_s, np.complex128)
-        self.bank = self.noise = None
+        self.bank = None
         if self.noise_scale > 0.0:
             size = NOISE_BANK_SIZE
             while size < 4 * n_s:
                 size *= 2
-            self.bank = np.empty(size, dtype=np.complex64)
-            iq = self.bank.view(np.float32)
+            iq = np.empty(2 * size, dtype=np.float32)
             gen = np.random.Generator(np.random.SFC64(
                 np.random.SeedSequence(rng_seed & _U64_MASK)))
             gen.standard_normal(dtype=np.float32, out=iq)
             iq *= np.float32(_SQRT_HALF)
-            self.noise = _aligned_empty(n_s, np.complex64)
+            self.bank = iq.view(np.complex64).astype(np.complex128)
         self.bufs = FrameBuffers(n_s)
-        for buf in (self.ext, self.out, self.noise, self.bufs.payload,
-                    self.bufs.values, self.bufs.mask):
-            if buf is not None:
-                buf.fill(0)
+        for buf in (self.ext, self.out, self.bufs.payload, self.bufs.values,
+                    self.bufs.mask):
+            buf.fill(0)
 
 
 def convolve_slot(state, slot_index, samples):

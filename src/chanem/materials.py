@@ -77,8 +77,17 @@ def evaluate_material(spec, freq_hz):
 
 
 def complex_permittivity(props):
-    """Complex relative permittivity eps_r - j*sigma_c/(2*pi*f*eps0)."""
-    loss = props.sigma_c / (2.0 * math.pi * props.freq * VACUUM_PERMITTIVITY)
+    """Complex relative permittivity eps_r - j*sigma_c/(2*pi*f*eps0).
+
+    Raises :class:`InvalidInputError`, naming the conductivity and the
+    frequency, where the loss term is not finite: where it overflows, or
+    where its denominator underflows to 0.
+    """
+    denom = 2.0 * math.pi * props.freq * VACUUM_PERMITTIVITY  # 0.0 where it underflows
+    loss = props.sigma_c / denom if denom else math.inf
+    if not math.isfinite(loss):
+        raise InvalidInputError(f"invalid EM properties: loss term sigma_c/(2 pi f eps0) "
+                                f"is not finite at sigma_c={props.sigma_c}, freq={props.freq}")
     return complex(props.eps_r, -loss)
 
 

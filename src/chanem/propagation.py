@@ -177,9 +177,12 @@ class Scene:
     def check(self):
         """Raise unless the scene is one that ``Scene(...)`` accepts."""
         self.tx_position = np.asarray(self.tx_position, dtype=float)
-        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
+        f = self.carrier_freq
+        if not (math.isfinite(f) and f > 0.0 and math.isfinite(SPEED_OF_LIGHT / f)
+                and math.isfinite(2.0 * math.pi * f)):
             raise InvalidInputError(
-                f"carrier frequency must be finite and positive, got {self.carrier_freq}")
+                f"carrier frequency must be finite and positive, with a finite "
+                f"wavelength and angular frequency, got {f}")
         if not np.all(np.isfinite(self.tx_position)):
             raise InvalidInputError(
                 f"tx position must be finite, got {self.tx_position.tolist()}")
@@ -293,6 +296,14 @@ def _image_tree(scene):
     return scene._tree
 
 
+def _permittivity(facet, props):
+    """``complex_permittivity(props)``, naming ``facet``'s material in its error."""
+    try:
+        return complex_permittivity(props)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"material {facet.material!r}: {exc}") from None
+
+
 def _build_image_tree(scene, key):
     facets = scene.facets
     n = len(facets)
@@ -320,7 +331,7 @@ def _build_image_tree(scene, key):
         flat[at] = 2.0 * box[0, fi] - flat[at]
     return _ImageTree(
         key=key, frame=np.ascontiguousarray(frame), box=np.ascontiguousarray(box),
-        eta=np.array([complex_permittivity(p) for p in scene.facet_properties()],
+        eta=np.array([_permittivity(f, p) for f, p in zip(facets, scene.facet_properties())],
                      dtype=complex),
         tm=np.array([f.polarization == TM for f in facets], dtype=bool),
         start=start, facet=facet, parent=parent, image=image)

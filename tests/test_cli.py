@@ -81,6 +81,11 @@ class TestSimpleCommands:
         assert main(["materials", "--material", "nope",
                      "--freq-hz", "1e9"]) == EXIT_PRECONDITION
 
+    def test_materials_prints_no_loss_term(self, capsys):
+        # metal's loss term at 1e-300 Hz is not finite, but it is not printed
+        assert main(["materials", "--material", "metal", "--freq-hz", "1e-300"]) == EXIT_OK
+        assert capsys.readouterr().out == "eps_r=1\nsigma_c=10000000\n"
+
     def test_materials_overflow_is_precondition_error(self, capsys):
         # glass's conductivity power law overflows a float at 1e300 Hz
         assert main(["materials", "--material", "glass",
@@ -206,10 +211,11 @@ class TestScenarioPipeline:
         assert len(pdp_csv.read_text().splitlines()) == 11
         assert gain_csv.read_text().startswith("time_s,path_gain_db")
 
-    @pytest.mark.parametrize("coefficients", ["1 0 1 1e10", "1e308 1 0 0"])
+    @pytest.mark.parametrize("coefficients", ["1 0 1 1e10", "1e308 1 0 0", "1 0 1e308 0"])
     def test_overflowing_material_is_precondition_error(self, tmp_path, capsys,
                                                         coefficients):
-        # at the scene's 4 GHz, sigma_c = 4 ** 1e10 and eps_r = 1e308 * 4
+        # at the scene's 4 GHz, sigma_c = 4 ** 1e10, eps_r = 1e308 * 4 and
+        # the loss term sigma_c / (2 pi f eps0) = 1e308 / 0.22 overflow
         scene = tmp_path / "scene.txt"
         scene.write_text(f"material m {coefficients}\n"
                          + SCENE.replace("material glass", "material m"))
@@ -222,6 +228,30 @@ class TestScenarioPipeline:
         assert line.startswith("error: snapshot 0: material 'm': invalid EM properties")
         assert line.endswith("freq=4019160000.0")
         assert not out.exists()
+
+    @pytest.mark.parametrize("freq", ["1e-300", "1e-320", "3e307", "1e308"])
+    def test_carrier_without_finite_wavelength_is_parse_error(self, tmp_path, capsys,
+                                                              freq):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE.replace("freq 4.01916e9", f"freq {freq}"))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0.0,-20,0.0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert main(["trace", "--scene", str(scene), "--trace", str(trace),
+                     "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {scene}: carrier frequency must be finite and positive, with a "
+            f"finite wavelength and angular frequency, got {float(freq)!r}\n")
+        assert not out.exists()
+
+    def test_carrier_at_1e300_traces(self, tmp_path):
+        scene = tmp_path / "scene.txt"
+        # glass's conductivity overflows at 1e300 Hz; concrete's does not
+        scene.write_text("ground z 0 material concrete\ntx 0 0 10\nfreq 1e300\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0.0,-20,0.0,1.5\n")
+        assert main(["trace", "--scene", str(scene), "--trace", str(trace),
+                     "--out", str(tmp_path / "x.cirt")]) == EXIT_OK
 
     def test_missing_scene_file_is_parse_error(self, tmp_path):
         assert main(["trace", "--scene", str(tmp_path / "nope.txt"),

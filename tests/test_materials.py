@@ -111,6 +111,19 @@ def test_em_properties_must_be_finite(eps_r, sigma_c, freq):
         EmProperties(eps_r=eps_r, sigma_c=sigma_c, freq=freq)
 
 
+@pytest.mark.parametrize("sigma_c, freq", [
+    (1e308, 4e9),    # sigma_c / (2 pi f eps0) overflows
+    (0.0, 1e-320),   # 2 pi f eps0 underflows to 0
+    (1e7, 1e-300),   # metal's conductivity, far below any carrier
+])
+def test_non_finite_loss_term_is_named_error(sigma_c, freq):
+    props = EmProperties(eps_r=1.0, sigma_c=sigma_c, freq=freq)
+    with pytest.raises(InvalidInputError, match=(
+            rf"^invalid EM properties: loss term .* is not finite at "
+            rf"sigma_c={re.escape(repr(sigma_c))}, freq={re.escape(repr(freq))}$")):
+        complex_permittivity(props)
+
+
 def test_unknown_material_rejected():
     with pytest.raises(InvalidInputError):
         get_material("adamantium")

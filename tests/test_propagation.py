@@ -374,6 +374,12 @@ class TestSceneValidation:
     @pytest.mark.parametrize("tx, freq, message", [
         ((0, 0, 10), math.inf, "carrier frequency"),
         ((0, 0, 10), math.nan, "carrier frequency"),
+        # finite, but c / f or 2 pi f is not
+        ((0, 0, 10), 1e-300, "carrier frequency"),
+        ((0, 0, 10), 1e-320, "carrier frequency"),
+        ((0, 0, 10), 5e-324, "carrier frequency"),
+        ((0, 0, 10), 3e307, "carrier frequency"),
+        ((0, 0, 10), 1e308, "carrier frequency"),
         ((0, math.nan, 10), F_REF, "tx position"),
         ((0, 0, math.inf), F_REF, "tx position"),
     ])
