@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .cir import (CirConfig, DEFAULT_TAP_BUDGET, SortedCir, discretize,
                   path_gain_total, sort_truncate)
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .emulator import (CARRY, ZERO, EmulatorState, calibrate_signal_gain,
+from .emulator import (CARRY, EmulatorState, calibrate_signal_gain,
                        convolve_slot, noise_block, run_scenario)
 from .errors import (ChanemError, DelayRangeError, EndOfScenario, FormatError,
                      InvalidInputError, NoReferenceError, ScenarioParseError,

@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .bench import bench
 from .cir import DEFAULT_MAX_DELAY_SPREAD, DEFAULT_TAP_BUDGET, CirConfig
-from .emulator import (CARRY, NOISE_OFF_DB, ZERO, EmulatorState,
+from .emulator import (CARRY, NOISE_OFF_DB, EmulatorState,
                        calibrate_signal_gain, run_scenario)
 from .errors import (ChanemError, EndOfScenario, FormatError,
                      ScenarioParseError)
@@ -181,7 +181,6 @@ def _cmd_emulate(args):
         signal_gain_db=gain_db,
         noise_power_db=args.noise_db,
         rng_seed=args.seed,
-        history_mode=args.history_mode,
     )
 
     with contextlib.ExitStack() as stack:
@@ -239,8 +238,8 @@ def build_parser():
     p.add_argument("--noise-db", type=_noise_power, default=NOISE_OFF_DB,
                    help=NOISE_DB_HELP)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--history", dest="history_mode", choices=[CARRY, ZERO],
-                   default=CARRY)
+    # one value, kept so command lines that name it still parse
+    p.add_argument("--history", choices=[CARRY], default=CARRY)
     p.add_argument("--fft", type=_fft_size, default=REF.fft_size)
     p.add_argument("--in", dest="input", default="-")
     p.add_argument("--out", default="-")

@@ -7,10 +7,9 @@ bank, keyed per (seed, slot).  A stream selects each snapshot's taps, scales
 them by the signal gain and turns their delays into offsets into its input
 buffer once, at set-up (:class:`EmulatorState`), so a slot only slices and
 accumulates.
-Snapshots advance every ``slots_per_snapshot`` slots; slot history carries
-across slot boundaries so the streaming output equals one long convolution
-(``carry`` mode), or is zeroed per slot to reproduce strict per-slot matrix
-processing (``zero``).
+Snapshots advance every ``slots_per_snapshot`` slots.  Each slot's input is
+carried into the next as its history, so a stream's output equals one long
+convolution of its input; there is no per-slot reset.
 :func:`run_scenario` drives a stream of OWIQ frames through it, decoding
 each frame into the stream's own buffer and timing each slot's read,
 convolve and write stages.
@@ -41,8 +40,7 @@ from .errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                      SequencingError)
 from .iqstream import FrameBuffers, read_frame, write_frame
 
-CARRY = "carry"
-ZERO = "zero"
+CARRY = "carry"  # the one history rule; `chanem emulate --history` reads it
 
 NOISE_OFF_DB = -math.inf  # the noise_power_db of a stream without noise
 HEADROOM_DB = 5.0  # calibrate_signal_gain's strongest snapshot, above 0 dB
@@ -174,8 +172,9 @@ class EmulatorState:
     scales a selected tap past float64 raises :class:`InvalidInputError`
     naming the snapshot and tap.
 
-    ``ext`` holds the ``l_max - 1`` carried input samples followed by the
-    current slot; ``slot`` is a view of that tail, where frames are decoded.
+    ``ext`` holds the stream's last ``l_max - 1`` input samples before the
+    current slot (zeros before the first slot), followed by the current
+    slot; ``slot`` is a view of that tail, where frames are decoded.
     ``out`` receives each slot's output and is overwritten by the next; it
     is the axpy accumulator, and starts on a 64-byte boundary.
 
@@ -194,7 +193,7 @@ class EmulatorState:
     """
 
     def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
-                 noise_power_db=NOISE_OFF_DB, rng_seed=0, history_mode=CARRY):
+                 noise_power_db=NOISE_OFF_DB, rng_seed=0):
         n_s = self.samples_per_slot = samples_per_slot(fft_size)
         if not len(timeline):
             raise InvalidInputError("timeline must not be empty")
@@ -204,10 +203,6 @@ class EmulatorState:
             raise InvalidInputError(
                 f"noise_power_db must be finite or -inf (no noise), got "
                 f"{noise_power_db}")
-        if history_mode not in (CARRY, ZERO):
-            raise InvalidInputError(
-                f"history_mode must be '{CARRY}' or '{ZERO}', got {history_mode!r}"
-            )
         t_int = timeline.t_int
         slot_dur = self.slot_duration = n_s / timeline.f_samp
         ratio = t_int / slot_dur
@@ -218,7 +213,6 @@ class EmulatorState:
                 f"slot duration {slot_dur}"
             )
         self.rng_seed = rng_seed
-        self.history_mode = history_mode
         self.slots_per_snapshot = round(ratio)
         self.capacity_slots = len(timeline) * self.slots_per_snapshot
         signal_scale = _db_to_scale("signal_gain_db", signal_gain_db)
@@ -263,7 +257,9 @@ def convolve_slot(state, slot_index, samples):
     """Convolve one slot with the active snapshot's taps and add noise.
 
     Each tap of ``state.tap_table`` is one axpy of the slice of ``state.ext``
-    at its offset, scaled by its weight, into ``state.out``.
+    at its offset, scaled by its weight, into ``state.out``.  The stream's
+    last ``state.hist`` input samples then move to the head of
+    ``state.ext``, the history the next slot's taps read.
 
     Returns ``state.out``, which the next call overwrites.  ``samples`` may
     be ``state.slot`` itself, which then is not copied.  Slots must arrive
@@ -296,8 +292,7 @@ def convolve_slot(state, slot_index, samples):
     for start, weight in zip(offsets.tolist(), weights.tolist()):
         out = zaxpy(ext[start:start + n_s], out, a=weight)
 
-    if state.history_mode == CARRY:  # in zero mode ext[:hist] stays zero
-        ext[:hist] = ext[n_s:]
+    ext[:hist] = ext[n_s:]
     state.next_slot_index += 1
     return out
 

@@ -520,23 +520,6 @@ class TestEmulateCommand:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-5, atol=1e-6)
 
-    def test_zero_history_mode(self, tmp_path):
-        timeline = tmp_path / "t.cirt"
-        taps_list = [{5: 1.0}]
-        write_test_timeline(timeline, taps_list)
-        rng = np.random.default_rng(9)
-        slots = [rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-                 for _ in range(3)]
-        inp, outp = self.make_streams(tmp_path, slots)
-        assert main(["emulate", "--timeline", str(timeline), "--taps", "10",
-                     "--signal-gain-db", "0", "--fft", "8", "--history",
-                     "zero", "--in", str(inp), "--out", str(outp)]) == EXIT_OK
-        got = self.read_all(outp)
-        want = emulate_reference(taps_list, slots, history_mode="zero")
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-7)
-            assert np.all(g[:5] == 0.0)  # no carry-over into the slot head
-
     def test_end_of_scenario_exit_code(self, tmp_path, capsys):
         timeline = tmp_path / "t.cirt"
         write_test_timeline(timeline, [{0: 1.0}])  # capacity 4 slots
@@ -619,6 +602,18 @@ class TestEmulateCommand:
                   "--in", str(inp), "--out", str(outp), flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_history_other_than_carry_is_parse_error(self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.zeros(N_S)])
+        with pytest.raises(SystemExit) as exc:
+            main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                  "--in", str(inp), "--out", str(outp), "--history", "zero"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--history" in err and "'carry'" in err
+        assert not outp.exists()
 
     @pytest.mark.parametrize("command", ["bench", "emulate"])
     def test_oversized_slot_is_precondition_error(self, tmp_path, capsys, command):
@@ -718,12 +713,11 @@ class TestEmulateCommand:
                      "--in", str(inp), "--out", str(outp)]) == EXIT_PARSE
 
     @settings(max_examples=20, deadline=None)
-    @given(history=st.sampled_from(["carry", "zero"]),
-           n_snapshots=st.integers(2, 3),
+    @given(n_snapshots=st.integers(2, 3),
            extra_slots=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_naive_convolution_across_snapshots(
-            self, history, n_snapshots, extra_slots, seed):
+            self, n_snapshots, extra_slots, seed):
         """The CLI file path and ``run_scenario`` equal a naive convolution."""
         rng = np.random.default_rng(seed)
         # f32-exact taps and samples, so both file formats carry them losslessly
@@ -735,13 +729,10 @@ class TestEmulateCommand:
         slots = np.split(stream.astype(np.complex128), n_slots)
 
         want = []
-        for i, x in enumerate(slots):
+        for i in range(n_slots):
             h = taps[i // 4].astype(np.complex128)
-            if history == "carry":
-                full = np.convolve(stream[:(i + 1) * N_S], h)
-                want.append(full[i * N_S:(i + 1) * N_S])
-            else:
-                want.append(np.convolve(x, h)[:N_S])
+            full = np.convolve(stream[:(i + 1) * N_S], h)
+            want.append(full[i * N_S:(i + 1) * N_S])
         want = np.concatenate(want)
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -750,11 +741,11 @@ class TestEmulateCommand:
             inp, outp = self.make_streams(Path(tmp), slots)
             assert main(["emulate", "--timeline", str(timeline), "--taps", "10",
                          "--signal-gain-db", "0", "--fft", "8", "--history",
-                         history, "--in", str(inp), "--out", str(outp)]) == EXIT_OK
+                         "carry", "--in", str(inp), "--out", str(outp)]) == EXIT_OK
             from_cli = np.concatenate(self.read_all(outp))
             cirt = read_timeline(timeline)
 
-            state = EmulatorState(cirt, 10, 8, history_mode=history)
+            state = EmulatorState(cirt, 10, 8)
             wf = io.BytesIO()
             with open(inp, "rb") as rf:
                 list(run_scenario(state, rf, wf))
@@ -921,6 +912,32 @@ def tiny_inputs(tmp_path_factory):
     (d / "trace.csv").write_text("t,x,y,z\n0.0,-20,0.0,1.5\n0.1,-16,0.0,1.5\n")
     (d / "profile.csv").write_text("re,im,delay_s\n1.0,0.0,0.0\n0.5,0.5,1e-7\n")
     return d
+
+
+class TestBenchmarkCommandLines:
+    """The argument lists the end-to-end benchmark passes, copied from
+    ``e2ebench/run.py`` (``emulate_args``, one per workload) and
+    ``e2ebench/stream.py`` (``build_timeline``; ``stream_session`` appends
+    ``--listen``).  A flag change that would fail every benchmark run with
+    exit 2 fails here first."""
+
+    def test_trace_command_line_parses(self):
+        args = cli.build_parser().parse_args(
+            ["trace", "--scene", "scene.txt", "--trace", "trace.csv", "--out", "run.cirt"])
+        assert args.func is cli._cmd_trace
+        assert (args.scene, args.trace, args.out) == ("scene.txt", "trace.csv", "run.cirt")
+
+    @pytest.mark.parametrize("taps, noise", [(28, ["--noise-db=40.0"]), (146, []), (28, [])],
+                             ids=["rt28-noise", "full146-fastfade", "trace-block13"])
+    def test_emulate_command_line_parses(self, taps, noise):
+        args = cli.build_parser().parse_args(
+            ["emulate", "--timeline", "run.cirt", "--taps", str(taps), "--history", "carry",
+             "--fft", "1536", "--seed", "7", *noise, "--listen", "127.0.0.1:0"])
+        assert args.func is cli._cmd_emulate
+        assert (args.timeline, args.taps, args.fft, args.seed) == ("run.cirt", taps, 1536, 7)
+        assert args.history == emulator.CARRY
+        assert args.noise_db == (40.0 if noise else emulator.NOISE_OFF_DB)
+        assert args.listen == ("127.0.0.1", 0)
 
 
 class TestFlagBoundaries:

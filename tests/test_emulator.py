@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanem.emulator import (CARRY, HEADROOM_DB, MAX_SLOT_SAMPLES, ZERO,
-                             EmulatorState, calibrate_signal_gain, convolve_slot,
-                             noise_block, run_scenario)
+from chanem.emulator import (HEADROOM_DB, MAX_SLOT_SAMPLES, EmulatorState,
+                             calibrate_signal_gain, convolve_slot, noise_block,
+                             run_scenario)
 from chanem.errors import (EndOfScenario, InvalidInputError, NoReferenceError,
                            SequencingError)
 from chanem.iqstream import FMT_F32, read_frame, write_frame
@@ -221,16 +222,6 @@ class TestConvolveSlot:
             assert y1[n] == pytest.approx(a * x0[N_S - 5 + n])
         np.testing.assert_allclose(y1[5:], a * x1[:-5], rtol=1e-12)
 
-    def test_zero_history_mode_isolates_slots(self):
-        a = 0.7 - 0.2j
-        state = make_state([dense_cir([5], [a])], history_mode=ZERO)
-        rng = np.random.default_rng(2)
-        x0 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        x1 = rng.standard_normal(N_S) + 1j * rng.standard_normal(N_S)
-        convolve_slot(state, 0, x0)
-        y1 = convolve_slot(state, 1, x1)
-        np.testing.assert_array_equal(y1[:5], np.zeros(5))
-
     def test_full_budget_matches_dense_convolution(self):
         rng = np.random.default_rng(3)
         l_max = 16
@@ -295,20 +286,15 @@ class TestConvolveSlot:
         assert outs[0] is outs[1] is state.out
         np.testing.assert_array_equal(state.ext[:state.hist], x1[-state.hist:])  # carried
 
-    @pytest.mark.parametrize("mode", [CARRY, ZERO])
-    def test_history_longer_than_a_slot(self, mode):
+    def test_history_longer_than_a_slot(self):
         rng = np.random.default_rng(13)
         taps = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        state = EmulatorState(CirTimeline([taps], 15 / 0.5e-3, 0.1), 40, 1,  # N_s = 15
-                              history_mode=mode)
+        state = EmulatorState(CirTimeline([taps], 15 / 0.5e-3, 0.1), 40, 1)  # N_s = 15
         slots = [rng.standard_normal(15) + 1j * rng.standard_normal(15)
                  for _ in range(6)]
         got = np.concatenate([convolve_slot(state, i, x).copy()
                               for i, x in enumerate(slots)])
-        if mode == ZERO:
-            want = np.concatenate([np.convolve(x, taps)[:15] for x in slots])
-        else:
-            want = np.convolve(np.concatenate(slots), taps)[:90]
+        want = np.convolve(np.concatenate(slots), taps)[:90]
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
     def test_out_of_order_slot_rejected(self):
@@ -361,6 +347,11 @@ class TestConvolveSlot:
     def test_non_finite_levels_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
             make_state([dense_cir([0], [1.0])], **{field: value})
+
+    def test_history_is_no_parameter(self):
+        # every stream carries its input across slots; no mode selects a reset
+        params = inspect.signature(EmulatorState).parameters
+        assert not [name for name in params if "history" in name]
 
 
 class TestNoise:

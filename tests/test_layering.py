@@ -3,15 +3,18 @@
 File-format modules do not reach the tracer or the scene parser, the tracer
 reaches no later stage, the CLI only parses and prints (no array code or
 sockets of its own, and no default value of its own), and bench drives no
-slot, reads no clock and writes no frame header of its own.
+slot, reads no clock and writes no frame header of its own.  Every function
+the benchmark's traced run wraps by name still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chanem"
+REPLAY = Path(__file__).resolve().parents[1] / "e2ebench" / "replay.py"
 
 
 def _in_package(module, level):
@@ -143,3 +146,30 @@ def test_cir_holds_no_matrix_product():
                 or isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
                 or isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS]
     assert products == []
+
+
+def _replay_targets():
+    """``TARGETS`` of ``e2ebench/replay.py``, read from its source."""
+    tree = ast.parse(REPLAY.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "TARGETS"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{REPLAY} assigns no TARGETS")
+
+
+def test_replay_targets_resolve_in_the_package():
+    # the traced benchmark run wraps each target by its dotted name; one that
+    # no longer resolves loses its per-layer metrics as a missing layer
+    targets = _replay_targets()
+    assert "timeline.CirTimeline.sorted_snapshots" in targets
+    missing = []
+    for target in targets:
+        owner_name, *path = target.split(".")
+        owner = importlib.import_module(f"chanem.{owner_name}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(target)
+    assert missing == []
