@@ -47,6 +47,7 @@ HEADROOM_DB = 5.0  # calibrate_signal_gain's strongest snapshot, above 0 dB
 
 _U64_MASK = (1 << 64) - 1
 _SQRT_HALF = math.sqrt(0.5)
+_RADIANS_PER_WORD = 2.0 * math.pi / 2.0 ** 64  # a uniform 64-bit word's phase
 
 # Entries in a stream's noise bank (4 MB of complex128, drawn as 2 MB of
 # float32); a bank grows to the smallest larger power of two whose halves
@@ -129,13 +130,16 @@ def noise_block(state, slot_index):
     """Write slot ``slot_index``'s noise, at ``state.noise_scale``, into ``state.out``.
 
     Circular complex Gaussian noise read from the stream's bank (see
-    :class:`EmulatorState`), keyed per (seed, slot): an ``SFC64`` generator
-    seeded by ``SeedSequence(seed mod 2**64, spawn_key=(slot_index,))``, the
-    ``slot_index``-th child that ``SeedSequence.spawn`` would give, draws one
-    window offset in each half of the bank and two uniform phases, and the
-    slot is ``sigma * (lo * e^{j phi1} + hi * e^{j phi2}) / sqrt(2)``.  So
-    any slot's noise is reproducible without generating its predecessors,
-    and a slot's two windows never share a sample.  (An entropy tuple
+    :class:`EmulatorState`), keyed per (seed, slot) by
+    ``SeedSequence(seed mod 2**64, spawn_key=(slot_index,))``, the
+    ``slot_index``-th child that ``SeedSequence.spawn`` would give.  One
+    ``generate_state(4, uint64)`` call gives four 64-bit words ``w``: two
+    pick a window offset in each half of the bank,
+    ``(w * (half - n + 1)) >> 64`` (plus ``half`` for the second), and two
+    a phase each, ``w * 2 pi / 2**64``.  The slot is
+    ``sigma * (lo * e^{j phi1} + hi * e^{j phi2}) / sqrt(2)``.  So any
+    slot's noise is reproducible without generating its predecessors, and a
+    slot's two windows never share a sample.  (An entropy tuple
     ``(seed, slot_index)`` would not do: numpy concatenates its 32-bit
     words, so seed 2**32 + 5 at slot 0 would repeat seed 5 at slot 1.)
     The noise is formed in ``state.out`` in two slot-length passes, a
@@ -147,14 +151,13 @@ def noise_block(state, slot_index):
     bank, out = state.bank, state.out
     n = len(out)
     half = len(bank) // 2
-    gen = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(state.rng_seed & _U64_MASK, spawn_key=(slot_index,))))
-    lo, hi = gen.integers(0, half - n, size=2, endpoint=True)
-    phi_lo, phi_hi = gen.uniform(0.0, 2.0 * math.pi, size=2)
+    w_lo, w_hi, w_phi_lo, w_phi_hi = np.random.SeedSequence(
+        state.rng_seed & _U64_MASK, spawn_key=(slot_index,)).generate_state(4, np.uint64).tolist()
+    lo = (w_lo * (half - n + 1)) >> 64
+    hi = half + ((w_hi * (half - n + 1)) >> 64)
     amp = _SQRT_HALF * state.noise_scale
-    np.multiply(bank[lo:lo + n], cmath.rect(amp, phi_lo), out=out)
-    hi += half
-    return state.zaxpy(bank[hi:hi + n], out, a=cmath.rect(amp, phi_hi))
+    np.multiply(bank[lo:lo + n], cmath.rect(amp, w_phi_lo * _RADIANS_PER_WORD), out=out)
+    return state.zaxpy(bank[hi:hi + n], out, a=cmath.rect(amp, w_phi_hi * _RADIANS_PER_WORD))
 
 
 class EmulatorState:
@@ -183,13 +186,16 @@ class EmulatorState:
     ``SeedSequence(seed mod 2**64)`` (never equal to a slot's child key)
     and widened to complex128, the dtype of ``ext`` and ``out``.  It has
     ``NOISE_BANK_SIZE`` entries, or more when a slot is longer than a
-    quarter of that; it is None with noise off.  ``bufs`` holds the frame
-    codec's scratch.  Every buffer is written once here, so the first slot
-    takes none of their page faults.  ``zaxpy`` is scipy's BLAS routine,
-    the very object ``scipy.linalg.blas`` exports, loaded here by
-    :func:`_load_fblas` without ``scipy.linalg``'s package init; so
-    commands which never stream IQ never import scipy, and a stream's
-    set-up skips the 0.25 s that init costs.
+    quarter of that; it is None with noise off.  A slot reads its two
+    windows and phases from four words of its own child key
+    (:func:`noise_block`), with no generator object.  ``bufs`` holds the
+    frame codec's scratch, with the one frame buffer that each frame is
+    read into and written from in one call.  Every buffer is written once
+    here, so the first slot takes none of their page faults.  ``zaxpy`` is
+    scipy's BLAS routine, the very object ``scipy.linalg.blas`` exports,
+    loaded here by :func:`_load_fblas` without ``scipy.linalg``'s package
+    init; so commands which never stream IQ never import scipy, and a
+    stream's set-up skips the 0.25 s that init costs.
     """
 
     def __init__(self, timeline, l_sel, fft_size, signal_gain_db=0.0,
@@ -248,7 +254,7 @@ class EmulatorState:
             iq *= np.float32(_SQRT_HALF)
             self.bank = iq.view(np.complex64).astype(np.complex128)
         self.bufs = FrameBuffers(n_s)
-        for buf in (self.ext, self.out, self.bufs.payload, self.bufs.values,
+        for buf in (self.ext, self.out, self.bufs.frame, self.bufs.values,
                     self.bufs.mask):
             buf.fill(0)
 

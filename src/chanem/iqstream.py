@@ -17,6 +17,11 @@ float32, so an infinity is written at full scale too.  A NaN is written as
 returned so run statistics (``--stats``) can track saturation.  An f32
 payload holding a NaN or an infinity is rejected on read, before it
 reaches the emulator.
+
+A stream's frames pass through one buffer, the header followed by the
+payload (:class:`FrameBuffers`): each frame's header and then its payload
+are read into it, and each output frame is written from it in one write
+call, so a socket peer wakes once per frame.
 """
 
 import contextlib
@@ -45,15 +50,19 @@ FMT_F32 = "f32"
 class FrameBuffers:
     """Codec scratch for one stream of frames of ``count`` samples.
 
-    :func:`read_frame` reads each payload into ``payload``;
+    ``frame`` is one contiguous buffer: a frame header followed by room for
+    a payload at f32 width, of which ``payload`` is a view.
+    :func:`read_frame` reads each header and payload into it;
     :func:`write_frame` rounds into ``values``, counts clipped values in
-    ``mask`` and encodes into ``payload``.  Reusing one set per stream keeps
-    the frame loop free of per-slot arrays, so its speed does not depend on
-    how the C heap happens to trim and re-fault freed slot-sized blocks.
+    ``mask``, encodes into ``payload``, packs the header in front of it and
+    writes the frame with one call.  Reusing one set per stream keeps the
+    frame loop free of per-slot arrays, so its speed does not depend on how
+    the C heap happens to trim and re-fault freed slot-sized blocks.
     """
 
     def __init__(self, count):
-        self.payload = np.empty(8 * count, dtype=np.uint8)  # f32 width
+        self.frame = np.empty(_HEADER.size + 8 * count, dtype=np.uint8)
+        self.payload = self.frame[_HEADER.size:]  # f32 width
         self.values = np.empty(2 * count)
         self.mask = np.empty(2 * count, dtype=bool)
 
@@ -66,7 +75,8 @@ def write_frame(fh, slot_index, samples, fmt=FMT_I16, bufs=None):
     beyond the format's full scale, infinities included, is written at
     that full scale with its sign, and a NaN as 0; the count returned
     covers both.  ``bufs`` is the stream's :class:`FrameBuffers` for
-    ``len(samples)`` samples, or None for a fresh set.
+    ``len(samples)`` samples, or None for a fresh set.  The header and the
+    payload go to ``fh`` in one ``write`` call.
     """
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     iq = samples.view(np.float64)
@@ -97,9 +107,9 @@ def write_frame(fh, slot_index, samples, fmt=FMT_I16, bufs=None):
         np.copyto(inter, raw, casting="unsafe")
     else:
         raise InvalidInputError(f"frame format must be 'i16' or 'f32', got {fmt!r}")
-    fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, flags,
-                          slot_index, len(samples)))
-    fh.write(memoryview(inter).cast("B"))
+    _HEADER.pack_into(bufs.frame, 0, STREAM_MAGIC, STREAM_VERSION, flags,
+                      slot_index, len(samples))
+    fh.write(bufs.frame[:_HEADER.size + inter.nbytes])
     return clipped
 
 
@@ -128,18 +138,20 @@ def read_frame(fh, samples, bufs=None):
     ``samples`` is the caller's contiguous complex128 array, and its length
     is the sample count the stream carries.  A header declaring another count
     is rejected before its payload is read, so a corrupt header cannot make
-    the reader allocate for it.  The payload is read into ``bufs.payload``
-    (``bufs`` as for :func:`write_frame`) and decoded in one pass into the
-    float64 view of ``samples``; a non-finite f32 value raises
-    :class:`FormatError` at its byte offset in the frame.
+    the reader allocate for it.  The header and payload are read into
+    ``bufs.frame`` (``bufs`` as for :func:`write_frame`, or None for a
+    fresh set) and the payload is decoded in one pass into the float64 view
+    of ``samples``; a non-finite f32 value raises :class:`FormatError` at
+    its byte offset in the frame.
     """
-    header = bytearray(_HEADER.size)
-    got = _read_into(fh, header)
+    if bufs is None:
+        bufs = FrameBuffers(len(samples))
+    got = _read_into(fh, bufs.frame[:_HEADER.size])
     if not got:
         return None
     if got < _HEADER.size:
         raise FormatError(f"truncated frame header ({got} bytes)", offset=got)
-    magic, version, flags, slot_index, count = _HEADER.unpack(header)
+    magic, version, flags, slot_index, count = _HEADER.unpack_from(bufs.frame)
     if magic != STREAM_MAGIC:
         raise FormatError(f"bad frame magic {magic!r}", offset=0)
     if version != STREAM_VERSION:
@@ -152,8 +164,6 @@ def read_frame(fh, samples, bufs=None):
             f"{len(samples)} per slot",
             offset=16,
         )
-    if bufs is None:
-        bufs = FrameBuffers(count)
     fmt = FMT_F32 if flags & FLAG_F32 else FMT_I16
     width = 4 if fmt == FMT_F32 else 2
     payload = bufs.payload[:count * 2 * width]

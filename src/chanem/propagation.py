@@ -435,7 +435,12 @@ def trace_snapshot(scene, rx_position):
     if rx[2] <= 0.0:
         raise InvalidInputError(f"rx height must be positive, got {rx[2]}")
     tx = scene.tx_position
-    if np.linalg.norm(rx - tx) < GEOM_TOL:
+    with np.errstate(over="ignore"):  # a far position's squared distance overflows
+        distance = np.linalg.norm(rx - tx)
+    if not math.isfinite(distance):
+        raise InvalidInputError(f"rx position {rx.tolist()} is not a finite distance "
+                                f"from tx {tx.tolist()}")
+    if distance < GEOM_TOL:
         raise InvalidInputError("rx position coincides with tx")
     point = rx.tolist()
     for facet in scene.facets:

@@ -314,6 +314,33 @@ class TestScenarioPipeline:
         assert not caught  # no numpy overflow warning reaches stderr first
         assert not out.exists()
 
+    @pytest.mark.parametrize("tx, rows, snapshot, rx", [
+        ("0 0 10", "0.0,-20,0,1.5\n0.1,1e200,0,1.5", 1, "[1e+200, 0.0, 1.5]"),
+        ("1e200 0 10", "0.0,-20,0,1.5", 0, "[-20.0, 0.0, 1.5]"),
+        ("-1.7e308 0 10", "0.0,1.7e308,0,1.5", 0, "[1.7e+308, 0.0, 1.5]"),
+    ])
+    def test_position_beyond_a_finite_distance_is_named(self, tmp_path, capsys,
+                                                          tx, rows, snapshot, rx):
+        # the tx-to-receiver distance overflows (its square, or at +-1.7e308
+        # the difference itself): the position is named before the tracer's
+        # arithmetic can print a numpy warning
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE.replace("tx 0 0 10", f"tx {tx}"))
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,x,y,z\n{rows}\n")
+        out = tmp_path / "x.cirt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["trace", "--scene", str(scene), "--trace", str(trace),
+                         "--out", str(out)])
+        assert code == EXIT_PRECONDITION
+        tx_list = str([float(v) for v in tx.split()])
+        assert capsys.readouterr().err == (
+            f"error: snapshot {snapshot}: rx position {rx} is not a finite distance "
+            f"from tx {tx_list}\n")
+        assert not caught
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["6", "-1", "two"])
     def test_max_depth_flag_out_of_range_is_usage_error(self, tmp_path, capsys, value):
         # the flag is blamed, not the scene file it overrides

@@ -78,9 +78,14 @@ def owiq(slots):
 
 
 class Sink:
-    """A frame writer that keeps nothing."""
+    """A frame writer that keeps nothing but the count of its write calls
+    and of the bytes they carried."""
+
+    writes = nbytes = 0
 
     def write(self, data):
+        self.writes += 1
+        self.nbytes += len(data)
         return len(data)
 
 
@@ -497,17 +502,18 @@ class TestNoise:
     ])
     def test_noise_is_the_sum_of_two_bank_windows(self, seed, slot, noise_db):
         # sigma * (lo * e^{j phi1} + hi * e^{j phi2}) / sqrt(2), formed in
-        # float64 from the bank and the slot's own draws; the noise level
-        # is outside float32's range at +-1000 dB
+        # float64 from the bank and the four words of the slot's own key;
+        # the noise level is outside float32's range at +-1000 dB
         state = EmulatorState(CirTimeline([[1.0]], 46.08e6, 0.5e-3), 1, 1536,
                               noise_power_db=noise_db, rng_seed=seed)
         n = state.samples_per_slot
         bank = state.bank.astype(np.complex128)
         half = len(bank) // 2
-        gen = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(seed % 2**64, spawn_key=(slot,))))
-        lo, hi = gen.integers(0, half - n, size=2, endpoint=True) + [0, half]
-        phi1, phi2 = gen.uniform(0.0, 2.0 * np.pi, size=2)
+        words = np.random.SeedSequence(
+            seed % 2**64, spawn_key=(slot,)).generate_state(4, np.uint64).tolist()
+        lo = words[0] * (half - n + 1) // 2**64
+        hi = half + words[1] * (half - n + 1) // 2**64
+        phi1, phi2 = (w / 2**64 * 2.0 * np.pi for w in words[2:])
         sigma = 10.0 ** (noise_db / 20.0)
         want = sigma * (bank[lo:lo + n] * np.exp(1j * phi1)
                         + bank[hi:hi + n] * np.exp(1j * phi2)) / np.sqrt(2.0)
@@ -590,6 +596,20 @@ class TestRunScenario:
         assert outs == list(range(400))
         decoded_in = decode(owiq(slots))
         np.testing.assert_array_equal(decode(wf), decoded_in[:400])
+
+    @pytest.mark.parametrize("fmt", ["i16", FMT_F32])
+    def test_each_output_frame_is_one_write(self, fmt):
+        state = make_state([dense_cir([0, 3], [1.0, 0.5j])], noise_power_db=20.0,
+                           rng_seed=5)
+        rf = io.BytesIO()
+        for i, x in enumerate(random_slots(np.random.default_rng(12), 4)):
+            write_frame(rf, i, 1000.0 * x, fmt=fmt)
+        rf.seek(0)
+        wf = Sink()
+        for slot_index, *_ in run_scenario(state, rf, wf):
+            assert wf.writes == slot_index + 1
+        assert wf.writes == 4
+        assert wf.nbytes == len(rf.getvalue())  # output frames in the input's format
 
     def test_empty_input_is_fine(self):
         state = make_state([dense_cir([0], [1.0])])

@@ -197,6 +197,32 @@ def _reference_payload(samples, fmt):
             sum(clipped for _, clipped in words))
 
 
+class _CountingWriter(io.BytesIO):
+    """A byte sink that counts the write calls it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+@pytest.mark.parametrize("fmt, flags", [(FMT_I16, 0), (FMT_F32, 1)])
+@pytest.mark.parametrize("shared", [False, True])
+def test_each_frame_is_one_write(fmt, flags, shared):
+    # header and payload leave in one call, so a socket peer wakes once a frame
+    x = np.arange(12.0) * 1000.5 - 2000.5j
+    sink, bufs = _CountingWriter(), FrameBuffers(12) if shared else None
+    for i in range(3):
+        write_frame(sink, i, x * (i + 1), fmt, bufs)
+        assert sink.writes == i + 1
+    assert sink.getvalue() == b"".join(
+        struct.pack("<4sHHQI", b"OWIQ", 1, flags, i, 12)
+        + _reference_payload(x * (i + 1), fmt)[0] for i in range(3))
+
+
 F32_MAX = float(np.finfo(np.float32).max)
 NON_FINITE_EDGES = np.array([
     complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.nan, np.nan),
