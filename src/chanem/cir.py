@@ -25,12 +25,21 @@ DEFAULT_MAX_DELAY_SPREAD = 3e-6  # s: 146 taps at the reference 46.08 Msps
 MAX_TAP_VECTOR_LEN = 1 << 16
 
 
+def check_tap_grid(l_max, f_samp):
+    """Raise :class:`InvalidInputError`, naming ``f_samp``, unless a grid of
+    ``l_max`` taps at ``f_samp`` spans a finite number of seconds."""
+    if not math.isfinite(l_max / f_samp):
+        raise InvalidInputError(f"f_samp of {f_samp} Hz is too low: its {l_max}-tap "
+                                f"grid spans more seconds than the largest float")
+
+
 @dataclass(frozen=True)
 class CirConfig:
     """Sampling grid for discrete CIRs.
 
     ``l_max`` (the tap vector length) is ceil(max_delay_spread * f_samp)
     plus the sinc guard plus one, and at most :data:`MAX_TAP_VECTOR_LEN`.
+    The grid's span in seconds, ``l_max / f_samp``, must be finite.
     """
 
     f_samp: float
@@ -46,6 +55,7 @@ class CirConfig:
             raise InvalidInputError(
                 f"max_delay_spread * f_samp = {span:.6g} taps exceeds the "
                 f"{MAX_TAP_VECTOR_LEN}-tap vector limit")
+        check_tap_grid(self.l_max, self.f_samp)
 
     @property
     def l_max(self):
@@ -82,7 +92,9 @@ def discretize(profile, cfg):
     Returns the ``cfg.l_max`` taps as a 1-D complex vector.  Negative-index
     sinc energy is dropped (the grid starts at k = 0).
     Raises :class:`DelayRangeError` naming the first offending path if any
-    delay exceeds ``cfg.max_delay_spread``.
+    delay exceeds ``cfg.max_delay_spread``, and :class:`InvalidInputError`
+    naming the first tap that is not finite where the paths' amplitudes sum
+    past the largest float.
     """
     delays = np.asarray(profile.delays, dtype=np.float64)
     amps = np.asarray(profile.amps, dtype=np.complex128)
@@ -101,7 +113,18 @@ def discretize(profile, cfg):
     # matrix product would run on OpenBLAS's threads and stall when the other
     # core is busy (0.9-1.0 s against 14-24 ms for 150 profiles, 2-vCPU host)
     kernel = np.sinc(k[np.newaxis, :] - cfg.f_samp * delays[:, np.newaxis])
-    return (amps[:, np.newaxis] * kernel).sum(axis=0)
+    # numpy's complex product flags an overflow for some finite products of
+    # amplitudes near the largest float; a tap that really overflows is
+    # named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        taps = (amps[:, np.newaxis] * kernel).sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(taps))
+    if bad.size:
+        k = int(bad[0])
+        raise InvalidInputError(
+            f"tap {k} = {taps[k]} is not finite: the path amplitudes sum past "
+            f"the largest float")
+    return taps
 
 
 def sort_truncate(taps, l_sel):

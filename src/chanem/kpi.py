@@ -223,13 +223,15 @@ def rms_delay_spread(profile):
 def cir_rms_delay_spread(taps, f_samp):
     """RMS delay spread of a tap vector, treating taps as paths at k/f_samp.
 
-    Returns NaN for an all-zero tap vector.
+    The spread is taken in taps and then divided by ``f_samp``, so it stays
+    finite wherever the grid ``len(taps) / f_samp`` is.  Returns NaN for an
+    all-zero tap vector.
     """
     powers = np.abs(taps) ** 2
     total = powers.sum()
     if total <= 0.0:
         return float("nan")
-    return _rms_spread(powers, np.arange(len(taps)) / f_samp, total)
+    return _rms_spread(powers, np.arange(len(taps)), total) / f_samp
 
 
 @dataclass(frozen=True)
@@ -256,14 +258,20 @@ def ofdm_feasibility(cfg, sigma_tau, speed, margin=FEASIBILITY_MARGIN):
     Each 'much less than' is operationalized as left * margin <= right.
     Zero speed gives an infinite fading period (static channel), and so
     does a Doppler shift below the smallest float.  Raises
-    :class:`InvalidInputError`, naming the speed and the carrier, where the
-    Doppler shift overflows a float.
+    :class:`InvalidInputError`, naming ``f_samp`` and ``fft_size``, where
+    the guard interval or the symbol duration overflows a float, and,
+    naming the speed and the carrier, where the Doppler shift does.
     """
     for name, value in (("speed", speed), ("sigma_tau", sigma_tau), ("margin", margin)):
         if not (math.isfinite(value) and value >= 0.0):
             raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
     t_gi = cfg.cp_short_samples / cfg.f_samp
     t_ofdm = cfg.fft_size / cfg.f_samp
+    if not (math.isfinite(t_gi) and math.isfinite(t_ofdm)):
+        raise InvalidInputError(f"f_samp of {cfg.f_samp} Hz with fft_size "
+                                f"{cfg.fft_size} overflows the OFDM symbol timing")
+    # + 0.0 turns an input of -0 into 0: -0 m/s is at rest, with no Doppler shift
+    sigma_tau, speed = sigma_tau + 0.0, speed + 0.0
     f_d = cfg.carrier_freq * speed / SPEED_OF_LIGHT
     if not math.isfinite(f_d):
         raise InvalidInputError(f"speed of {speed:.6g} m/s at carrier {cfg.carrier_freq:.6g} "

@@ -328,7 +328,14 @@ def _build_image_tree(scene, key):
         np.take(image, up, axis=1, out=image[:, nodes])
         flat = image.reshape(-1)
         at = frame[0, fi] * start[-1] + np.arange(start[d], start[d + 1])
-        flat[at] = 2.0 * box[0, fi] - flat[at]
+        with np.errstate(over="ignore"):  # a far plane's image is named below
+            flat[at] = 2.0 * box[0, fi] - flat[at]
+    far = np.flatnonzero(~np.isfinite(image).all(axis=0))
+    if far.size:
+        f = facets[facet[far[0]]]
+        raise InvalidInputError(
+            f"the image of tx across facet {facet[far[0]]} (plane {'xyz'[f.axis]} = "
+            f"{f.value:.6g}) is not finite")
     return _ImageTree(
         key=key, frame=np.ascontiguousarray(frame), box=np.ascontiguousarray(box),
         eta=np.array([_permittivity(f, p) for f, p in zip(facets, scene.facet_properties())],
@@ -469,6 +476,15 @@ def trace_snapshot(scene, rx_position):
         blocked = np.zeros(seg.shape, dtype=bool)
         blocked[seg] = _blocked(tree, chain[:-1][seg].T, steps[seg].T, lengths[seg])
     keep = (clear & ~blocked.any(axis=0)).nonzero()[0]
+    with np.errstate(over="ignore"):  # a far path's length or phase overflows
+        length = np.cumsum(lengths[:, keep], axis=0)[-1]   # segment by segment, from tx
+        tau = length / SPEED_OF_LIGHT
+        phase = -2.0 * math.pi * scene.carrier_freq * tau
+    far = np.flatnonzero(~np.isfinite(phase))
+    if far.size:
+        raise InvalidInputError(
+            f"a path of {length[far[0]]:.6g} m to rx {rx.tolist()} has no finite "
+            f"phase at carrier {scene.carrier_freq:.6g} Hz")
 
     # reflection r of path i ends its segment r, off facet fac[depth - 1 - r]
     r, i = (np.arange(max_depth)[:, None] < depth[keep]).nonzero()
@@ -482,10 +498,7 @@ def trace_snapshot(scene, rx_position):
     gammas = np.ones((max_depth, len(keep)), dtype=complex)
     gammas[r, i] = _fresnel(tree.eta[f], angle, tree.tm[f])
     gamma = np.cumprod(gammas, axis=0)[-1] if max_depth else 1.0
-    length = np.cumsum(lengths[:, keep], axis=0)[-1]   # segment by segment, from tx
-    tau = length / SPEED_OF_LIGHT
-    amps = (scene.wavelength / (4.0 * math.pi * length) * gamma
-            * np.exp(1j * (-2.0 * math.pi * scene.carrier_freq * tau)))
+    amps = scene.wavelength / (4.0 * math.pi * length) * gamma * np.exp(1j * phase)
     order = np.lexsort((-np.abs(amps), tau))
     return DelayProfile(amps=amps[order], delays=tau[order])
 

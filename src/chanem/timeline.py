@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import discretize, path_gain_total, sort_truncate
+from .cir import check_tap_grid, discretize, path_gain_total, sort_truncate
 from .errors import DelayRangeError, FormatError, InvalidInputError
 from .kpi import cir_rms_delay_spread
 
@@ -33,7 +33,8 @@ DEFAULT_T_INT = 0.1  # s between snapshots, where no trace sets it
 @dataclass
 class CirTimeline:
     """Uniformly spaced CIR snapshots: row i of the (S, L) ``taps`` matrix
-    is the snapshot active from ``i * t_int`` seconds."""
+    is the snapshot active from ``i * t_int`` seconds.  The tap grid's span,
+    ``l_max / f_samp`` seconds, is finite (:func:`check_tap_grid`)."""
 
     taps: np.ndarray   # (snapshots, l_max) complex128, C-contiguous
     f_samp: float
@@ -48,6 +49,7 @@ class CirTimeline:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        check_tap_grid(self.l_max, self.f_samp)
         if not np.all(np.isfinite(self.taps)):
             raise InvalidInputError("taps must be finite")
 
@@ -90,7 +92,11 @@ def write_timeline(timeline, path):
 
 
 def read_timeline(path):
-    """Read a timeline file, validating the header, payload size and taps."""
+    """Read a timeline file, validating the header, payload size and taps.
+
+    A rate whose tap grid spans more seconds than the largest float
+    (:func:`check_tap_grid`) is a :class:`FormatError` at ``f_samp``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -113,6 +119,10 @@ def read_timeline(path):
         )
     if count and taps < 1:
         raise FormatError(f"{count} snapshots declared with zero taps", offset=26)
+    try:
+        check_tap_grid(max(taps, 1), f_samp)
+    except InvalidInputError as exc:
+        raise FormatError(str(exc), offset=6) from None
     flat = np.frombuffer(data, dtype="<c8", count=count * taps, offset=_HEADER.size)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
@@ -135,6 +145,8 @@ def timeline_from_profiles(profiles, cfg, t_int):
             raise DelayRangeError(f"snapshot {i}: {exc}",
                                   path_index=exc.path_index,
                                   snapshot_index=i) from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"snapshot {i}: {exc}") from exc
     return CirTimeline(taps, cfg.f_samp, t_int)
 
 

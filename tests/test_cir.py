@@ -7,6 +7,7 @@ import pytest
 from chanem.cir import (CirConfig, DEFAULT_TAP_BUDGET, MAX_TAP_VECTOR_LEN,
                         SINC_GUARD_TAPS, discretize, path_gain_total,
                         sort_truncate)
+from chanem.timeline import timeline_from_profiles
 from chanem.errors import DelayRangeError, InvalidInputError
 from chanem.propagation import DelayProfile
 
@@ -64,6 +65,27 @@ def test_delay_beyond_spread_names_path():
     with pytest.raises(DelayRangeError) as err:
         discretize(make_profile([1.0, 1.0], [1e-6, 4e-6]), cfg)
     assert err.value.path_index == 1
+
+
+def test_overflowing_tap_sum_is_named():
+    # two finite amplitudes on one tap whose sum is not
+    cfg = CirConfig(f_samp=F_SAMP)
+    bad = make_profile([1.7e308j, -1 + 1.7e308j], [0.0, 0.0])
+    with pytest.raises(InvalidInputError,
+                       match=r"^tap 0 = \(-1\+infj\) is not finite: the path amplitudes"):
+        discretize(bad, cfg)
+    with pytest.raises(InvalidInputError, match=r"^snapshot 1: tap 0 = "):
+        timeline_from_profiles([make_profile([1.0], [0.0]), bad], cfg, 0.1)
+
+
+def test_amplitude_near_the_largest_float_discretizes_without_warning():
+    # at an odd tap count (17 here) numpy's complex product flags an overflow
+    # for this amplitude, though every tap is finite
+    cfg = CirConfig(f_samp=F_SAMP, max_delay_spread=2e-7)
+    assert cfg.l_max == 17
+    taps = discretize(make_profile([-1.7e308 - 1.7e308j], [0.0]), cfg)
+    assert taps[0] == -1.7e308 - 1.7e308j
+    assert np.all(np.isfinite(taps))
 
 
 def test_discretize_is_linear():

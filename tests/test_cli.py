@@ -1,6 +1,9 @@
+import contextlib
 import io
 import itertools
+import math
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -341,6 +344,35 @@ class TestScenarioPipeline:
         assert not caught
         assert not out.exists()
 
+    @pytest.mark.parametrize("scene, message", [
+        ("ground z 1.7e308 material concrete\ntx 0 0 10\nfreq 4.01916e9\n",
+         "the image of tx across facet 0 (plane z = 1.7e+308) is not finite"),
+        ("wall -50 8e307 50 8e307 -1e308 1e308 material glass\n"
+         "wall -50 -8e307 50 -8e307 -1e308 1e308 material glass\n"
+         "tx 0 0 10\nfreq 4e9\nmax_depth 2\n",
+         "the image of tx across facet 1 (plane y = -8e+307) is not finite"),
+        ("ground z 1e300 material concrete\ntx 0 0 10\nfreq 4.01916e9\n",
+         "a path of inf m to rx [-20.0, 0.0, 1.5] has no finite phase at carrier "
+         "4.01916e+09 Hz"),
+        ("material m 5 0 0.01 0\nwall -50 1e20 50 1e20 0 12 material m\n"
+         "tx 0 0 10\nfreq 1e300\n",
+         "a path of 2e+20 m to rx [-20.0, 0.0, 1.5] has no finite phase at carrier "
+         "1e+300 Hz"),
+    ], ids=["far-ground-image", "depth-2-image", "far-ground-length", "phase"])
+    def test_path_beyond_finite_arithmetic_is_named(self, tmp_path, capsys, scene, message):
+        # a plane whose image of tx, or a path whose length or phase, is past
+        # the largest float: named, before a numpy warning or a NaN amplitude
+        (tmp_path / "scene.txt").write_text(scene)
+        (tmp_path / "trace.csv").write_text("t,x,y,z\n0.0,-20,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert main(["trace", "--scene", str(tmp_path / "scene.txt"),
+                     "--trace", str(tmp_path / "trace.csv"),
+                     "--out", str(out)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: snapshot 0: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["6", "-1", "two"])
     def test_max_depth_flag_out_of_range_is_usage_error(self, tmp_path, capsys, value):
         # the flag is blamed, not the scene file it overrides
@@ -466,6 +498,67 @@ class TestScenarioPipeline:
         assert captured.err.startswith("error: snapshot 0 tap ")
         assert captured.err.endswith(" is not finite as complex64\n")
         assert not out.exists()
+
+    def test_overflowing_tap_sum_is_precondition_error(self, tmp_path, capsys):
+        # two finite amplitudes at delay 0 whose sum on tap 0 is not
+        profile = tmp_path / "profile.csv"
+        profile.write_text("-0,1.7e308,0\n-1,1.7e308,0\n")
+        out = tmp_path / "one.cirt"
+        assert main(["cir", "--profile", str(profile), "--fsamp", "46.08e6",
+                     "--out", str(out)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: snapshot 0: tap 0 = (-1+infj) is not finite: the path amplitudes "
+            "sum past the largest float"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, rows", [
+        ("cir", "-1.7e308,-1.7e308,1e-7\n"), ("cir", "1.0,0.0,0.0\n"), ("trace", None)])
+    def test_rate_whose_tap_grid_overflows_is_precondition_error(
+            self, tmp_path, capsys, command, rows):
+        # 7 taps at 5e-324 Hz span more seconds than the largest float
+        out = tmp_path / "o.cirt"
+        if command == "cir":
+            (tmp_path / "profile.csv").write_text(rows)
+            inputs = ["--profile", str(tmp_path / "profile.csv")]
+        else:
+            (tmp_path / "scene.txt").write_text(SCENE)
+            (tmp_path / "trace.csv").write_text("t,x,y,z\n0,10,0,1.5\n")
+            inputs = ["--scene", str(tmp_path / "scene.txt"),
+                      "--trace", str(tmp_path / "trace.csv")]
+        assert main([command, *inputs, "--fsamp", "5e-324",
+                     "--out", str(out)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: f_samp of 5e-324 Hz is too low: its 7-tap grid spans more seconds "
+            "than the largest float"]
+        assert not out.exists()
+
+    def test_timeline_whose_tap_grid_overflows_is_parse_error(self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        timeline.write_bytes(struct.pack("<4sHddII", b"CIRT", 1, 5e-324, 0.1, 1, 1)
+                             + struct.pack("<ff", 1.0, 0.0))
+        assert main(["report", "--timeline", str(timeline)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: f_samp of 5e-324 Hz is too low: its 1-tap grid spans more seconds "
+            "than the largest float (byte offset 6)"]
+
+    def test_report_on_a_finite_grid_at_a_tiny_rate(self, tmp_path, capsys):
+        # 8 taps at 1e-300 Hz: tap delays to 7e300 s, whose squares overflow
+        (tmp_path / "profile.csv").write_text("1e-6,5e-324,-0\n")
+        timeline = tmp_path / "t.cirt"
+        assert main(["cir", "--profile", str(tmp_path / "profile.csv"),
+                     "--fsamp", "1e-300", "--out", str(timeline)]) == EXIT_OK
+        assert main(["report", "--timeline", str(timeline)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = captured.out.splitlines()
+        spread = float(row.split(",")[3])
+        assert math.isfinite(spread) and spread > 0.0
 
     def test_cir_command(self, tmp_path):
         profile = tmp_path / "profile.csv"
@@ -1032,6 +1125,24 @@ class TestFlagBoundaries:
             "error: speed of 1e+308 m/s at carrier 4.01916e+09 Hz overflows the "
             "Doppler frequency")
 
+    @pytest.mark.parametrize("flags, fft", [
+        (["--fsamp", "5e-324"], 1536), (["--fsamp", "1e-300", "--fft", "1" + "0" * 29], 10**29)])
+    def test_overflowing_symbol_timing_is_precondition_error(self, capsys, flags, fft):
+        # each duration read inf, and inf * margin <= inf passed the guard check
+        assert main(["check-ofdm", "--speed", "3", *flags]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: f_samp of {flags[1]} Hz with fft_size {fft} overflows the OFDM "
+            f"symbol timing"]
+
+    def test_speed_of_minus_zero_is_at_rest(self, capsys):
+        assert main(["check-ofdm", "--speed", "-0", "--sigma-tau", "-0"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "f_d_hz=0.000000" in lines
+        assert "sigma_tau_s=0" in lines
+        assert "t_f_s=inf" in lines
+
     def test_overflowing_snapshot_to_slot_ratio_is_precondition_error(
             self, tiny_inputs, tmp_path, capsys):
         # f_samp and t_int are each finite, but t_int / slot duration is not
@@ -1108,3 +1219,105 @@ class TestReportBytes:
         assert main(["cir", "--profile", str(profile), "--fsamp", "46.08e6",
                      "--max-delay", "1e-7", "--t-int", "0.05", "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == CIR_BYTES
+
+
+# Numeric extremes through every command that reads numbers.  Each field
+# keeps its base value unless the example sets it to one of EXTREMES.
+EXTREMES = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1e12, 1e300, 1.7e308, -1.7e308]
+
+BASE_FIELDS = {
+    # scene: a material of its own on the wall, the ground, the wall, tx, carrier
+    "mat_a": 6.31, "mat_b": 0.0, "mat_c": 0.0036, "mat_d": 1.3394, "ground_z": 0.0,
+    "wall_x1": -50.0, "wall_y1": 6.0, "wall_x2": 50.0, "wall_y2": 6.0,
+    "wall_zmin": 0.0, "wall_zmax": 12.0, "tx_x": 0.0, "tx_y": 0.0, "tx_z": 10.0,
+    "freq": 4.01916e9,
+    # trace: two rows of t,x,y,z
+    "t0": 0.0, "x0": -20.0, "y0": 0.0, "z0": 1.5,
+    "t1": 0.1, "x1": -16.0, "y1": 0.0, "z1": 1.5,
+    # profile: two rows of re,im,delay_s
+    "re0": 1.0, "im0": 0.0, "delay0": 0.0, "re1": 0.5, "im1": 0.5, "delay1": 1e-7,
+    # flags: trace and cir, cir, emulate, check-ofdm
+    "fsamp": F_SAMP, "max_delay": 3e-6, "t_int": 0.1,
+    "signal_gain_db": 0.0, "noise_db": 0.0,
+    "speed": 11.78, "freq_hz": 4.01916e9, "ofdm_fsamp": 46.08e6,
+    "sigma_tau": 0.0, "margin": 10.0,
+}
+
+
+def _documented_non_finite(command, line):
+    """Whether a stdout line that holds nan or inf is documented: the static
+    channel's fading period, and a report row's -inf path gain (taps that sum
+    to zero) and NaN delay spread (an all-zero snapshot)."""
+    if command == "check-ofdm":
+        return line == "t_f_s=inf"
+    if command == "report" and not line.startswith("time_s,"):
+        time_s, gain, strongest, spread, fraction = line.split(",")
+        return (all(math.isfinite(float(v)) for v in (time_s, strongest, fraction))
+                and (math.isfinite(float(gain)) or gain == "-inf")
+                and (math.isfinite(float(spread)) or spread == "nan" and strongest == "-1"))
+    return False
+
+
+class TestNumericExtremes:
+    def run(self, argv):
+        """``main(argv)``: (exit code, stdout, stderr); a flag that argparse
+        rejects is its exit 2."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        command = argv[0]
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_END_OF_SCENARIO), argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, argv
+        for line in out.getvalue().splitlines():
+            if re.search(r"nan|inf", line, re.I):
+                assert _documented_non_finite(command, line), (argv, line)
+        return code
+
+    @settings(max_examples=60, deadline=None)
+    @given(changes=st.dictionaries(st.sampled_from(sorted(BASE_FIELDS)),
+                                   st.sampled_from(EXTREMES), min_size=1, max_size=3))
+    def test_every_command_ends_in_a_documented_exit_code(self, changes):
+        # exit 0, 2, 3 or 4, at most one error line, no numpy warning (an
+        # error under this suite's warning filters) and no undocumented nan
+        # or inf on stdout
+        v = {name: repr(changes.get(name, base)) for name, base in BASE_FIELDS.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "scene.txt").write_text(
+                f"material m {v['mat_a']} {v['mat_b']} {v['mat_c']} {v['mat_d']}\n"
+                f"ground z {v['ground_z']} material concrete\n"
+                f"wall {v['wall_x1']} {v['wall_y1']} {v['wall_x2']} {v['wall_y2']} "
+                f"{v['wall_zmin']} {v['wall_zmax']} material m\n"
+                f"tx {v['tx_x']} {v['tx_y']} {v['tx_z']}\nfreq {v['freq']}\nmax_depth 2\n")
+            (d / "trace.csv").write_text(
+                f"t,x,y,z\n{v['t0']},{v['x0']},{v['y0']},{v['z0']}\n"
+                f"{v['t1']},{v['x1']},{v['y1']},{v['z1']}\n")
+            (d / "profile.csv").write_text(
+                f"{v['re0']},{v['im0']},{v['delay0']}\n{v['re1']},{v['im1']},{v['delay1']}\n")
+            with open(d / "in.owiq", "wb") as fh:
+                for i in range(2):
+                    write_frame(fh, i, np.full(N_S, 0.25 - 0.5j), fmt=FMT_F32)
+
+            rate = [f"--fsamp={v['fsamp']}", f"--max-delay={v['max_delay']}"]
+            builds = {
+                "trace": ["trace", "--scene", d / "scene.txt", "--trace", d / "trace.csv",
+                          *rate],
+                "cir": ["cir", "--profile", d / "profile.csv", f"--t-int={v['t_int']}",
+                        *rate],
+            }
+            for name, argv in builds.items():
+                timeline = d / f"{name}.cirt"
+                if self.run([*argv, "--out", timeline]) != EXIT_OK:
+                    assert not timeline.exists()
+                    continue
+                self.run(["report", "--timeline", timeline, "--taps", "4"])
+                self.run(["emulate", "--timeline", timeline, "--taps", "4", "--fft", "8",
+                          f"--signal-gain-db={v['signal_gain_db']}",
+                          f"--noise-db={v['noise_db']}", "--seed", "1",
+                          "--in", d / "in.owiq", "--out", d / "out.owiq"])
+            self.run(["check-ofdm", f"--speed={v['speed']}", f"--freq-hz={v['freq_hz']}",
+                      f"--fsamp={v['ofdm_fsamp']}", f"--sigma-tau={v['sigma_tau']}",
+                      f"--margin={v['margin']}"])

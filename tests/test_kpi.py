@@ -211,6 +211,21 @@ class TestOfdmFeasibility:
         assert v.doppler_freq == 0.0
         assert math.isinf(v.fading_period)
 
+    @pytest.mark.parametrize("f_samp, fft_size", [(5e-324, 1536), (1e-300, 10**29)])
+    def test_overflowing_symbol_timing_is_named_error(self, f_samp, fft_size):
+        # 106 / 5e-324 and 1e29 / 1e-300 overflow; inf * margin <= inf would
+        # pass the guard check
+        cfg = dataclasses.replace(table_cfg(), f_samp=f_samp, fft_size=fft_size)
+        with pytest.raises(InvalidInputError, match=(
+                rf"^f_samp of {f_samp!r} Hz with fft_size {fft_size} overflows")):
+            ofdm_feasibility(cfg, 0.0, 3.0)
+
+    def test_negative_zero_inputs_read_as_zero(self):
+        v = ofdm_feasibility(table_cfg(), -0.0, -0.0)
+        assert math.copysign(1.0, v.doppler_freq) == 1.0
+        assert math.copysign(1.0, v.rms_delay_spread) == 1.0
+        assert math.isinf(v.fading_period)
+
     def test_margin_is_configurable(self):
         cfg = table_cfg()
         # T_GI * 10 <= T_OFDM holds, * 20 does not (2.3 us vs 33.3 us)

@@ -1,20 +1,30 @@
-"""Layering rules of the package, read from the source with ``ast``.
+"""Layering rules of the package, read from the source with ``ast`` and
+checked at run time in fresh interpreters.
 
 File-format modules do not reach the tracer or the scene parser, the tracer
 reaches no later stage, the CLI only parses and prints (no array code or
 sockets of its own, and no default value of its own), and bench drives no
-slot, reads no clock and writes no frame header of its own.  Every function
-the benchmark's traced run wraps by name still exists.
+slot, reads no clock and writes no frame header of its own.  Importing the
+package loads no stage, and importing a stage loads only what its source
+imports.  Every function the benchmark's traced run wraps by name still
+exists, and so does every name README's library example imports.
 """
 
 import ast
 import importlib
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chanem"
-REPLAY = Path(__file__).resolve().parents[1] / "e2ebench" / "replay.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chanem"
+REPLAY = ROOT / "e2ebench" / "replay.py"
+README = ROOT / "README.md"
 
 
 def _in_package(module, level):
@@ -173,3 +183,69 @@ def test_replay_targets_resolve_in_the_package():
         if not callable(owner):
             missing.append(target)
     assert missing == []
+
+
+def _loaded_after_import(module):
+    """Top-level names of ``sys.modules`` after importing ``module`` in a
+    fresh interpreter: ``chanem`` submodules by their package-relative name,
+    other packages by their top-level name."""
+    script = (f"import json, sys; import {module}; "
+              f"print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    names = set()
+    for name in json.loads(result.stdout):
+        local = _in_package(name, 0)
+        names.add(name.split(".")[0] if local is None else local or "chanem")
+    return names
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("chanem", set()),
+    ("chanem.timeline", {"propagation", "scenefile", "materials", "emulator",
+                         "iqstream", "bench", "socket", "scipy"}),
+    ("chanem.iqstream", {"propagation", "scenefile", "emulator", "timeline",
+                         "bench", "scipy"}),
+])
+def test_an_import_loads_only_its_closure(module, absent):
+    # the package init re-exports nothing, so importing a stage loads the
+    # stage and what its source imports, and the closure rules above hold
+    # at run time too
+    loaded = _loaded_after_import(module)
+    stage = module.partition(".")[2]
+    expected = package_closure(stage) if stage else set()
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert loaded & modules == expected
+    assert not loaded & absent
+
+
+def _readme_example():
+    """The ``python`` block under README's "Library example" heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "README's library example has no python block"
+    return match.group(1)
+
+
+def test_readme_example_imports_resolve():
+    # every name is imported from its defining module; the package itself
+    # exports none
+    tree = ast.parse(_readme_example())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _in_package(node.module, 0) is not None:
+            owner = importlib.import_module(node.module)
+            imported += [(node.module, alias.name) for alias in node.names]
+            assert [alias.name for alias in node.names
+                    if not hasattr(owner, alias.name)] == [], node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _in_package(alias.name, 0) is not None:
+                    importlib.import_module(alias.name)
+                    imported.append((alias.name, None))
+    assert ("chanem.emulator", "run_scenario") in imported
+    assert all(module != "chanem" for module, _ in imported)

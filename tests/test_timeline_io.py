@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chanem.cir import CirConfig, path_gain_total
+from chanem.kpi import cir_rms_delay_spread
 from chanem.errors import (DelayRangeError, FormatError, InvalidInputError,
                            ScenarioParseError)
 from chanem.scenefile import (build_scenario, load_scene, load_trace,
@@ -103,6 +104,7 @@ class TestTimelineFile:
 
     @pytest.mark.parametrize("offset, value", [
         (6, float("nan")), (6, 0.0), (6, -46.08e6), (6, float("inf")),
+        (6, 5e-324),  # finite and positive, but its tap grid spans inf seconds
         (14, float("nan")), (14, 0.0), (14, -0.1),
     ])
     def test_bad_rate_or_interval_is_format_error(self, tmp_path, offset, value):
@@ -114,6 +116,14 @@ class TestTimelineFile:
         with pytest.raises(FormatError) as err:
             read_timeline(path)
         assert err.value.offset == offset
+
+    def test_header_only_file_at_a_rate_without_a_finite_grid_is_format_error(
+            self, tmp_path):
+        # no taps declared: the grid the timeline would hold has one tap
+        path = tmp_path / "t.cirt"
+        path.write_bytes(struct.pack("<4sHddII", b"CIRT", 1, 5e-324, 0.1, 0, 0))
+        with pytest.raises(FormatError, match=r"^f_samp of 5e-324 Hz is too low: its 1-tap"):
+            read_timeline(path)
 
     def test_truncated_payload_names_offset(self, tmp_path):
         timeline = random_timeline(np.random.default_rng(4))
@@ -195,6 +205,16 @@ class TestTimelineValues:
         with pytest.raises(InvalidInputError, match=field):
             build(value)
 
+    @pytest.mark.parametrize("build", [
+        lambda: CirConfig(f_samp=5e-324),
+        lambda: CirTimeline(np.zeros((1, 4)), 5e-324, 0.1),
+    ])
+    def test_rate_whose_tap_grid_overflows_rejected(self, build):
+        with pytest.raises(InvalidInputError, match=r"^f_samp of 5e-324 Hz is too low"):
+            build()
+        # a finite grid, however long, is a rate
+        assert CirTimeline(np.zeros((1, 8)), 1e-300, 0.1).l_max == 8
+
     @pytest.mark.parametrize("taps", [np.zeros(4), np.zeros((2, 0)), np.zeros((1, 2, 2))])
     def test_taps_must_be_a_matrix_with_taps(self, taps):
         with pytest.raises(InvalidInputError, match="matrix"):
@@ -220,7 +240,10 @@ def _timelines(draw, max_snapshots=4, max_taps=5):
     parts = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
                           min_size=2 * count * taps, max_size=2 * count * taps))
     matrix = np.array(parts, dtype=np.float32).view(np.complex64).reshape(count, taps)
-    return CirTimeline(matrix, draw(_positive), draw(_positive))
+    # a rate whose tap grid spans more seconds than the largest float is
+    # rejected by CirTimeline itself
+    f_samp = draw(_positive.filter(lambda f: math.isfinite(taps / f)))
+    return CirTimeline(matrix, f_samp, draw(_positive))
 
 
 class TestTimelineFileProperties:
@@ -543,6 +566,14 @@ class TestReport:
         gain = (tmp_path / "gain.csv").read_text().strip().splitlines()
         assert gain[0] == "time_s,path_gain_db"
         assert len(gain) == 4
+
+    def test_delay_spread_is_finite_on_a_finite_grid(self):
+        # in seconds the tap delays reach 7e300, whose squares overflow; the
+        # spread is taken in taps and then divided by the rate
+        taps = np.array([[1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+        row = report(CirTimeline(taps, 1e-300, 0.1), 3)[0]
+        assert row.rms_delay_spread == pytest.approx(cir_rms_delay_spread(taps[0], 1.0) / 1e-300)
+        assert math.isfinite(row.rms_delay_spread)
 
     def test_all_zero_snapshot_row(self):
         timeline = CirTimeline(np.zeros((1, 12), complex), F_SAMP, t_int=0.1)
