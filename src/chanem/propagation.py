@@ -8,7 +8,10 @@ facet sequence, walking the chain back from the receiver, and validating
 bounds and occlusion per segment.  The images depend only on the sequence,
 so each scene computes them once, as an image tree of arrays; each receiver
 then walks back every sequence at once in numpy and tests the survivors'
-segments against every facet in one step.  Each path carries the
+segments against every facet in one step.  A :class:`Scene` is a frozen
+value, checked at construction, so its tree never goes stale: an edited
+scene is a new one, built by ``dataclasses.replace``, checked again and
+given its own tree.  Each path carries the
 Friis free-space amplitude over its total unfolded length times the product
 of Fresnel reflection coefficients, computed for all of a receiver's paths
 at once.  Lengths, and so delays, are summed segment by segment from
@@ -20,6 +23,8 @@ relative (at most 8.4e-16 on block13's 360 stored receivers).
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -154,48 +159,123 @@ class Facet:
                 and self.lo[1] - GEOM_TOL <= p[b] <= self.hi[1] + GEOM_TOL)
 
 
-@dataclass
+@dataclass(frozen=True)
+class _ImageTree:
+    """One scene's image-method data, built once (Allen & Berkley, 1979).
+
+    The facet table holds, per facet, its ``frame`` (rows: plane axis, then
+    its two in-plane axes), its ``box`` (rows: plane value, lower bounds on
+    the in-plane axes, upper bounds on them; the bounds widened by
+    GEOM_TOL), its complex permittivity ``eta`` at the carrier and whether
+    it reflects ``tm``.  Each node is one facet sequence with no facet
+    twice in a row: ``facet[i]`` is its last facet, ``parent[i]`` the node
+    it extends and ``image[:, i]`` the transmitter mirrored across its
+    facets' planes, in order.  Node 0 is the root, the empty sequence of
+    line of sight.  Nodes are ordered by depth, then lexicographically;
+    those of depth d are ``start[d]:start[d + 1]``.
+    """
+
+    frame: np.ndarray    # (3, n_f) facet table
+    box: np.ndarray      # (5, n_f)
+    eta: np.ndarray      # (n_f,) complex
+    tm: np.ndarray       # (n_f,) bool
+    start: np.ndarray    # (max_depth + 2,) first node of each depth, then the count
+    facet: np.ndarray    # (n_nodes,) last facet, -1 at the root
+    parent: np.ndarray   # (n_nodes,) -1 at the root
+    image: np.ndarray    # (3, n_nodes)
+
+
+def _permittivity(facet, props):
+    """``complex_permittivity(props)``, naming ``facet``'s material in its error."""
+    try:
+        return complex_permittivity(props)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"material {facet.material!r}: {exc}") from None
+
+
+def _build_image_tree(scene):
+    facets = scene.facets
+    n = len(facets)
+    sizes = image_tree_sizes(n, scene.max_depth)
+    frame = np.array([(f.axis, *_IN_PLANE[f.axis]) for f in facets],
+                     dtype=np.intp).reshape(n, 3).T
+    box = np.array([(f.value, *f.lo, *f.hi) for f in facets], dtype=float).reshape(n, 5).T
+    box[1:3] -= GEOM_TOL
+    box[3:5] += GEOM_TOL
+    start = np.cumsum([0] + sizes)
+    facet = np.full(start[-1], -1, dtype=np.int32)
+    parent = np.full(start[-1], -1, dtype=np.int32)
+    image = np.empty((3, start[-1]))
+    image[:, 0] = scene.tx_position
+    for d in range(1, scene.max_depth + 1):
+        up = np.repeat(np.arange(start[d - 1], start[d]), n)
+        fi = np.tile(np.arange(n), sizes[d - 1])
+        keep = fi != facet[up]
+        up, fi = up[keep], fi[keep]
+        nodes = slice(start[d], start[d + 1])
+        facet[nodes], parent[nodes] = fi, up
+        np.take(image, up, axis=1, out=image[:, nodes])
+        flat = image.reshape(-1)
+        at = frame[0, fi] * start[-1] + np.arange(start[d], start[d + 1])
+        with np.errstate(over="ignore"):  # a far plane's image is named below
+            flat[at] = 2.0 * box[0, fi] - flat[at]
+    far = np.flatnonzero(~np.isfinite(image).all(axis=0))
+    if far.size:
+        f = facets[facet[far[0]]]
+        raise InvalidInputError(
+            f"the image of tx across facet {facet[far[0]]} (plane {'xyz'[f.axis]} = "
+            f"{f.value:.6g}) is not finite")
+    return _ImageTree(
+        frame=np.ascontiguousarray(frame), box=np.ascontiguousarray(box),
+        eta=np.array([_permittivity(f, p) for f, p in zip(facets, scene.facet_properties())],
+                     dtype=complex),
+        tm=np.array([f.polarization == TM for f in facets], dtype=bool),
+        start=start, facet=facet, parent=parent, image=image)
+
+
+@dataclass(frozen=True)
 class Scene:
     """Static propagation scene: facets plus a fixed transmitter.
 
-    The first trace builds the scene's image tree and evaluates its
-    materials; both are kept until a field they depend on changes.  An
-    edited scene is checked again, as at construction, before its tree is
-    rebuilt.
+    A scene is a value, checked once at construction: its facets become a
+    tuple, its transmitter a read-only copy and its materials a read-only
+    copy, so it cannot be edited in place.  ``dataclasses.replace`` builds
+    an edited scene, checked as ``Scene(...)`` checks one, with its own
+    image tree.  The first trace builds the tree and evaluates the
+    materials, and the scene keeps both.
     """
 
-    facets: list
+    facets: tuple
     tx_position: np.ndarray
     carrier_freq: float
     max_depth: int = 3
-    materials: dict = field(default_factory=lambda: dict(BUILTIN_MATERIALS))
-    _tree: object = field(default=None, init=False, repr=False, compare=False)
+    materials: MappingProxyType = field(default_factory=lambda: BUILTIN_MATERIALS)
 
     def __post_init__(self):
-        self.check()
-
-    def check(self):
-        """Raise unless the scene is one that ``Scene(...)`` accepts."""
-        self.tx_position = np.asarray(self.tx_position, dtype=float)
+        tx = np.array(self.tx_position, dtype=float)
+        tx.flags.writeable = False
+        object.__setattr__(self, "tx_position", tx)
+        object.__setattr__(self, "facets", tuple(self.facets))
+        object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
         f = self.carrier_freq
         if not (math.isfinite(f) and f > 0.0 and math.isfinite(SPEED_OF_LIGHT / f)
                 and math.isfinite(2.0 * math.pi * f)):
             raise InvalidInputError(
                 f"carrier frequency must be finite and positive, with a finite "
                 f"wavelength and angular frequency, got {f}")
-        if not np.all(np.isfinite(self.tx_position)):
-            raise InvalidInputError(
-                f"tx position must be finite, got {self.tx_position.tolist()}")
+        if not np.all(np.isfinite(tx)):
+            raise InvalidInputError(f"tx position must be finite, got {tx.tolist()}")
         check_depth(self.max_depth)
         image_tree_sizes(len(self.facets), self.max_depth)
         if sum(f.axis == 2 for f in self.facets) > 1:
             raise SceneGeometryError("at most one ground plane per scene")
         for f in self.facets:
             get_material(f.material, self.materials)  # name must resolve
-            if f.contains(self.tx_position):
-                raise SceneGeometryError(
-                    f"tx position {tuple(self.tx_position)} lies on a facet"
-                )
+            if f.contains(tx):
+                raise SceneGeometryError(f"tx position {tuple(tx.tolist())} lies on a facet")
+
+    # the scene's image tree, built on the first trace
+    _tree = cached_property(_build_image_tree)
 
     @property
     def wavelength(self):
@@ -256,92 +336,6 @@ class DelayProfile:
 # Sequences walked back at once: bounds the walk's temporaries to a few MB
 # at any depth (depth 5 over 13 facets has 294,073 sequences).
 _WALK_CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class _ImageTree:
-    """One scene's image-method data, built once (Allen & Berkley, 1979).
-
-    The facet table holds, per facet, its ``frame`` (rows: plane axis, then
-    its two in-plane axes), its ``box`` (rows: plane value, lower bounds on
-    the in-plane axes, upper bounds on them; the bounds widened by
-    GEOM_TOL), its complex permittivity ``eta`` at the carrier and whether
-    it reflects ``tm``.  Each node is one facet sequence with no facet
-    twice in a row: ``facet[i]`` is its last facet, ``parent[i]`` the node
-    it extends and ``image[:, i]`` the transmitter mirrored across its
-    facets' planes, in order.  Node 0 is the root, the empty sequence of
-    line of sight.  Nodes are ordered by depth, then lexicographically;
-    those of depth d are ``start[d]:start[d + 1]``.
-    """
-
-    key: tuple
-    frame: np.ndarray    # (3, n_f) facet table
-    box: np.ndarray      # (5, n_f)
-    eta: np.ndarray      # (n_f,) complex
-    tm: np.ndarray       # (n_f,) bool
-    start: np.ndarray    # (max_depth + 2,) first node of each depth, then the count
-    facet: np.ndarray    # (n_nodes,) last facet, -1 at the root
-    parent: np.ndarray   # (n_nodes,) -1 at the root
-    image: np.ndarray    # (3, n_nodes)
-
-
-def _image_tree(scene):
-    """The scene's image tree, built on first use and rebuilt only when a
-    field it depends on has changed."""
-    key = (tuple(scene.facets), np.asarray(scene.tx_position, dtype=float).tobytes(),
-           scene.max_depth, scene.carrier_freq, tuple(scene.materials.items()))
-    if scene._tree is None or scene._tree.key != key:
-        scene.check()
-        scene._tree = _build_image_tree(scene, key)
-    return scene._tree
-
-
-def _permittivity(facet, props):
-    """``complex_permittivity(props)``, naming ``facet``'s material in its error."""
-    try:
-        return complex_permittivity(props)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"material {facet.material!r}: {exc}") from None
-
-
-def _build_image_tree(scene, key):
-    facets = scene.facets
-    n = len(facets)
-    sizes = image_tree_sizes(n, scene.max_depth)
-    frame = np.array([(f.axis, *_IN_PLANE[f.axis]) for f in facets],
-                     dtype=np.intp).reshape(n, 3).T
-    box = np.array([(f.value, *f.lo, *f.hi) for f in facets], dtype=float).reshape(n, 5).T
-    box[1:3] -= GEOM_TOL
-    box[3:5] += GEOM_TOL
-    start = np.cumsum([0] + sizes)
-    facet = np.full(start[-1], -1, dtype=np.int32)
-    parent = np.full(start[-1], -1, dtype=np.int32)
-    image = np.empty((3, start[-1]))
-    image[:, 0] = scene.tx_position
-    for d in range(1, scene.max_depth + 1):
-        up = np.repeat(np.arange(start[d - 1], start[d]), n)
-        fi = np.tile(np.arange(n), sizes[d - 1])
-        keep = fi != facet[up]
-        up, fi = up[keep], fi[keep]
-        nodes = slice(start[d], start[d + 1])
-        facet[nodes], parent[nodes] = fi, up
-        np.take(image, up, axis=1, out=image[:, nodes])
-        flat = image.reshape(-1)
-        at = frame[0, fi] * start[-1] + np.arange(start[d], start[d + 1])
-        with np.errstate(over="ignore"):  # a far plane's image is named below
-            flat[at] = 2.0 * box[0, fi] - flat[at]
-    far = np.flatnonzero(~np.isfinite(image).all(axis=0))
-    if far.size:
-        f = facets[facet[far[0]]]
-        raise InvalidInputError(
-            f"the image of tx across facet {facet[far[0]]} (plane {'xyz'[f.axis]} = "
-            f"{f.value:.6g}) is not finite")
-    return _ImageTree(
-        key=key, frame=np.ascontiguousarray(frame), box=np.ascontiguousarray(box),
-        eta=np.array([_permittivity(f, p) for f, p in zip(facets, scene.facet_properties())],
-                     dtype=complex),
-        tm=np.array([f.polarization == TM for f in facets], dtype=bool),
-        start=start, facet=facet, parent=parent, image=image)
 
 
 def _inside(box, denom, uv):
@@ -452,9 +446,9 @@ def trace_snapshot(scene, rx_position):
     point = rx.tolist()
     for facet in scene.facets:
         if facet.contains(point):
-            raise SceneGeometryError(f"rx position {tuple(rx)} lies on a facet")
+            raise SceneGeometryError(f"rx position {tuple(point)} lies on a facet")
 
-    tree = _image_tree(scene)
+    tree = scene._tree
     # a line parallel to a plane crosses it at inf or nan: no warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         depth, fac, pts = _walk_back(tree, rx)

@@ -34,7 +34,8 @@ DEFAULT_T_INT = 0.1  # s between snapshots, where no trace sets it
 class CirTimeline:
     """Uniformly spaced CIR snapshots: row i of the (S, L) ``taps`` matrix
     is the snapshot active from ``i * t_int`` seconds.  The tap grid's span,
-    ``l_max / f_samp`` seconds, is finite (:func:`check_tap_grid`)."""
+    ``l_max / f_samp`` seconds, is finite (:func:`check_tap_grid`), and so
+    is the timeline's, its ``duration`` of ``len * t_int`` seconds."""
 
     taps: np.ndarray   # (snapshots, l_max) complex128, C-contiguous
     f_samp: float
@@ -49,6 +50,9 @@ class CirTimeline:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.duration):
+            raise InvalidInputError(
+                f"{len(self)} snapshots {self.t_int} s apart span no finite duration")
         check_tap_grid(self.l_max, self.f_samp)
         if not np.all(np.isfinite(self.taps)):
             raise InvalidInputError("taps must be finite")
@@ -95,7 +99,8 @@ def read_timeline(path):
     """Read a timeline file, validating the header, payload size and taps.
 
     A rate whose tap grid spans more seconds than the largest float
-    (:func:`check_tap_grid`) is a :class:`FormatError` at ``f_samp``.
+    (:func:`check_tap_grid`) is a :class:`FormatError` at ``f_samp``, and
+    snapshots that do so (``count * t_int``) one at ``t_int``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -110,6 +115,8 @@ def read_timeline(path):
         if not (math.isfinite(value) and value > 0.0):
             raise FormatError(f"{name} must be finite and positive, got {value}",
                               offset=offset)
+    if not math.isfinite(count * t_int):
+        raise FormatError(f"{count} snapshots {t_int} s apart span no finite duration", offset=14)
     expected = _HEADER.size + count * taps * 8
     if len(data) != expected:
         raise FormatError(

@@ -159,6 +159,21 @@ class TestSimpleCommands:
         assert captured.out == ""
         assert captured.err == "error: special counts must be integers, got 'a,b,c'\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pattern", "", "slot pattern must not be empty"),
+        ("--pattern", "DXU", "slot pattern may contain only D/S/U, got {'X'}"),
+        ("--special", "6,4", "special format must be three nonnegative counts"),
+        ("--special", "-1,8,7", "special format must be three nonnegative counts"),
+        ("--special", "6,4,5", "special slot symbols must sum to 14, got 15"),
+    ])
+    def test_kpi_bad_pattern_or_special_is_precondition_error(
+            self, capsys, flag, value, message):
+        assert main(["kpi", "--mcs", "27", "--bler", "0.01", "--dir", "dl",
+                     f"{flag}={value}"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_version_reports_format_versions(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -260,6 +275,26 @@ class TestScenarioPipeline:
         assert main(["trace", "--scene", str(tmp_path / "nope.txt"),
                      "--trace", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "x.cirt")]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("record", [
+        "wall -50 6 50 6 0 12 1 material glass",   # seven numbers
+        "wall -50 6 50 6 0 12 1 glass",
+        "wall -50 6 50 6 0 12 material glass x",   # a ninth token
+        "wall -50 6 50 6 0 12 material",
+    ])
+    def test_wall_record_of_the_wrong_shape_is_parse_error(self, tmp_path, capsys, record):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE.replace("wall -50 6 50 6 0 12 material glass", record))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert main(["trace", "--scene", str(scene), "--trace", str(trace),
+                     "--out", str(out)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {scene}:2: wall: expected 'x1 y1 x2 y2 zmin zmax material <name>'"]
+        assert not out.exists()
 
     def test_bad_scene_is_parse_error(self, tmp_path):
         scene = tmp_path / "scene.txt"
@@ -547,6 +582,27 @@ class TestScenarioPipeline:
             "error: f_samp of 5e-324 Hz is too low: its 1-tap grid spans more seconds "
             "than the largest float (byte offset 6)"]
 
+    def test_timeline_whose_snapshots_span_no_finite_duration_is_parse_error(
+            self, tmp_path, capsys):
+        # 3 snapshots 1e308 s apart: the last would start past the largest float
+        timeline = tmp_path / "t.cirt"
+        timeline.write_bytes(struct.pack("<4sHddII", b"CIRT", 1, 46.08e6, 1e308, 3, 1)
+                             + struct.pack("<ff", 1.0, 0.0) * 3)
+        assert main(["report", "--timeline", str(timeline)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: 3 snapshots 1e+308 s apart span no finite duration (byte offset 14)"]
+
+    def test_report_on_a_zero_snapshot_timeline_is_precondition_error(
+            self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        timeline.write_bytes(struct.pack("<4sHddII", b"CIRT", 1, 46.08e6, 0.1, 0, 6))
+        assert main(["report", "--timeline", str(timeline)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: cannot report on an empty timeline"]
+
     def test_report_on_a_finite_grid_at_a_tiny_rate(self, tmp_path, capsys):
         # 8 taps at 1e-300 Hz: tap delays to 7e300 s, whose squares overflow
         (tmp_path / "profile.csv").write_text("1e-6,5e-324,-0\n")
@@ -824,6 +880,22 @@ class TestEmulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "empty" in err
         assert not outp.exists()
+
+    def test_frame_of_another_version_is_parse_error(self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = self.make_streams(tmp_path, [np.ones(N_S)] * 2)
+        with open(inp, "r+b") as fh:  # write_frame writes version 1 only
+            fh.seek(4)
+            fh.write(struct.pack("<H", 2))
+        assert main(["emulate", "--timeline", str(timeline), "--fft", "8",
+                     "--signal-gain-db", "0",
+                     "--in", str(inp), "--out", str(outp)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unsupported frame version 2 (byte offset 4)"]
+        assert self.read_all(outp) == []
 
     def test_wrong_frame_length_is_parse_error(self, tmp_path):
         timeline = tmp_path / "t.cirt"

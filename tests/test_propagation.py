@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -349,6 +350,15 @@ class TestSceneValidation:
             Scene(facets=[Facet.ground(10.0)], tx_position=(0, 0, 10.0),
                   carrier_freq=F_REF)
 
+    def test_position_on_a_facet_is_named_in_plain_numbers(self):
+        with pytest.raises(SceneGeometryError,
+                           match=r"^tx position \(0\.0, 0\.0, 10\.0\) lies on a facet$"):
+            Scene(facets=[Facet.ground(10.0)], tx_position=np.array([0, 0, 10]),
+                  carrier_freq=F_REF)
+        with pytest.raises(SceneGeometryError,
+                           match=r"^rx position \(5\.0, -8\.0, 1\.5\) lies on a facet$"):
+            trace_snapshot(canyon_scene(), np.array([5.0, -8.0, 1.5]))
+
     def test_depth_range_enforced(self):
         with pytest.raises(InvalidInputError):
             empty_scene(depth=6)
@@ -408,11 +418,10 @@ class TestSceneValidation:
     def test_scene_edited_over_the_node_cap_rejected_before_tracing(self):
         scene = Scene(facets=parallel_walls(16), tx_position=(0, 0, 10),
                       carrier_freq=F_REF, max_depth=5)
-        scene.facets = parallel_walls(17)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInputError, match="17 facets at max_depth 5"):
-                trace_snapshot(scene, (0.0, -3.0, 1.5))
+                dataclasses.replace(scene, facets=parallel_walls(17))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -571,7 +580,7 @@ class TestImageTree:
 
     def test_nodes_list_every_sequence_by_depth_in_order_with_its_image(self):
         scene = canyon_scene(depth=3)
-        tree = propagation._image_tree(scene)
+        tree = scene._tree
         seqs = []
         for node in range(len(tree.facet)):
             seq = []
@@ -607,29 +616,53 @@ class TestImageTree:
         scene = canyon_scene(depth=1)
         rx = (20.0, -3.0, 1.5)
         trace_snapshot(scene, rx)
-        scene.max_depth = 3
+        scene = dataclasses.replace(scene, max_depth=3)
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
-        scene.tx_position = np.array([5.0, 2.0, 8.0])
+        scene = dataclasses.replace(scene, tx_position=np.array([5.0, 2.0, 8.0]))
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
-        scene.facets = scene.facets[1:]
+        scene = dataclasses.replace(scene, facets=scene.facets[1:])
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
-        scene.materials["glass"] = get_material("metal")
+        scene = dataclasses.replace(
+            scene, materials={**scene.materials, "glass": get_material("metal")})
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
 
     @pytest.mark.parametrize("edit, error", [
-        (lambda scene: setattr(scene, "max_depth", 7), InvalidInputError),
-        (lambda scene: setattr(scene, "tx_position", (0.0, -8.0, 5.0)), SceneGeometryError),
-        (lambda scene: scene.facets.append(Facet.ground(-1.0)), SceneGeometryError),
+        (dict(max_depth=7), InvalidInputError),
+        (dict(tx_position=(0.0, -8.0, 5.0)), SceneGeometryError),
+        (dict(facets=(*canyon_scene().facets, Facet.ground(-1.0))), SceneGeometryError),
     ], ids=["depth", "tx-on-wall", "second-ground"])
     @pytest.mark.parametrize("traced_before", [False, True])
     def test_an_edited_scene_is_checked_again(self, edit, error, traced_before):
         scene = canyon_scene(depth=1)
-        rx = (20.0, -3.0, 1.5)
         if traced_before:
-            trace_snapshot(scene, rx)
-        edit(scene)
+            trace_snapshot(scene, (20.0, -3.0, 1.5))
         with pytest.raises(error):
-            trace_snapshot(scene, rx)
+            dataclasses.replace(scene, **edit)
+
+    def test_a_scene_cannot_be_edited_in_place(self):
+        tx, facets = np.array([0.0, 0.0, 10.0]), [Facet.ground(0.0, "concrete")]
+        materials = {"concrete": get_material("concrete")}
+        scene = Scene(facets=facets, tx_position=tx, carrier_freq=F_REF,
+                      materials=materials)
+        rx = (20.0, -3.0, 1.5)
+        want = trace_snapshot(scene, rx)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scene.max_depth = 1
+        with pytest.raises(AttributeError):
+            scene.facets.append(Facet.wall(-100, 8, 100, 8, 0, 15, "concrete"))
+        with pytest.raises(TypeError):
+            scene.materials["concrete"] = get_material("metal")
+        with pytest.raises(ValueError, match="read-only"):
+            scene.tx_position[2] = 5.0
+        # nor through what was passed in: the scene keeps its own copies
+        tx[2] = 5.0
+        facets.append(Facet.wall(-100, 8, 100, 8, 0, 15, "concrete"))
+        materials["concrete"] = get_material("metal")
+        assert scene.tx_position.tolist() == [0.0, 0.0, 10.0]
+        assert len(scene.facets) == 1 and scene.materials["concrete"].name == "concrete"
+        got = trace_snapshot(scene, rx)
+        np.testing.assert_array_equal(got.delays, want.delays)
+        np.testing.assert_array_equal(got.amps, want.amps)
 
     def test_depth_five_snapshot_allocates_a_bounded_peak(self):
         with np.load(BLOCK13) as ref:

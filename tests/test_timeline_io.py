@@ -106,6 +106,7 @@ class TestTimelineFile:
         (6, float("nan")), (6, 0.0), (6, -46.08e6), (6, float("inf")),
         (6, 5e-324),  # finite and positive, but its tap grid spans inf seconds
         (14, float("nan")), (14, 0.0), (14, -0.1),
+        (14, 1e308),  # finite and positive, but its 3 snapshots span inf seconds
     ])
     def test_bad_rate_or_interval_is_format_error(self, tmp_path, offset, value):
         path = tmp_path / "t.cirt"
@@ -215,6 +216,14 @@ class TestTimelineValues:
         # a finite grid, however long, is a rate
         assert CirTimeline(np.zeros((1, 8)), 1e-300, 0.1).l_max == 8
 
+    def test_snapshots_spanning_no_finite_duration_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^3 snapshots 1e\+308 s apart span no finite duration$"):
+            CirTimeline(np.zeros((3, 1)), F_SAMP, 1e308)
+        # one snapshot, or none, spans a finite time at any finite interval
+        assert CirTimeline(np.zeros((1, 1)), F_SAMP, 1.7e308).duration == 1.7e308
+        assert CirTimeline(np.zeros((0, 1)), F_SAMP, 1.7e308).duration == 0.0
+
     @pytest.mark.parametrize("taps", [np.zeros(4), np.zeros((2, 0)), np.zeros((1, 2, 2))])
     def test_taps_must_be_a_matrix_with_taps(self, taps):
         with pytest.raises(InvalidInputError, match="matrix"):
@@ -243,7 +252,9 @@ def _timelines(draw, max_snapshots=4, max_taps=5):
     # a rate whose tap grid spans more seconds than the largest float is
     # rejected by CirTimeline itself
     f_samp = draw(_positive.filter(lambda f: math.isfinite(taps / f)))
-    return CirTimeline(matrix, f_samp, draw(_positive))
+    # and so are snapshots spanning more seconds than the largest float
+    t_int = draw(_positive.filter(lambda t: math.isfinite(count * t)))
+    return CirTimeline(matrix, f_samp, t_int)
 
 
 class TestTimelineFileProperties:
