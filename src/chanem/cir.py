@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayRangeError, InvalidInputError
+from .errors import InvalidInputError
 
 # Default number of leading taps kept by the real-time emulator.
 DEFAULT_TAP_BUDGET = 28
@@ -91,21 +91,17 @@ def discretize(profile, cfg):
 
     Returns the ``cfg.l_max`` taps as a 1-D complex vector.  Negative-index
     sinc energy is dropped (the grid starts at k = 0).
-    Raises :class:`DelayRangeError` naming the first offending path if any
-    delay exceeds ``cfg.max_delay_spread``, and :class:`InvalidInputError`
-    naming the first tap that is not finite where the paths' amplitudes sum
-    past the largest float.
+    Raises :class:`InvalidInputError` naming the first offending path if
+    any delay exceeds ``cfg.max_delay_spread``, or naming the first tap that
+    is not finite where the paths' amplitudes sum past the largest float.
     """
     delays = np.asarray(profile.delays, dtype=np.float64)
     amps = np.asarray(profile.amps, dtype=np.complex128)
     over = np.nonzero(delays > cfg.max_delay_spread)[0]
     if over.size:
         p = int(over[0])
-        raise DelayRangeError(
-            f"path {p} delay {delays[p]:.6g} s exceeds max delay spread "
-            f"{cfg.max_delay_spread:.6g} s",
-            path_index=p,
-        )
+        raise InvalidInputError(f"path {p} delay {delays[p]:.6g} s exceeds max delay "
+                                f"spread {cfg.max_delay_spread:.6g} s")
     if not delays.size:
         return np.zeros(cfg.l_max, dtype=np.complex128)
     k = np.arange(cfg.l_max, dtype=np.float64)

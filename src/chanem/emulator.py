@@ -36,8 +36,7 @@ import time
 import numpy as np
 
 from .cir import path_gain_total
-from .errors import (EndOfScenario, InvalidInputError, NoReferenceError,
-                     SequencingError)
+from .errors import EndOfScenario, InvalidInputError
 from .iqstream import FrameBuffers, read_frame, write_frame
 
 CARRY = "carry"  # the one history rule; `chanem emulate --history` reads it
@@ -269,11 +268,11 @@ def convolve_slot(state, slot_index, samples):
 
     Returns ``state.out``, which the next call overwrites.  ``samples`` may
     be ``state.slot`` itself, which then is not copied.  Slots must arrive
-    in index order; an index at or beyond the timeline capacity raises
-    :class:`EndOfScenario`.
+    in index order, else :class:`InvalidInputError`; an index at or beyond
+    the timeline capacity raises :class:`EndOfScenario`.
     """
     if slot_index != state.next_slot_index:
-        raise SequencingError(
+        raise InvalidInputError(
             f"slot {slot_index} arrived, expected {state.next_slot_index}"
         )
     snap = slot_index // state.slots_per_snapshot
@@ -307,13 +306,13 @@ def calibrate_signal_gain(taps):
     """Signal gain that puts the strongest snapshot HEADROOM_DB above 0 dB.
 
     ``taps`` holds one tap vector per snapshot (``CirTimeline.taps``).
-    Raises :class:`NoReferenceError` when every snapshot sums to zero.
+    Raises :class:`InvalidInputError` when every snapshot sums to zero.
     """
     if not len(taps):
-        raise NoReferenceError("cannot calibrate against an empty timeline")
+        raise InvalidInputError("cannot calibrate against an empty timeline")
     best = max(path_gain_total(row) for row in taps)
     if best == float("-inf"):
-        raise NoReferenceError(
+        raise InvalidInputError(
             "all snapshots have zero coherent gain; no calibration reference"
         )
     return HEADROOM_DB - best

@@ -1,7 +1,11 @@
 """Exception hierarchy.
 
-The CLI maps these onto distinct exit codes: parse/format problems,
-precondition violations, and end-of-scenario each get their own code.
+Every package error derives from :class:`ChanemError`, and the CLI maps
+each class onto an exit code: :class:`FormatError` (a binary file or
+frame) and :class:`ScenarioParseError` (a text file) exit 2,
+:class:`InvalidInputError` (any violated precondition: a bad argument,
+degenerate geometry, a delay past the spread, a slot out of order, no
+gain reference) exits 3, and :class:`EndOfScenario` exits 4.
 """
 
 
@@ -10,32 +14,11 @@ class ChanemError(Exception):
 
 
 class InvalidInputError(ChanemError, ValueError):
-    """An argument or configuration value violates a precondition."""
-
-
-class SceneGeometryError(ChanemError):
-    """Degenerate propagation geometry (endpoint on a facet, bad facet)."""
-
-
-class DelayRangeError(ChanemError):
-    """A path delay exceeds the configured maximum delay spread."""
-
-    def __init__(self, message, path_index=None, snapshot_index=None):
-        super().__init__(message)
-        self.path_index = path_index
-        self.snapshot_index = snapshot_index
-
-
-class SequencingError(ChanemError):
-    """A slot arrived out of order."""
+    """An argument, configuration value or input violates a precondition."""
 
 
 class EndOfScenario(ChanemError):
     """A slot index lies beyond the end of the CIR timeline."""
-
-
-class NoReferenceError(ChanemError):
-    """Gain calibration was asked for a timeline with no usable snapshot."""
 
 
 class FormatError(ChanemError):

@@ -29,7 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import InvalidInputError, SceneGeometryError
+from .errors import InvalidInputError
 from .materials import (BUILTIN_MATERIALS, complex_permittivity,
                         evaluate_material, get_material)
 
@@ -116,12 +116,12 @@ class Facet:
 
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
-            raise SceneGeometryError(f"facet axis must be 0, 1 or 2, got {self.axis}")
+            raise InvalidInputError(f"facet axis must be 0, 1 or 2, got {self.axis}")
         if not math.isfinite(self.value):
-            raise SceneGeometryError(f"facet plane must be finite, got {self.value}")
+            raise InvalidInputError(f"facet plane must be finite, got {self.value}")
         # also false for a NaN bound, and for inf - inf
         if not all(high - low > GEOM_TOL for low, high in zip(self.lo, self.hi)):
-            raise SceneGeometryError(
+            raise InvalidInputError(
                 f"facet must have positive extent and no NaN bound, got {self.lo}-{self.hi}")
 
     @classmethod
@@ -137,7 +137,7 @@ class Facet:
             return cls(0, x1, (min(y1, y2), z_min), (max(y1, y2), z_max), material)
         if abs(y1 - y2) <= GEOM_TOL and abs(x1 - x2) > GEOM_TOL:
             return cls(1, y1, (min(x1, x2), z_min), (max(x1, x2), z_max), material)
-        raise SceneGeometryError(
+        raise InvalidInputError(
             f"wall ({x1},{y1})-({x2},{y2}) is not axis-aligned"
         )
 
@@ -238,22 +238,24 @@ class Scene:
     """Static propagation scene: facets plus a fixed transmitter.
 
     A scene is a value, checked once at construction: its facets become a
-    tuple, its transmitter a read-only copy and its materials a read-only
-    copy, so it cannot be edited in place.  ``dataclasses.replace`` builds
+    tuple, its transmitter a tuple of floats and its materials a read-only
+    copy, so it cannot be edited in place, and scenes built from equal
+    arguments compare and hash equal.  ``dataclasses.replace`` builds
     an edited scene, checked as ``Scene(...)`` checks one, with its own
     image tree.  The first trace builds the tree and evaluates the
     materials, and the scene keeps both.
     """
 
     facets: tuple
-    tx_position: np.ndarray
+    tx_position: tuple
     carrier_freq: float
     max_depth: int = 3
-    materials: MappingProxyType = field(default_factory=lambda: BUILTIN_MATERIALS)
+    # a mapping proxy cannot be hashed; == still compares it
+    materials: MappingProxyType = field(default_factory=lambda: BUILTIN_MATERIALS,
+                                        hash=False)
 
     def __post_init__(self):
-        tx = np.array(self.tx_position, dtype=float)
-        tx.flags.writeable = False
+        tx = tuple(map(float, self.tx_position))
         object.__setattr__(self, "tx_position", tx)
         object.__setattr__(self, "facets", tuple(self.facets))
         object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
@@ -263,16 +265,16 @@ class Scene:
             raise InvalidInputError(
                 f"carrier frequency must be finite and positive, with a finite "
                 f"wavelength and angular frequency, got {f}")
-        if not np.all(np.isfinite(tx)):
-            raise InvalidInputError(f"tx position must be finite, got {tx.tolist()}")
+        if not all(map(math.isfinite, tx)):
+            raise InvalidInputError(f"tx position must be finite, got {list(tx)}")
         check_depth(self.max_depth)
         image_tree_sizes(len(self.facets), self.max_depth)
         if sum(f.axis == 2 for f in self.facets) > 1:
-            raise SceneGeometryError("at most one ground plane per scene")
+            raise InvalidInputError("at most one ground plane per scene")
         for f in self.facets:
             get_material(f.material, self.materials)  # name must resolve
             if f.contains(tx):
-                raise SceneGeometryError(f"tx position {tuple(tx.tolist())} lies on a facet")
+                raise InvalidInputError(f"tx position {tx} lies on a facet")
 
     # the scene's image tree, built on the first trace
     _tree = cached_property(_build_image_tree)
@@ -435,7 +437,7 @@ def trace_snapshot(scene, rx_position):
         raise InvalidInputError(f"rx position must be finite, got {rx.tolist()}")
     if rx[2] <= 0.0:
         raise InvalidInputError(f"rx height must be positive, got {rx[2]}")
-    tx = scene.tx_position
+    tx = np.array(scene.tx_position)
     with np.errstate(over="ignore"):  # a far position's squared distance overflows
         distance = np.linalg.norm(rx - tx)
     if not math.isfinite(distance):
@@ -446,7 +448,7 @@ def trace_snapshot(scene, rx_position):
     point = rx.tolist()
     for facet in scene.facets:
         if facet.contains(point):
-            raise SceneGeometryError(f"rx position {tuple(point)} lies on a facet")
+            raise InvalidInputError(f"rx position {tuple(point)} lies on a facet")
 
     tree = scene._tree
     # a line parallel to a plane crosses it at inf or nan: no warning
@@ -503,6 +505,6 @@ def trace_timeline(scene, trace):
     for i, pos in enumerate(trace.positions):
         try:
             profiles.append(trace_snapshot(scene, pos))
-        except (InvalidInputError, SceneGeometryError) as exc:
-            raise type(exc)(f"snapshot {i}: {exc}") from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"snapshot {i}: {exc}") from exc
     return profiles

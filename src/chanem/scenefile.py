@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import ScenarioParseError, SceneGeometryError, InvalidInputError
+from .errors import InvalidInputError, ScenarioParseError
 from .materials import BUILTIN_MATERIALS, MaterialSpec
 from .propagation import (DelayProfile, Facet, MobilityTrace, Scene,
                           check_depth, trace_timeline)
@@ -138,7 +138,7 @@ def parse_scene(text, path="<scene>", max_depth=None):
             else:
                 raise ScenarioParseError(f"unknown record {kind!r}",
                                          path=path, line=line_no)
-        except (SceneGeometryError, InvalidInputError) as exc:
+        except InvalidInputError as exc:
             raise ScenarioParseError(str(exc), path=path, line=line_no) from exc
 
     for kind in ("tx", "freq"):
@@ -149,7 +149,7 @@ def parse_scene(text, path="<scene>", max_depth=None):
     try:
         return Scene(facets=facets, tx_position=once["tx"], carrier_freq=once["freq"],
                      max_depth=max_depth, materials=materials)
-    except (SceneGeometryError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         raise ScenarioParseError(str(exc), path=path) from exc
 
 

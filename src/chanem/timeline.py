@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import check_tap_grid, discretize, path_gain_total, sort_truncate
-from .errors import DelayRangeError, FormatError, InvalidInputError
+from .errors import FormatError, InvalidInputError
 from .kpi import cir_rms_delay_spread
 
 TIMELINE_MAGIC = b"CIRT"
@@ -148,10 +148,6 @@ def timeline_from_profiles(profiles, cfg, t_int):
     for i, profile in enumerate(profiles):
         try:
             taps[i] = discretize(profile, cfg)
-        except DelayRangeError as exc:
-            raise DelayRangeError(f"snapshot {i}: {exc}",
-                                  path_index=exc.path_index,
-                                  snapshot_index=i) from exc
         except InvalidInputError as exc:
             raise InvalidInputError(f"snapshot {i}: {exc}") from exc
     return CirTimeline(taps, cfg.f_samp, t_int)

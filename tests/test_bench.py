@@ -32,7 +32,7 @@ def test_stats_fields_and_ordering():
 
 def test_every_slot_goes_through_the_one_frame_driver(monkeypatch):
     # 20 slots wrap the 8-frame ring twice, so a frame served with a stale
-    # slot_index would end the run in SequencingError
+    # slot_index would end the run in an "arrived, expected" error
     decoded, encoded, driven = [], [], []
     read_frame, write_frame = emulator.read_frame, emulator.write_frame
     run_scenario = bench_module.run_scenario

@@ -628,6 +628,75 @@ class TestScenarioPipeline:
         assert timeline.l_max == 146
 
 
+class TestPreconditionExitCodes:
+    """Each precondition below ends ``main`` with its exit code and one
+    ``error:`` line: 3 where a stage rejects its input, 2 where the scene
+    file names an impossible geometry."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_path_past_the_max_delay_spread(self, tmp_path, capsys):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("1,0,0\n0.5,0.1,5e-6\n")
+        out = tmp_path / "one.cirt"
+        assert self.run(capsys, ["cir", "--profile", str(profile), "--fsamp", "46.08e6",
+                                 "--out", str(out)]) == (
+            EXIT_PRECONDITION,
+            "error: snapshot 0: path 1 delay 5e-06 s exceeds max delay spread 3e-06 s\n")
+        assert not out.exists()
+
+    def test_auto_gain_without_a_reference(self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{}])
+        inp, outp = tmp_path / "in.owiq", tmp_path / "out.owiq"
+        with open(inp, "wb") as fh:
+            write_frame(fh, 0, np.ones(N_S), fmt=FMT_F32)
+        assert self.run(capsys, ["emulate", "--timeline", str(timeline),
+                                 "--signal-gain-db", "auto", "--fft", "8",
+                                 "--in", str(inp), "--out", str(outp)]) == (
+            EXIT_PRECONDITION,
+            "error: all snapshots have zero coherent gain; no calibration reference\n")
+
+    def test_slot_out_of_order(self, tmp_path, capsys):
+        timeline = tmp_path / "t.cirt"
+        write_test_timeline(timeline, [{0: 1.0}])
+        inp, outp = tmp_path / "in.owiq", tmp_path / "out.owiq"
+        with open(inp, "wb") as fh:
+            for index in (0, 2):
+                write_frame(fh, index, np.ones(N_S), fmt=FMT_F32)
+        assert self.run(capsys, ["emulate", "--timeline", str(timeline),
+                                 "--signal-gain-db", "0", "--fft", "8",
+                                 "--in", str(inp), "--out", str(outp)]) == (
+            EXIT_PRECONDITION, "error: slot 2 arrived, expected 1\n")
+        with open(outp, "rb") as fh:
+            assert len(read_frames(fh)) == 1
+
+    def test_rx_on_a_facet(self, tmp_path, capsys):
+        scene, trace = tmp_path / "scene.txt", tmp_path / "trace.csv"
+        scene.write_text(SCENE)
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n0.1,2,6,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert self.run(capsys, ["trace", "--scene", str(scene), "--trace", str(trace),
+                                 "--out", str(out)]) == (
+            EXIT_PRECONDITION,
+            "error: snapshot 1: rx position (2.0, 6.0, 1.5) lies on a facet\n")
+        assert not out.exists()
+
+    def test_tx_on_a_facet(self, tmp_path, capsys):
+        scene, trace = tmp_path / "scene.txt", tmp_path / "trace.csv"
+        scene.write_text(SCENE.replace("tx 0 0 10", "tx 0 6 5"))
+        trace.write_text("t,x,y,z\n0,10,0,1.5\n")
+        out = tmp_path / "x.cirt"
+        assert self.run(capsys, ["trace", "--scene", str(scene), "--trace", str(trace),
+                                 "--out", str(out)]) == (
+            EXIT_PARSE, f"error: {scene}: tx position (0.0, 6.0, 5.0) lies on a facet\n")
+        assert not out.exists()
+
+
 class TestEmulateCommand:
     def make_streams(self, tmp_path, slots):
         inp = tmp_path / "in.owiq"
