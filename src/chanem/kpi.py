@@ -24,11 +24,10 @@ MAX_NUMEROLOGY = 6
 DL = "dl"
 UL = "ul"
 
-# Defaults of the timing checks: ofdm_feasibility's "much less than" factor,
-# the delay spread of one path, and cir_isi_check's significance floor.
+# Defaults of the timing checks: ofdm_feasibility's "much less than" factor
+# and the delay spread of one path.
 FEASIBILITY_MARGIN = 10.0
 NO_DELAY_SPREAD = 0.0  # s
-ISI_POWER_FLOOR_DB = -40.0
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,9 @@ def mcs_lookup(index):
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """NR numerology, bandwidth, TDD pattern, and per-direction overheads."""
+    """NR numerology, PRB count, TDD pattern, and per-direction overheads."""
 
     numerology_mu: int
-    bandwidth: float       # Hz
     n_prb: int
     overhead_dl: float
     overhead_ul: float
@@ -167,7 +165,7 @@ class LinkConfig:
 # TDD pattern in the text form that TddPattern.parse reads.
 REFERENCE_PATTERN, REFERENCE_SPECIAL = "DDDSU", "6,4,4"
 REFERENCE_CARRIER = LinkConfig(
-    numerology_mu=1, bandwidth=40e6, n_prb=106, overhead_dl=0.14, overhead_ul=0.08,
+    numerology_mu=1, n_prb=106, overhead_dl=0.14, overhead_ul=0.08,
     tdd=TddPattern.parse(REFERENCE_PATTERN, REFERENCE_SPECIAL),
     fft_size=1536, f_samp=46.08e6, carrier_freq=4.01916e9)
 
@@ -204,24 +202,9 @@ def effective_throughput(cfg, mcs, bler, direction):
     return (1.0 - bler) * alpha * max_bitrate(cfg, mcs, direction)
 
 
-def _rms_spread(powers, delays, total):
-    """Power-weighted RMS spread of ``delays``, given ``total = powers.sum()``."""
-    mean = float(np.dot(powers, delays) / total)
-    mean_sq = float(np.dot(powers, delays**2) / total)
-    return math.sqrt(max(mean_sq - mean**2, 0.0))
-
-
-def rms_delay_spread(profile):
-    """Power-weighted RMS delay spread of a delay profile, seconds."""
-    powers = np.abs(np.asarray(profile.amps)) ** 2
-    total = powers.sum()
-    if profile.n_paths == 0 or total <= 0.0:
-        raise InvalidInputError("RMS delay spread undefined for zero-power profile")
-    return _rms_spread(powers, np.asarray(profile.delays), total)
-
-
 def cir_rms_delay_spread(taps, f_samp):
-    """RMS delay spread of a tap vector, treating taps as paths at k/f_samp.
+    """Power-weighted RMS delay spread of a tap vector, treating taps as
+    paths at k/f_samp.
 
     The spread is taken in taps and then divided by ``f_samp``, so it stays
     finite wherever the grid ``len(taps) / f_samp`` is.  Returns NaN for an
@@ -231,7 +214,10 @@ def cir_rms_delay_spread(taps, f_samp):
     total = powers.sum()
     if total <= 0.0:
         return float("nan")
-    return _rms_spread(powers, np.arange(len(taps)), total) / f_samp
+    delays = np.arange(len(taps))
+    mean = float(np.dot(powers, delays) / total)
+    mean_sq = float(np.dot(powers, delays**2) / total)
+    return math.sqrt(max(mean_sq - mean**2, 0.0)) / f_samp
 
 
 @dataclass(frozen=True)
@@ -246,10 +232,6 @@ class OfdmFeasibility:
     isi_ok: bool        # rms delay spread << guard interval
     guard_ok: bool      # guard interval << symbol duration
     coherence_ok: bool  # symbol duration << fading period
-
-    @property
-    def all_ok(self):
-        return self.isi_ok and self.guard_ok and self.coherence_ok
 
 
 def ofdm_feasibility(cfg, sigma_tau, speed, margin=FEASIBILITY_MARGIN):
@@ -287,30 +269,3 @@ def ofdm_feasibility(cfg, sigma_tau, speed, margin=FEASIBILITY_MARGIN):
         guard_ok=t_gi * margin <= t_ofdm,
         coherence_ok=t_ofdm * margin <= t_f,
     )
-
-
-@dataclass(frozen=True)
-class IsiCheckResult:
-    """Verdict of the CP-exceedance check plus any offending tap indices."""
-
-    ok: bool
-    offending_indices: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def cir_isi_check(taps, cfg):
-    """True iff no significant tap lies beyond the short-CP sample count.
-
-    A tap is significant when its power is within ISI_POWER_FLOOR_DB of the
-    strongest tap.
-    """
-    powers = np.abs(np.asarray(taps)) ** 2
-    peak = powers.max() if len(powers) else 0.0
-    if peak <= 0.0:
-        return IsiCheckResult(True, ())
-    floor = peak * 10.0 ** (ISI_POWER_FLOOR_DB / 10.0)
-    ks = np.nonzero(powers >= floor)[0]
-    offending = tuple(int(k) for k in ks if k > cfg.cp_short_samples)
-    return IsiCheckResult(not offending, offending)

@@ -265,6 +265,8 @@ class Scene:
             raise InvalidInputError(
                 f"carrier frequency must be finite and positive, with a finite "
                 f"wavelength and angular frequency, got {f}")
+        if len(tx) != 3:
+            raise InvalidInputError(f"tx position must have 3 coordinates, got {len(tx)}")
         if not all(map(math.isfinite, tx)):
             raise InvalidInputError(f"tx position must be finite, got {list(tx)}")
         check_depth(self.max_depth)
@@ -300,7 +302,10 @@ class MobilityTrace:
     positions: np.ndarray  # (N, 3)
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
+        self.positions = np.asarray(self.positions, dtype=float)
+        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
+            raise InvalidInputError(
+                f"trace positions must have shape (N, 3), got {self.positions.shape}")
         if not (math.isfinite(self.interval) and self.interval > 0.0):
             raise InvalidInputError(
                 f"trace interval must be finite and positive, got {self.interval}")
@@ -324,15 +329,12 @@ class DelayProfile:
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=np.complex128)
         self.delays = np.asarray(self.delays, dtype=np.float64)
-        if self.amps.shape != self.delays.shape:
-            raise InvalidInputError("amps and delays must have equal length")
+        if self.amps.ndim != 1 or self.amps.shape != self.delays.shape:
+            raise InvalidInputError(f"amps and delays must be 1-D of equal length, got "
+                                    f"shapes {self.amps.shape} and {self.delays.shape}")
         if self.delays.size and (np.any(self.delays < 0.0)
                                  or not np.all(np.isfinite(self.delays))):
             raise InvalidInputError("delays must be finite and >= 0")
-
-    @property
-    def n_paths(self):
-        return len(self.amps)
 
 
 # Sequences walked back at once: bounds the walk's temporaries to a few MB
@@ -433,6 +435,8 @@ def trace_snapshot(scene, rx_position):
     when clear.  The profile may be empty under total blockage.
     """
     rx = np.asarray(rx_position, dtype=float)
+    if rx.shape != (3,):
+        raise InvalidInputError(f"rx position must have 3 coordinates, got {rx.tolist()}")
     if not np.isfinite(rx).all():
         raise InvalidInputError(f"rx position must be finite, got {rx.tolist()}")
     if rx[2] <= 0.0:

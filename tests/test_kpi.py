@@ -2,15 +2,13 @@ import dataclasses
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from chanem.errors import InvalidInputError
 from chanem.kpi import (MCS_TABLE_256QAM, REFERENCE_CARRIER, McsEntry, TddPattern,
-                        cir_isi_check, effective_throughput, max_bitrate,
-                        mcs_lookup, ofdm_feasibility, rms_delay_spread,
-                        tdd_occupancy, tdd_occupancy_exact)
-from chanem.propagation import DelayProfile
+                        cir_rms_delay_spread, effective_throughput, max_bitrate,
+                        mcs_lookup, ofdm_feasibility, tdd_occupancy,
+                        tdd_occupancy_exact)
 
 
 def table_cfg():
@@ -156,24 +154,19 @@ class TestMcsTable:
             McsEntry(e.index, e.q_m, e.code_rate_x1024, e.spectral_eff)
 
 
-class TestRmsDelaySpread:
+class TestCirRmsDelaySpread:
+    # taps k samples late at 1 MHz: a spread of s taps reads s microseconds
+    F_SAMP = 1e6
+
     def test_single_path_is_zero(self):
-        p = DelayProfile(amps=[1.0 + 0j], delays=[4e-7])
-        assert rms_delay_spread(p) == 0.0
+        assert cir_rms_delay_spread([0.0, 1.0 + 0j, 0.0], self.F_SAMP) == 0.0
 
     def test_two_equal_paths(self):
-        p = DelayProfile(amps=[1.0, 1.0], delays=[0.0, 1e-6])
-        assert rms_delay_spread(p) == pytest.approx(0.5e-6)
+        assert cir_rms_delay_spread([1.0, 1.0], self.F_SAMP) == pytest.approx(0.5e-6)
 
     def test_three_to_one_power_split(self):
-        p = DelayProfile(amps=[math.sqrt(3.0), 1.0], delays=[0.0, 1e-6])
-        assert rms_delay_spread(p) == pytest.approx(0.4330e-6, abs=1e-10)
-
-    def test_zero_power_profile_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rms_delay_spread(DelayProfile(amps=[], delays=[]))
-        with pytest.raises(InvalidInputError):
-            rms_delay_spread(DelayProfile(amps=[0.0], delays=[1e-6]))
+        assert cir_rms_delay_spread([math.sqrt(3.0), 1.0], self.F_SAMP) == pytest.approx(
+            0.4330e-6, abs=1e-10)
 
 
 class TestOfdmFeasibility:
@@ -181,7 +174,7 @@ class TestOfdmFeasibility:
         v = ofdm_feasibility(table_cfg(), sigma_tau=0.2e-6, speed=11.78)
         assert v.fading_period == pytest.approx(6.332e-3, abs=1e-6)
         assert v.doppler_freq == pytest.approx(158.0, abs=1.0)
-        assert v.all_ok
+        assert v.isi_ok and v.guard_ok and v.coherence_ok
 
     def test_cp_durations(self):
         cfg = table_cfg()
@@ -243,29 +236,3 @@ class TestOfdmFeasibility:
         # a nan speed read as a static channel, an infinite one as t_f = 0
         with pytest.raises(InvalidInputError, match=name):
             ofdm_feasibility(table_cfg(), sigma_tau, speed, margin=margin)
-
-
-class TestCirIsiCheck:
-    def cfg(self):
-        return table_cfg()
-
-    def test_energy_within_cp_passes(self):
-        taps = np.zeros(146, complex)
-        taps[:100] = 0.1
-        result = cir_isi_check(taps, self.cfg())
-        assert result.ok and bool(result)
-
-    def test_strong_late_tap_reported(self):
-        taps = np.zeros(146, complex)
-        taps[0] = 1.0
-        taps[140] = 0.5
-        result = cir_isi_check(taps, self.cfg())
-        assert not result.ok
-        assert result.offending_indices == (140,)
-
-    def test_late_tap_below_floor_ignored(self):
-        taps = np.zeros(146, complex)
-        taps[0] = 1.0
-        taps[140] = 1e-3  # -60 dB relative
-        result = cir_isi_check(taps, self.cfg())
-        assert result.ok

@@ -6,8 +6,9 @@ reaches no later stage, the CLI only parses and prints (no array code or
 sockets of its own, and no default value of its own), and bench drives no
 slot, reads no clock and writes no frame header of its own.  Importing the
 package loads no stage, and importing a stage loads only what its source
-imports.  Every function the benchmark's traced run wraps by name still
-exists, and so does every name README's library example imports.
+imports.  Every public function and class of the package has a reader in
+it.  Every function the benchmark's traced run wraps by name still exists,
+and so does every name README's library example imports.
 """
 
 import ast
@@ -141,6 +142,38 @@ def test_bench_has_no_slot_loop_of_its_own():
     # nor a clock or a frame layout: every second it reports is the driver's,
     # and iqstream alone writes a frame's header
     assert not direct_imports("bench") & {"time", "struct"}
+
+
+# Public names that only the tests read, each with its reason.
+READ_BY_TESTS_ONLY = {
+    # the Fresnel factor of the scalar oracle in tests/test_propagation.py,
+    # which checks the tracer's vectorized coefficients against it
+    "propagation.reflection_coefficient",
+}
+
+
+def test_every_public_function_and_class_has_a_reader():
+    # a module-level function or class that nothing in the package reads,
+    # outside its own definition, is surface no command, report or stream
+    # reaches; it goes, or it gets a caller
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py")}
+    imported = {(_in_package(node.module or "", node.level), alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for definition in tree.body:
+            if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    or definition.name.startswith("_")):
+                continue
+            own = {id(node) for node in ast.walk(definition)}
+            loaded = any(isinstance(node, ast.Name) and node.id == definition.name
+                         and isinstance(node.ctx, ast.Load) and id(node) not in own
+                         for node in ast.walk(tree))
+            if not loaded and (module, definition.name) not in imported:
+                unread.append(f"{module}.{definition.name}")
+    assert unread == sorted(READ_BY_TESTS_ONLY)
 
 
 MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}

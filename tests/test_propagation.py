@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -113,7 +114,7 @@ def oracle_trace(scene, rx_position):
 
 
 def assert_same_profile(got, want):
-    assert got.n_paths == want.n_paths
+    assert len(got.delays) == len(want.delays)
     np.testing.assert_allclose(got.delays, want.delays, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got.amps, want.amps, rtol=1e-12, atol=0)
 
@@ -243,7 +244,7 @@ class TestReference:
 class TestFreeSpace:
     def test_friis_gain_and_delay_at_100m(self):
         profile = trace_snapshot(empty_scene(), (100.0, 0.0, 10.0))
-        assert profile.n_paths == 1
+        assert len(profile.delays) == 1
         gain_db = 20 * math.log10(abs(profile.amps[0]))
         assert gain_db == pytest.approx(-84.53, abs=0.05)
         assert profile.delays[0] == pytest.approx(333.6e-9, abs=0.2e-9)
@@ -253,7 +254,7 @@ class TestFreeSpace:
         scene = Scene(facets=[wall], tx_position=(0, 0, 10),
                       carrier_freq=F_REF, max_depth=0)
         profile = trace_snapshot(scene, (100.0, 0.0, 10.0))
-        assert profile.n_paths == 0
+        assert len(profile.delays) == 0
 
 
 class TestGroundBounce:
@@ -266,7 +267,7 @@ class TestGroundBounce:
 
     def test_closed_form_two_ray_geometry(self):
         profile = trace_snapshot(self.scene(), (self.D, 0.0, self.H))
-        assert profile.n_paths == 2
+        assert len(profile.delays) == 2
         d_expected = [self.D, math.hypot(self.D, 2 * self.H)]
         np.testing.assert_allclose(profile.delays * SPEED_OF_LIGHT, d_expected,
                                    rtol=1e-12)
@@ -316,7 +317,7 @@ class TestPathProperties:
         scene = canyon_scene()
         rx = np.array([20.0, -3.0, 1.5])
         profile = trace_snapshot(scene, rx)
-        assert profile.n_paths >= 4  # LoS, ground, two walls at least
+        assert len(profile.delays) >= 4  # LoS, ground, two walls at least
         d_los = np.linalg.norm(rx - scene.tx_position)
         tau_los = d_los / SPEED_OF_LIGHT
         assert profile.delays[0] == pytest.approx(tau_los, rel=1e-12)
@@ -335,6 +336,17 @@ class TestPathProperties:
         for rx in ((math.nan, 0.0, 1.5), (5.0, math.inf, 1.5), (5.0, 0.0, math.nan)):
             with pytest.raises(InvalidInputError, match="rx position must be finite"):
                 trace_snapshot(scene, rx)
+
+    @pytest.mark.parametrize("rx, got", [
+        ((1, 2), "[1.0, 2.0]"),
+        ((5, 0, 1.5, 1), "[5.0, 0.0, 1.5, 1.0]"),
+        ([[5, 0, 1.5]], "[[5.0, 0.0, 1.5]]"),
+    ], ids=["two", "four", "nested"])
+    def test_receiver_of_other_than_three_coordinates_rejected(self, rx, got):
+        # checked before the height, rx[2], is read
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"rx position must have 3 coordinates, got {got}")):
+            trace_snapshot(canyon_scene(), rx)
 
 
 class TestSceneValidation:
@@ -359,6 +371,13 @@ class TestSceneValidation:
         with pytest.raises(InvalidInputError,
                            match=r"^rx position \(5\.0, -8\.0, 1\.5\) lies on a facet$"):
             trace_snapshot(canyon_scene(), np.array([5.0, -8.0, 1.5]))
+
+    @pytest.mark.parametrize("tx", [(0, 0), (0, 0, 10, 1)])
+    def test_tx_of_other_than_three_coordinates_rejected(self, tx):
+        # checked at construction, before anything indexes or broadcasts it
+        with pytest.raises(InvalidInputError,
+                           match=f"^tx position must have 3 coordinates, got {len(tx)}$"):
+            Scene(facets=[Facet.ground(0.0)], tx_position=tx, carrier_freq=F_REF)
 
     def test_depth_range_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -494,6 +513,29 @@ class TestTimeline:
             with pytest.raises(InvalidInputError, match="position 1 must be finite"):
                 MobilityTrace(interval=0.1, positions=[[0, 0, 1.5], bad])
 
+    @pytest.mark.parametrize("shape", [(1, 6), (1, 2), (2, 4), (3,), (1, 1, 3)])
+    def test_positions_must_be_n_by_3(self, shape):
+        # rows are taken as they are given: six numbers are not two receivers
+        positions = np.ones(shape)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"trace positions must have shape (N, 3), got {shape}")):
+            MobilityTrace(interval=0.1, positions=positions)
+
+
+class TestDelayProfile:
+    @pytest.mark.parametrize("amps, delays", [
+        ([[1.0, 0.5]], [[0.0, 1e-7]]),
+        ([1.0, 0.5], [[0.0, 1e-7]]),
+        (1.0, 0.0),
+        ([1.0, 0.5], [0.0]),
+    ])
+    def test_amps_and_delays_must_be_1d_of_equal_length(self, amps, delays):
+        # named at construction, not by discretize's broadcast
+        want = f"got shapes {np.shape(amps)} and {np.shape(delays)}"
+        with pytest.raises(InvalidInputError, match=(
+                f"^amps and delays must be 1-D of equal length, {re.escape(want)}$")):
+            DelayProfile(amps=amps, delays=delays)
+
 
 MATERIALS = ("concrete", "glass", "metal", "vacuum")
 # integer coordinates make coplanar walls, shared edges and rays through
@@ -567,7 +609,7 @@ class TestImageTree:
         scene = Scene(facets=[wall], tx_position=(4.0, 0.0, 2.0),
                       carrier_freq=F_REF, max_depth=1)
         rx = (2 * (edge + outward * overshoot) - 4.0, 0.0, 2.0)
-        assert trace_snapshot(scene, rx).n_paths == paths
+        assert len(trace_snapshot(scene, rx).delays) == paths
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
 
     @pytest.mark.parametrize("gap, paths", [(2e-6, 1), (1.0, 2)])
@@ -580,7 +622,7 @@ class TestImageTree:
         close, far = (6.0, 5.0 - gap, 2.0), (4.0, 0.0, 2.0)
         tx, rx = (far, close) if near == "rx" else (close, far)
         scene = Scene(facets=[wall], tx_position=tx, carrier_freq=F_REF, max_depth=1)
-        assert trace_snapshot(scene, rx).n_paths == paths
+        assert len(trace_snapshot(scene, rx).delays) == paths
         assert_same_profile(trace_snapshot(scene, rx), oracle_trace(scene, rx))
 
     def test_nodes_list_every_sequence_by_depth_in_order_with_its_image(self):
@@ -701,7 +743,7 @@ class TestImageTree:
         assert n_seq == sum(13 * 12 ** (d - 1) for d in range(1, 6)) == 294_073
         # 32 B a node: its facet and parent as int32, its image as 3 floats
         assert tree.facet.nbytes + tree.parent.nbytes + tree.image.nbytes == 32 * (n_seq + 1)
-        assert profile.n_paths > 0
+        assert len(profile.delays) > 0
         assert peak < 32e6
 
     @settings(max_examples=60, deadline=None)

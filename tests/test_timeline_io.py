@@ -403,7 +403,7 @@ class TestParsers:
 
     def test_profile_rows_with_header(self):
         profile = parse_profile("re,im,delay_s\n1.0,0.5,0.0\n-0.25,0,1e-6\n")
-        assert profile.n_paths == 2
+        assert len(profile.delays) == 2
         assert profile.amps[0] == 1.0 + 0.5j
         assert profile.delays[1] == 1e-6
 
@@ -420,7 +420,7 @@ class TestParsers:
     ])
     def test_text_parses_or_names_its_line(self, parse, text, want):
         if want == "1 path":
-            assert parse(text).n_paths == 1
+            assert len(parse(text).delays) == 1
             return
         with pytest.raises(ScenarioParseError) as err:
             parse(text)
